@@ -29,7 +29,8 @@ from repro.analysis.tables import Table
 from repro.checkers.atomicity import find_new_old_inversions
 from repro.checkers.online import OnlineTauTracker
 from repro.checkers.stabilization import stabilization_report
-from repro.workloads.scenarios import INITIAL, run_soak_scenario
+from repro.workloads.scenarios import INITIAL
+from repro.workloads.spec import run_scenario
 
 ARTIFACT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                              "BENCH_checkers.json")
@@ -63,7 +64,7 @@ def _traced(fn):
 
 def test_c1_streaming_check_throughput_vs_offline(report):
     """Online single-pass checking vs the offline batch pass, same history."""
-    result = run_soak_scenario(keep_history=True, **SOAK_KWARGS)
+    result = run_scenario("soak", keep_history=True, **SOAK_KWARGS)
     assert result.completed
     history = result.history
     tau = result.tau_no_tr
@@ -118,13 +119,13 @@ def test_c1_streaming_check_throughput_vs_offline(report):
 def test_c2_soak_runs_10x_smoke_ops_under_memory_budget(report):
     """The history-free soak gate: ≥10× smoke ops, bounded peak memory."""
     result, seconds, peak_mib = _traced(
-        lambda: run_soak_scenario(**SOAK_KWARGS))
+        lambda: run_scenario("soak", **SOAK_KWARGS))
     summary = result.summarize()
     tracker = result.extra["tracker"]
 
     deep_kwargs = dict(SOAK_KWARGS, num_writes=5000, num_reads=5000)
     deep, deep_seconds, deep_peak_mib = _traced(
-        lambda: run_soak_scenario(**deep_kwargs))
+        lambda: run_scenario("soak", **deep_kwargs))
     deep_summary = deep.summarize()
 
     table = Table("C2  history-free soak under a peak-memory budget",

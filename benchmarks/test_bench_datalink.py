@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.tables import Table
 from repro.registers.system import Cluster, ClusterConfig
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def _packets_per_broadcast(cap: int, broadcasts: int = 3) -> float:
@@ -41,13 +41,13 @@ def test_p3a_packets_vs_capacity(benchmark, report):
 
 def test_p3b_transport_cost_ratio(benchmark, report):
     def run_both():
-        direct = run_swsr_scenario(kind="regular", n=9, t=1, seed=701,
-                                   transport="direct", num_writes=2,
-                                   num_reads=2, op_gap=30.0)
-        datalink = run_swsr_scenario(kind="regular", n=9, t=1, seed=701,
-                                     transport="datalink", num_writes=2,
-                                     num_reads=2, op_gap=30.0,
-                                     max_events=4_000_000)
+        direct = run_scenario("swsr", kind="regular", n=9, t=1, seed=701,
+                              transport="direct", num_writes=2,
+                              num_reads=2, op_gap=30.0)
+        datalink = run_scenario("swsr", kind="regular", n=9, t=1, seed=701,
+                                transport="datalink", num_writes=2,
+                                num_reads=2, op_gap=30.0,
+                                max_events=4_000_000)
         return direct, datalink
 
     direct, datalink = benchmark.pedantic(run_both, rounds=1, iterations=1)

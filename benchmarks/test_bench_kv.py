@@ -28,7 +28,7 @@ import os
 import time
 
 from repro.analysis.tables import Table
-from repro.workloads.scenarios import run_kv_scenario
+from repro.workloads.spec import run_scenario
 
 ARTIFACT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                              "BENCH_kv.json")
@@ -44,7 +44,7 @@ MIN_SPEEDUP = 2.0
 
 def _measure(**kwargs):
     started = time.perf_counter()
-    result = run_kv_scenario(**kwargs)
+    result = run_scenario("kv", **kwargs)
     wall = time.perf_counter() - started
     summary = result.summarize()
     return {
@@ -128,6 +128,6 @@ def test_kv_pipelined_sharded_throughput(report):
 def test_kv_speedup_is_deterministic():
     """The speedup ratio is simulated time over simulated time: re-running
     the same seeds must reproduce it bit-for-bit."""
-    first = run_kv_scenario(shard_count=4, pipelined=True, **WORKLOAD)
-    second = run_kv_scenario(shard_count=4, pipelined=True, **WORKLOAD)
+    first = run_scenario("kv", shard_count=4, pipelined=True, **WORKLOAD)
+    second = run_scenario("kv", shard_count=4, pipelined=True, **WORKLOAD)
     assert first.summarize() == second.summarize()

@@ -29,7 +29,7 @@ import os
 import time
 
 from repro.analysis.tables import Table
-from repro.workloads.scenarios import run_kv_scenario, run_soak_scenario
+from repro.workloads.spec import run_scenario
 
 ARTIFACT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                              "BENCH_parallel_sim.json")
@@ -52,9 +52,8 @@ KV_CELL = dict(seed=202608, shard_count=SHARDS, n=9, t=1, client_count=4,
 
 
 def _measure(family, parallel, **cell):
-    runner = run_soak_scenario if family == "soak" else run_kv_scenario
     started = time.perf_counter()
-    result = runner(parallel=parallel, **cell)
+    result = run_scenario(family, parallel=parallel, **cell)
     wall = time.perf_counter() - started
     return result, wall
 
@@ -84,8 +83,7 @@ def test_parallel_sim_speedup_and_equivalence(report):
             assert serial.tau_by_shard == pooled.tau_by_shard
         # the legacy serial path (no parallel machinery at all) pins the
         # inline leg too, so all three executions agree.
-        legacy = (run_kv_scenario(**cell) if family == "kv"
-                  else run_soak_scenario(**cell))
+        legacy = run_scenario(family, **cell)
         assert legacy.summarize() == serial_summary
 
         speedup = serial_wall / pooled_wall
@@ -131,7 +129,7 @@ def test_interleave_fallback_matches_pool():
     it is the fallback on platforms without process headroom, so its
     verdicts must be interchangeable."""
     cell = dict(KV_CELL, num_keys=8, rounds=2)
-    pooled = run_kv_scenario(parallel=2, **cell)
-    inline = run_kv_scenario(parallel="interleave", **cell)
+    pooled = run_scenario("kv", parallel=2, **cell)
+    inline = run_scenario("kv", parallel="interleave", **cell)
     assert pooled.summarize() == inline.summarize()
     assert pooled.per_key_linearizable == inline.per_key_linearizable

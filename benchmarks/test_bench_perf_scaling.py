@@ -21,7 +21,7 @@ from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import build_trace
-from repro.workloads.scenarios import run_mwmr_scenario, run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 ARTIFACT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                              "BENCH_simcore.json")
@@ -51,9 +51,9 @@ def test_p1a_swsr_scaling_with_n(benchmark, report):
     def run_all():
         rows = []
         for n, t in [(9, 1), (17, 2), (25, 3), (33, 4)]:
-            result = run_swsr_scenario(kind="regular", n=n, t=t,
-                                       seed=500 + n, num_writes=3,
-                                       num_reads=3)
+            result = run_scenario("swsr", kind="regular", n=n, t=t,
+                                  seed=500 + n, num_writes=3,
+                                  num_reads=3)
             ops = len(result.history)
             rows.append((n, t, result.messages_sent / ops,
                          sum(_op_latencies(result.history)) / ops))
@@ -71,12 +71,12 @@ def test_p1a_swsr_scaling_with_n(benchmark, report):
 
 def test_p1b_construction_ladder(benchmark, report):
     def run_ladder():
-        regular = run_swsr_scenario(kind="regular", n=9, t=1, seed=501,
-                                    num_writes=3, num_reads=3)
-        atomic = run_swsr_scenario(kind="atomic", n=9, t=1, seed=501,
-                                   num_writes=3, num_reads=3)
-        mwmr = run_mwmr_scenario(m=3, n=9, t=1, seed=501,
-                                 ops_per_process=1)
+        regular = run_scenario("swsr", kind="regular", n=9, t=1, seed=501,
+                               num_writes=3, num_reads=3)
+        atomic = run_scenario("swsr", kind="atomic", n=9, t=1, seed=501,
+                              num_writes=3, num_reads=3)
+        mwmr = run_scenario("mwmr", m=3, n=9, t=1, seed=501,
+                            ops_per_process=1)
         return regular, atomic, mwmr
 
     regular, atomic, mwmr = benchmark.pedantic(run_ladder, rounds=1,
@@ -99,8 +99,8 @@ def test_p1c_single_write_latency(benchmark):
     """Raw harness speed: one complete SWSR write+read cycle."""
 
     def cycle():
-        return run_swsr_scenario(kind="regular", n=9, t=1, seed=502,
-                                 num_writes=1, num_reads=1)
+        return run_scenario("swsr", kind="regular", n=9, t=1, seed=502,
+                            num_writes=1, num_reads=1)
 
     result = benchmark(cycle)
     assert result.completed
@@ -173,17 +173,17 @@ def test_p1d_simcore_throughput_vs_trace_backend(report):
     # work (quorums, coroutines) dilutes the substrate win here.
     scenario_rates = {}
     for backend in ("full", "null"):
-        def run_scenario(backend=backend):
+        def scenario_rate(backend=backend):
             started = time.perf_counter()
-            result = run_swsr_scenario(kind="regular", n=25, t=3, seed=7,
-                                       num_writes=12, num_reads=12,
-                                       trace_backend=backend)
+            result = run_scenario("swsr", kind="regular", n=25, t=3, seed=7,
+                                  num_writes=12, num_reads=12,
+                                  trace_backend=backend)
             elapsed = time.perf_counter() - started
             processed = result.cluster.scheduler.events_processed
             return processed / elapsed, processed
         # each scenario run is short (~0.15 s), so a wider best-of is
         # cheap and keeps the gated figure robust on noisy runners
-        scenario_rates[backend], _ = _best_of(5, run_scenario)
+        scenario_rates[backend], _ = _best_of(5, scenario_rate)
 
     table = Table("P1d  simulation-core throughput (events/sec)",
                   ["workload", "backend", "events/sec", "vs full"])
@@ -237,10 +237,10 @@ def test_p1e_backends_agree_on_execution(report):
     digests = {}
     messages = {}
     for backend in ("full", "counting", "null"):
-        result = run_swsr_scenario(kind="atomic", n=9, t=1, seed=77,
-                                   num_writes=4, num_reads=4,
-                                   corruption_times=[2.0],
-                                   trace_backend=backend)
+        result = run_scenario("swsr", kind="atomic", n=9, t=1, seed=77,
+                              num_writes=4, num_reads=4,
+                              corruption_times=[2.0],
+                              trace_backend=backend)
         digests[backend] = result.summarize().history_digest
         messages[backend] = result.messages_sent
     assert len(set(digests.values())) == 1

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.tables import Table
 from repro.runner import SweepSpec, run_sweep
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 FRACTIONS = [0.25, 0.5, 0.75, 1.0]
 
@@ -75,9 +75,9 @@ def test_p2c_stabilization_bounded_by_first_write(benchmark, report):
     first post-corruption write (the proofs' τ_1w milestone)."""
 
     def measure():
-        result = run_swsr_scenario(
-            kind="regular", n=9, t=1, seed=610, num_writes=4, num_reads=4,
-            corruption_times=(3.0,), corruption_fraction=1.0,
+        result = run_scenario(
+            "swsr", kind="regular", n=9, t=1, seed=610, num_writes=4,
+            num_reads=4, corruption_times=(3.0,), corruption_fraction=1.0,
             byzantine_count=1)
         return result.report
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.tables import Table, verdict
 from repro.runner import SweepSpec, run_sweep
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 SETTINGS = [(9, 1), (17, 2), (25, 3)]
 STRATEGIES = ["silent", "random-garbage", "stale", "equivocate",
@@ -50,9 +50,10 @@ def test_t1a_claims_matrix(benchmark, report, sweep_workers):
 
 def test_t1b_stabilization_after_corruption(benchmark, report):
     def run_one():
-        return run_swsr_scenario(
-            kind="regular", n=9, t=1, seed=7, num_writes=5, num_reads=5,
-            corruption_times=(2.0, 5.0), link_garbage=2, byzantine_count=1)
+        return run_scenario(
+            "swsr", kind="regular", n=9, t=1, seed=7, num_writes=5,
+            num_reads=5, corruption_times=(2.0, 5.0), link_garbage=2,
+            byzantine_count=1)
 
     result = benchmark.pedantic(run_one, rounds=3, iterations=1)
     table = Table("T1b  stabilization after total corruption "
@@ -70,8 +71,8 @@ def test_t1b_stabilization_after_corruption(benchmark, report):
 
 def test_t1c_bound_tightness(benchmark, report):
     def beyond():
-        return run_swsr_scenario(
-            kind="regular", n=9, t=3, seed=8, enforce_resilience=False,
+        return run_scenario(
+            "swsr", kind="regular", n=9, t=3, seed=8, enforce_resilience=False,
             num_writes=1, num_reads=1, byzantine_count=3,
             byzantine_strategy="equivocate", max_events=120_000)
 

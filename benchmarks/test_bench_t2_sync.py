@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.tables import Table, verdict
 from repro.runner import SweepSpec, run_sweep
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 SYNC_SETTINGS = [(4, 1), (7, 2), (10, 3)]
 
@@ -41,12 +41,12 @@ def test_t2_resilience_gap(benchmark, report):
     """Same t = 2: 7 servers suffice synchronously vs 17 asynchronously."""
 
     def run_both():
-        sync = run_swsr_scenario(kind="regular", n=7, t=2, seed=9,
-                                 synchronous=True, num_writes=2, num_reads=2,
-                                 byzantine_count=2)
-        asynchronous = run_swsr_scenario(kind="regular", n=17, t=2, seed=9,
-                                         num_writes=2, num_reads=2,
-                                         byzantine_count=2)
+        sync = run_scenario("swsr", kind="regular", n=7, t=2, seed=9,
+                            synchronous=True, num_writes=2, num_reads=2,
+                            byzantine_count=2)
+        asynchronous = run_scenario("swsr", kind="regular", n=17, t=2, seed=9,
+                                    num_writes=2, num_reads=2,
+                                    byzantine_count=2)
         return sync, asynchronous
 
     sync, asynchronous = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -65,9 +65,9 @@ def test_t2_sync_atomic_extension(benchmark, report):
     """Section 4's closing remark: the atomic extension works at t < n/3."""
 
     def run_one():
-        return run_swsr_scenario(kind="atomic", n=7, t=2, seed=10,
-                                 synchronous=True, num_writes=4, num_reads=4,
-                                 corruption_times=(2.0,), byzantine_count=2)
+        return run_scenario("swsr", kind="atomic", n=7, t=2, seed=10,
+                            synchronous=True, num_writes=4, num_reads=4,
+                            corruption_times=(2.0,), byzantine_count=2)
 
     result = benchmark.pedantic(run_one, rounds=2, iterations=1)
     table = Table("T2c  synchronous atomic register (n=7, t=2, corruption)",

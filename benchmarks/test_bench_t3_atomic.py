@@ -11,7 +11,7 @@ from repro.analysis.tables import Table, verdict
 from repro.registers.bounded_seq import WsnConfig
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_atomic
 from repro.runner import SweepSpec, run_sweep
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 ADVERSARIES = ["inversion-attack", "flip-flop", "stale", "random-garbage"]
 
@@ -82,8 +82,8 @@ def test_t3c_default_modulus_equals_paper(benchmark, report):
     """With the paper's 2^64+1 modulus, bursts never hit the caveat."""
 
     def run_default():
-        return run_swsr_scenario(kind="atomic", n=9, t=1, seed=302,
-                                 num_writes=8, num_reads=2, op_gap=4.0)
+        return run_scenario("swsr", kind="atomic", n=9, t=1, seed=302,
+                            num_writes=8, num_reads=2, op_gap=4.0)
 
     result = benchmark.pedantic(run_default, rounds=2, iterations=1)
     table = Table("T3c  default modulus 2^64 + 1: no wrap-around in practice",

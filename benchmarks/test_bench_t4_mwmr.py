@@ -10,7 +10,7 @@ from repro.analysis.tables import Table, verdict
 from repro.checkers.atomicity import check_linearizable
 from repro.registers.epochs import Epoch
 from repro.registers.system import Cluster, ClusterConfig, build_mwmr
-from repro.workloads.scenarios import run_mwmr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def test_t4a_linearizability_matrix(benchmark, report):
@@ -19,8 +19,8 @@ def test_t4a_linearizability_matrix(benchmark, report):
         for m, concurrent, byz in [(2, False, 0), (3, False, 0),
                                    (3, True, 0), (3, False, 1),
                                    (5, False, 0)]:
-            result = run_mwmr_scenario(
-                m=m, n=9, t=1, seed=400 + m, ops_per_process=2,
+            result = run_scenario(
+                "mwmr", m=m, n=9, t=1, seed=400 + m, ops_per_process=2,
                 concurrent=concurrent, byzantine_count=byz,
                 byzantine_strategy="random-garbage")
             ok = result.completed and check_linearizable(result.history).ok

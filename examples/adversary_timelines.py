@@ -9,7 +9,7 @@ families against the same register stack:
 1. partition-during-write (a server group drops off mid-workload, heals);
 2. mobile Byzantine rotation (the Byzantine set hops across servers);
 3. a hand-built combined timeline (burst + crash/recovery + partition)
-   passed straight into ``run_swsr_scenario(fault_timeline=...)``.
+   passed straight into ``run_scenario("swsr", fault_timeline=...)``.
 
 Run:  python examples/adversary_timelines.py [--workers N]
 """
@@ -19,7 +19,7 @@ import argparse
 from repro.analysis.tables import Table
 from repro.faults import FaultTimeline
 from repro.runner import SweepSpec, run_sweep
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def adversary_specs():
@@ -60,7 +60,7 @@ def main() -> None:
     print(f"{len(sweep.cells)} cells, all ok: {sweep.all_ok} "
           f"[{args.workers} workers, {sweep.wall_seconds:.2f}s]\n")
 
-    print("A combined hand-built timeline through run_swsr_scenario")
+    print("A combined hand-built timeline through the swsr family")
     print("(the workload starts after the timeline's tau_no_tr — use the")
     print("partition scenario family for faults *during* operations):")
     timeline = (FaultTimeline()
@@ -68,8 +68,8 @@ def main() -> None:
                 .link_garbage(2.0, per_link=1)
                 .crash_recovery(4.0, 9.0, ["s5"])
                 .partition(10.0, 15.0, ["s9"]))
-    result = run_swsr_scenario(seed=7, num_writes=6, num_reads=6,
-                               fault_timeline=timeline.to_dict())
+    result = run_scenario("swsr", seed=7, num_writes=6, num_reads=6,
+                          fault_timeline=timeline.to_dict())
     print(f"  events: {len(timeline)}  tau_no_tr: {result.tau_no_tr}")
     print(f"  completed: {result.completed}  report: {result.report}")
 

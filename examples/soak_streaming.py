@@ -11,14 +11,15 @@ Run:  PYTHONPATH=src python examples/soak_streaming.py
 import time
 
 from repro.checkers.stabilization import stabilization_report
-from repro.workloads.scenarios import INITIAL, run_soak_scenario
+from repro.workloads.scenarios import INITIAL
+from repro.workloads.spec import run_scenario
 
 
 def main() -> None:
     started = time.perf_counter()
-    result = run_soak_scenario(kind="atomic", seed=7,
-                               num_writes=1000, num_reads=1000,
-                               fault_bursts=3, fault_period=5.0)
+    result = run_scenario("soak", kind="atomic", seed=7,
+                          num_writes=1000, num_reads=1000,
+                          fault_bursts=3, fault_period=5.0)
     elapsed = time.perf_counter() - started
     summary = result.summarize()
     tracker = result.extra["tracker"]
@@ -31,9 +32,9 @@ def main() -> None:
     print(f"  digest: {summary.history_digest}")
 
     # cross-check on a history-retaining run: online == offline verdicts
-    small = run_soak_scenario(kind="atomic", seed=7, num_writes=100,
-                              num_reads=100, fault_bursts=3,
-                              fault_period=5.0, keep_history=True)
+    small = run_scenario("soak", kind="atomic", seed=7, num_writes=100,
+                         num_reads=100, fault_bursts=3,
+                         fault_period=5.0, keep_history=True)
     offline = stabilization_report(small.history, mode="atomic",
                                    initial=INITIAL,
                                    tau_no_tr=small.tau_no_tr)

@@ -19,7 +19,7 @@ import argparse
 from repro.analysis.summary import summarize
 from repro.analysis.tables import Table
 from repro.runner import SweepSpec, run_sweep
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def severity_sweep(workers: int) -> None:
@@ -56,8 +56,8 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
     print(__doc__)
-    result = run_swsr_scenario(
-        kind="regular", n=9, t=1, seed=4,
+    result = run_scenario(
+        "swsr", kind="regular", n=9, t=1, seed=4,
         num_writes=5, num_reads=5,
         corruption_times=(2.0, 4.0, 6.0),   # transient bursts; last = tau_no_tr
         corruption_fraction=1.0,

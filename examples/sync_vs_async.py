@@ -13,7 +13,7 @@ import argparse
 
 from repro.analysis.tables import Table
 from repro.runner import SweepSpec, run_sweep
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def _specs():
@@ -55,11 +55,11 @@ def main() -> None:
 
     print("\nBeyond the asynchronous bound (t = 3 of n = 9, adversarial "
           "servers):")
-    broken = run_swsr_scenario(kind="regular", n=9, t=3, seed=1,
-                               enforce_resilience=False, num_writes=1,
-                               num_reads=1, byzantine_count=3,
-                               byzantine_strategy="equivocate",
-                               max_events=120_000)
+    broken = run_scenario("swsr", kind="regular", n=9, t=3, seed=1,
+                          enforce_resilience=False, num_writes=1,
+                          num_reads=1, byzantine_count=3,
+                          byzantine_strategy="equivocate",
+                          max_events=120_000)
     if broken.completed:
         print("  ...survived this schedule (no guarantee it always will)")
     else:

@@ -23,9 +23,11 @@ submodule layouts underneath may shift.  The surface groups into:
   (:class:`ParallelScenarioRunner`, :class:`ShardExecutor`,
   :class:`ShardPlan`), normally driven via ``run_scenario(...,
   parallel=N)``;
-* **scenarios** — :class:`ScenarioSpec` / :func:`run_scenario` (the
-  unified entry point) plus the historical per-family functions (now
-  deprecation shims);
+* **scenarios** — :class:`ScenarioSpec` / :func:`run_scenario`, the one
+  entry point to every family of the registry
+  (:func:`scenario_families`), returning a :class:`ScenarioResult`
+  (cluster-backed families) or :class:`StoreScenarioResult` (``kv`` /
+  ``reshard``);
 * **runner** — parameter sweeps (:func:`run_sweep`);
 * **service** — the asyncio KV service layer (:class:`KVService`,
   :class:`KVClient`, :func:`run_loopback_load`);
@@ -60,12 +62,8 @@ from .runner import (CellResult, SweepResult, SweepSpec, run_sweep,
 from .service import (KVClient, KVService, LoadReport, ServiceError,
                       ServiceServer, ServiceUnavailableError, SyncKVClient,
                       run_loopback_load, serve_tcp)
-from .workloads import (KVScenarioResult, ReshardScenarioResult,
-                        ScenarioEngine, ScenarioResult, ScenarioSpec,
-                        ScenarioSummary, run_kv_scenario,
-                        run_mobile_byzantine_scenario, run_mwmr_scenario,
-                        run_partition_scenario, run_reshard_scenario,
-                        run_scenario, run_soak_scenario, run_swsr_scenario,
+from .workloads import (ScenarioEngine, ScenarioResult, ScenarioSpec,
+                        ScenarioSummary, StoreScenarioResult, run_scenario,
                         scenario_families)
 from .workloads.scenarios import INITIAL
 
@@ -88,11 +86,9 @@ __all__ = [
     # parallel execution
     "ParallelScenarioRunner", "ShardExecutor", "ShardOutcome", "ShardPlan",
     # scenarios
-    "INITIAL", "KVScenarioResult", "ReshardScenarioResult",
-    "ScenarioEngine", "ScenarioResult", "ScenarioSpec", "ScenarioSummary",
-    "run_kv_scenario", "run_mobile_byzantine_scenario", "run_mwmr_scenario",
-    "run_partition_scenario", "run_reshard_scenario", "run_scenario",
-    "run_soak_scenario", "run_swsr_scenario", "scenario_families",
+    "INITIAL", "ScenarioEngine", "ScenarioResult", "ScenarioSpec",
+    "ScenarioSummary", "StoreScenarioResult", "run_scenario",
+    "scenario_families",
     # runner
     "CellResult", "SweepResult", "SweepSpec", "run_sweep", "smoke_specs",
     # service layer

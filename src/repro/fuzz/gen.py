@@ -47,7 +47,7 @@ from ..workloads.scenarios import INITIAL
 STATIC_STRATEGIES = ("silent", "stale", "random-garbage", "equivocate",
                      "flip-flop", "inversion-attack")
 
-#: rotation strategies must reply (see the run_mobile_byzantine_scenario
+#: rotation strategies must reply (see the mobile-byz family's
 #: liveness caveat: two mute servers straddling a handover starve the
 #: n - t wait).
 ROTATION_STRATEGIES = ("random-garbage", "stale")
@@ -135,7 +135,7 @@ class FuzzCase:
         return FaultTimeline.from_dict({"events": list(self.timeline)})
 
     def scenario_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``run_swsr_scenario`` (minus backend)."""
+        """Parameters of the ``swsr`` family (minus backend)."""
         return {
             "kind": self.kind, "n": self.n, "t": self.t, "seed": self.seed,
             "transport": self.transport, "num_writes": self.num_writes,
@@ -180,9 +180,9 @@ class FuzzCase:
 class KVFuzzCase:
     """One generated *sharded KV* experiment (the ``kv`` fuzz family).
 
-    Mirrors :class:`FuzzCase` for :func:`~repro.workloads.scenarios
-    .run_kv_scenario`: topology, shard/client/key counts, a static
-    Byzantine placement (per shard) and per-shard fault-timeline events.
+    Mirrors :class:`FuzzCase` for the ``kv`` scenario family: topology,
+    shard/client/key counts, a static Byzantine placement (per shard) and
+    per-shard fault-timeline events.
     Timeline events are stored flattened, each carrying its ``shard``
     index, so the ddmin shrinker can drop them one by one exactly like
     SWSR events; :meth:`scenario_kwargs` regroups them per shard.  Event
@@ -204,7 +204,7 @@ class KVFuzzCase:
 
     # -- derived -----------------------------------------------------------
     def scenario_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``run_kv_scenario`` (minus backend)."""
+        """Parameters of the ``kv`` family (minus backend)."""
         per_shard: Dict[int, List[Dict[str, Any]]] = {}
         for event in self.timeline:
             entry = {key: value for key, value in event.items()
@@ -252,11 +252,11 @@ class KVFuzzCase:
 class ReshardFuzzCase:
     """One generated *live-resharding* experiment (the ``reshard`` family).
 
-    Mirrors :class:`KVFuzzCase` for :func:`~repro.workloads.scenarios
-    .run_reshard_scenario`, with one twist: the flattened ``timeline``
-    holds **both** per-shard fault events (each carrying its ``shard``
-    index) and store-scoped rebalance events (``reshard_split`` /
-    ``reshard_merge`` / ``migrate_vnodes``, no ``shard`` key).
+    Mirrors :class:`KVFuzzCase` for the ``reshard`` scenario family, with
+    one twist: the flattened ``timeline`` holds **both** per-shard fault
+    events (each carrying its ``shard`` index) and store-scoped rebalance
+    events (``reshard_split`` / ``reshard_merge`` / ``migrate_vnodes``, no
+    ``shard`` key).
     :meth:`scenario_kwargs` splits them back into ``fault_timelines`` and
     ``reshard_plan`` — and because they share one event vector, the ddmin
     shrinker minimizes rebalance plans exactly like fault timelines
@@ -284,7 +284,7 @@ class ReshardFuzzCase:
                 if event["kind"] in RESHARD_KINDS]
 
     def scenario_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``run_reshard_scenario`` (minus backend)."""
+        """Parameters of the ``reshard`` family (minus backend)."""
         from ..faults.schedule import RESHARD_KINDS
         per_shard: Dict[int, List[Dict[str, Any]]] = {}
         plan: List[Dict[str, Any]] = []
@@ -495,7 +495,7 @@ KV_STRATEGIES = ("silent", "stale", "random-garbage", "equivocate",
 
 #: burst fractions stay partial: a burst corrupting *every* server copy
 #: of a per-key register livelocks the MWMR scan until the owner
-#: rewrites (run_kv_scenario's documented liveness caveat).
+#: rewrites (the kv family's documented liveness caveat).
 KV_MAX_BURST_FRACTION = 0.2
 
 

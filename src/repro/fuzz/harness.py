@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..checkers.atomicity import find_new_old_inversions
 from ..checkers.regularity import check_regularity
-from ..checkers.stabilization import stabilization_report
 from ..runner.adapters import counters_from
 from ..workloads.spec import run_scenario
 from .gen import INITIAL, FuzzCase, KVFuzzCase, ReshardFuzzCase
@@ -106,118 +105,91 @@ def _violation_details(history, case: FuzzCase, tau: float
     return details
 
 
-def _run_kv_case(case: KVFuzzCase, backend: str = "null",
-                 detail: bool = False) -> CaseOutcome:
-    """Execute a kv-family case: per-key post-τ linearizability verdict.
-
-    ``detail=True`` (the FullTrace confirmation pass) additionally lists
-    the failing key's concrete post-τ operations, so kv replay artifacts
-    are as triagable as SWSR ones.
-    """
+def _contained(family: str, case, backend: str):
+    """Run ``case`` through its family; a raising scenario is *contained*
+    as an ``error:<Type>`` outcome (returned in place of the result) so
+    cases cannot kill campaigns and shrinking works uniformly on crashes
+    too."""
     try:
-        result = run_scenario("kv", trace_backend=backend,
-                              **case.scenario_kwargs())
+        return run_scenario(family, trace_backend=backend,
+                            **case.scenario_kwargs())
     except Exception as exc:  # noqa: BLE001 - cases must not kill campaigns
         return CaseOutcome(
             case=case, backend=backend, completed=False, stable=None,
             ok=False,
             violations=[{"kind": f"error:{type(exc).__name__}",
                          "detail": str(exc)}])
-    violations: List[Dict[str, Any]] = []
+
+
+def _outcome(case, backend: str, result, stable: Optional[bool],
+             violations: List[Dict[str, Any]], counters: Dict[str, int],
+             timings: Dict[str, float]) -> CaseOutcome:
+    """Outcome assembly shared by every case family: the family's
+    ``violations`` (or ``incomplete`` when the run starved) plus injected
+    ones; its ``counters``/``timings`` on top of the summary's."""
     if not result.completed:
-        violations.append({
+        violations = [{
             "kind": "incomplete",
             "detail": "operations did not terminate within "
-                      f"max_events={case.max_events}"})
-    else:
-        for key in sorted(result.per_key_linearizable):
-            if not result.per_key_linearizable[key]:
-                shard = result.store.shard_for(key)
-                entry = (f"key {key!r} (shard {shard}) post-tau "
-                         "history does not linearize")
-                if detail:
-                    tau = result.tau_by_shard[shard]
-                    ops = [repr(op) for op in sorted(
-                        result.history.ops,
-                        key=lambda op: (op.invoke, op.response))
-                        if op.register == f"kv/{key}"
-                        and op.invoke >= tau]
-                    entry += "; ops: " + " | ".join(ops)
-                violations.append({"kind": "kv-linearizability",
-                                   "detail": entry})
-    violations.extend(_injected_violations(case))
+                      f"max_events={case.max_events}"}]
+    violations = violations + _injected_violations(case)
     summary = result.summarize()
-    counters = counters_from(summary)
-    counters["timeline_events"] = len(case.timeline)
-    counters["shards"] = case.shard_count
-    timings = {"sim_end": summary.sim_end, "tau_no_tr": result.tau_no_tr}
+    counters = {**counters_from(summary),
+                "timeline_events": len(case.timeline), **counters}
+    timings = {"sim_end": summary.sim_end, "tau_no_tr": result.tau_no_tr,
+               **timings}
     return CaseOutcome(
         case=case, backend=backend, completed=result.completed,
-        stable=summary.stable, ok=not violations, violations=violations,
+        stable=stable, ok=not violations, violations=violations,
         counters=counters, timings=timings,
         history_digest=summary.history_digest)
 
 
-def _run_reshard_case(case: ReshardFuzzCase, backend: str = "null",
-                      detail: bool = False) -> CaseOutcome:
-    """Execute a reshard-family case.
+def _run_store_case(case, backend: str, detail: bool) -> CaseOutcome:
+    """Execute a kv- or reshard-family case.
 
-    Verdict = per-key post-τ linearizability straight across every
-    handoff, **plus** per-migration-epoch stabilization: every applied
-    rebalance must reach an aggregated epoch τ (``epoch-unstable``
-    otherwise — some key's reads never went clean again after the
-    ownership change).
+    Verdict = per-key post-τ linearizability (straight across every
+    handoff), **plus**, for a resharding run, per-migration-epoch
+    stabilization: every applied rebalance must reach an aggregated
+    epoch τ (``epoch-unstable`` otherwise — some key's reads never went
+    clean again after the ownership change).  ``detail=True`` (the
+    FullTrace confirmation pass) additionally lists the failing key's
+    concrete operations — post-τ on its shard, or all of them when
+    handoffs moved it between shards — so store replay artifacts are as
+    triagable as SWSR ones.
     """
-    try:
-        result = run_scenario("reshard", trace_backend=backend,
-                              **case.scenario_kwargs())
-    except Exception as exc:  # noqa: BLE001 - cases must not kill campaigns
-        return CaseOutcome(
-            case=case, backend=backend, completed=False, stable=None,
-            ok=False,
-            violations=[{"kind": f"error:{type(exc).__name__}",
-                         "detail": str(exc)}])
+    reshard = isinstance(case, ReshardFuzzCase)
+    result = _contained("reshard" if reshard else "kv", case, backend)
+    if isinstance(result, CaseOutcome):
+        return result
     violations: List[Dict[str, Any]] = []
-    if not result.completed:
-        violations.append({
-            "kind": "incomplete",
-            "detail": "operations did not terminate within "
-                      f"max_events={case.max_events}"})
-    else:
-        for key in sorted(result.per_key_linearizable):
-            if not result.per_key_linearizable[key]:
-                shard = result.store.shard_for(key)
-                entry = (f"key {key!r} (shard {shard}) post-tau history "
-                         "does not linearize across the handoffs")
-                if detail:
-                    ops = [repr(op) for op in sorted(
-                        result.history.ops,
-                        key=lambda op: (op.invoke, op.response))
-                        if op.register == f"kv/{key}"]
-                    entry += "; ops: " + " | ".join(ops)
-                violations.append({"kind": "kv-linearizability",
-                                   "detail": entry})
-        for entry in result.epoch_taus:
-            if entry["tau"] is None:
-                violations.append({
-                    "kind": "epoch-unstable",
-                    "detail": f"migration epoch {entry['label']} "
-                              f"(start {entry['start']:.3f}) never "
-                              "re-stabilized"})
-    violations.extend(_injected_violations(case))
-    summary = result.summarize()
-    counters = counters_from(summary)
-    counters["timeline_events"] = len(case.timeline)
-    counters["shards"] = result.store.shard_count
-    counters["rebalances"] = len(result.rebalances)
-    counters["keys_transferred"] = sum(len(report.transferred)
-                                       for report in result.rebalances)
-    timings = {"sim_end": summary.sim_end, "tau_no_tr": result.tau_no_tr}
-    return CaseOutcome(
-        case=case, backend=backend, completed=result.completed,
-        stable=summary.stable, ok=not violations, violations=violations,
-        counters=counters, timings=timings,
-        history_digest=summary.history_digest)
+    for key in sorted(result.per_key_linearizable):
+        if result.per_key_linearizable[key]:
+            continue
+        shard = result.store.shard_for(key)
+        entry = (f"key {key!r} (shard {shard}) post-tau history does not "
+                 "linearize" + (" across the handoffs" if reshard else ""))
+        if detail:
+            cutoff = (float("-inf") if reshard
+                      else result.tau_by_shard[shard])
+            ops = [repr(op) for op in sorted(
+                result.history.ops,
+                key=lambda op: (op.invoke, op.response))
+                if op.register == f"kv/{key}" and op.invoke >= cutoff]
+            entry += "; ops: " + " | ".join(ops)
+        violations.append({"kind": "kv-linearizability", "detail": entry})
+    counters = {"shards": result.store.shard_count}
+    if reshard:
+        violations.extend(
+            {"kind": "epoch-unstable",
+             "detail": f"migration epoch {entry['label']} "
+                       f"(start {entry['start']:.3f}) never re-stabilized"}
+            for entry in result.epoch_taus if entry["tau"] is None)
+        counters["rebalances"] = len(result.rebalances)
+        counters["keys_transferred"] = sum(
+            len(report.transferred) for report in result.rebalances)
+    stable = result.completed and result.linearizable   # = summary.stable
+    return _outcome(case, backend, result, stable, violations, counters, {})
 
 
 def run_case(case, backend: str = "null",
@@ -225,26 +197,16 @@ def run_case(case, backend: str = "null",
     """Execute ``case`` on the given trace backend and judge it.
 
     Dispatches on the case family (:class:`FuzzCase` → SWSR scenario,
-    :class:`KVFuzzCase` → sharded KV scenario, :class:`ReshardFuzzCase`
-    → live-resharding scenario).  ``detail=True`` (the FullTrace
-    confirmation pass) additionally lists the concrete violating reads;
-    the fast path only needs the boolean verdict.  A raising scenario is
-    *contained* as an ``error:<Type>`` violation so shrinking works
-    uniformly on crashes too.
+    :class:`KVFuzzCase` / :class:`ReshardFuzzCase` → store-backed
+    scenario).  ``detail=True`` (the FullTrace confirmation pass)
+    additionally lists the concrete violating reads; the fast path only
+    needs the boolean verdict.
     """
-    if isinstance(case, ReshardFuzzCase):
-        return _run_reshard_case(case, backend, detail=detail)
-    if isinstance(case, KVFuzzCase):
-        return _run_kv_case(case, backend, detail=detail)
-    try:
-        result = run_scenario("swsr", trace_backend=backend,
-                              **case.scenario_kwargs())
-    except Exception as exc:  # noqa: BLE001 - cases must not kill campaigns
-        return CaseOutcome(
-            case=case, backend=backend, completed=False, stable=None,
-            ok=False,
-            violations=[{"kind": f"error:{type(exc).__name__}",
-                         "detail": str(exc)}])
+    if isinstance(case, (KVFuzzCase, ReshardFuzzCase)):
+        return _run_store_case(case, backend, detail)
+    result = _contained("swsr", case, backend)
+    if isinstance(result, CaseOutcome):
+        return result
     timeline = case.fault_timeline()
     # judge stabilization from the last adversary action of any kind:
     # rotations may straddle the workload, and the construction only owes
@@ -254,48 +216,31 @@ def run_case(case, backend: str = "null",
     report = None
     if result.completed and result.history.reads():
         # the scenario's online tracker answers any cut-off without a
-        # rescan; the offline pass survives only as a fallback for
-        # stream-less results.
+        # rescan of the history.
         if result.report is not None and tau == result.tau_no_tr:
             report = result.report
         else:
             report = result.stream_report(tau)
-        if report is None:
-            report = stabilization_report(result.history, mode=mode,
-                                          initial=INITIAL, tau_no_tr=tau)
     stable = report.stable if report else None
 
     violations: List[Dict[str, Any]] = []
-    if not result.completed:
-        violations.append({
-            "kind": "incomplete",
-            "detail": "operations did not terminate within "
-                      f"max_events={case.max_events}"})
-    elif stable is False:
+    if result.completed and stable is False:
         if detail:
             violations.extend(_violation_details(result.history, case, tau))
         if not violations:
             violations.append({
                 "kind": "unstable",
                 "detail": f"no suffix after tau={tau} satisfies {mode}"})
-    violations.extend(_injected_violations(case))
-
-    summary = result.summarize()
-    counters = counters_from(summary)
+    timings = {"tau_adversary": tau}
+    if report and report.tau_stab is not None:
+        timings["tau_stab"] = report.tau_stab
+    outcome = _outcome(case, backend, result, stable, violations, {},
+                       timings)
     # summary.dirty_reads is judged against the scenario's own τ, not
     # this harness's tau (which also covers rotations) — reporting it
     # here would mix two τ bases.
-    counters.pop("dirty_reads", None)
-    counters["timeline_events"] = len(case.timeline)
-    timings = {"sim_end": summary.sim_end, "tau_adversary": tau,
-               "tau_no_tr": result.tau_no_tr}
-    if report and report.tau_stab is not None:
-        timings["tau_stab"] = report.tau_stab
-    return CaseOutcome(
-        case=case, backend=backend, completed=result.completed,
-        stable=stable, ok=not violations, violations=violations,
-        counters=counters, timings=timings,
-        history_digest=summary.history_digest)
+    outcome.counters.pop("dirty_reads", None)
+    return outcome
 
 
 def confirm_case(case,

@@ -7,19 +7,15 @@ active — the environment it needs to reproduce.  ``python -m repro.fuzz
 --replay FILE`` loads one, re-runs the case and reports whether the
 recorded violation kinds still reproduce.
 
-New artifacts are written as one profile of the universal capture format
-(see :mod:`repro.capture.format`): a ``"fuzz-replay"`` header carrying
-the case, sealed by the checksum footer carrying the violations and
-shrink bookkeeping.  The original whole-file JSON rendering
-(``FORMAT``, v0) is still loaded transparently — :meth:`ReplayArtifact.load`
-sniffs the first line — so the committed regression corpus under
-``tests/replays/`` keeps replaying unmodified via
-``tests/test_fuzz_replay_fixtures.py``.
+Artifacts are one profile of the universal capture format (see
+:mod:`repro.capture.format`): a ``"fuzz-replay"`` header carrying the
+case, sealed by the checksum footer carrying the violations and shrink
+bookkeeping.  The committed regression corpus under ``tests/replays/``
+is in this format and replays via ``tests/test_fuzz_replay_fixtures.py``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -27,10 +23,7 @@ from typing import Any, Dict, List, Optional
 from .gen import FuzzCase, case_from_dict
 from .harness import INJECT_ENV, CaseOutcome, confirm_case, run_case
 
-#: v0 whole-file JSON artifact tag (still loadable, no longer written).
-FORMAT = "repro.fuzz.replay/1"
-
-#: Capture-format header profile new artifacts are written under.
+#: Capture-format header profile artifacts are written under.
 CAPTURE_PROFILE = "fuzz-replay"
 
 
@@ -50,24 +43,8 @@ class ReplayArtifact:
     def signature(self) -> List[str]:
         return sorted({entry["kind"] for entry in self.violations})
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "campaign": self.campaign,
-            "case": self.case.to_dict(),
-            "format": FORMAT,
-            "original_case": (self.original_case.to_dict()
-                              if self.original_case else None),
-            "outcome": self.outcome,
-            "requires_env": self.requires_env,
-            "shrink": self.shrink,
-            "violations": self.violations,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     def write(self, path: str) -> None:
-        """Write the artifact as a sealed capture file (v1).
+        """Write the artifact as a sealed capture file.
 
         The case / campaign / environment live in the header, the
         violations and shrink bookkeeping in the checksum footer — so
@@ -92,23 +69,8 @@ class ReplayArtifact:
                                   if self.original_case else None)})
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ReplayArtifact":
-        if data.get("format") != FORMAT:
-            raise ValueError(f"not a replay artifact "
-                             f"(format={data.get('format')!r}, "
-                             f"expected {FORMAT!r})")
-        return cls(
-            case=case_from_dict(data["case"]),
-            violations=list(data.get("violations") or []),
-            original_case=(case_from_dict(data["original_case"])
-                           if data.get("original_case") else None),
-            shrink=data.get("shrink"),
-            outcome=data.get("outcome"),
-            campaign=data.get("campaign"),
-            requires_env=data.get("requires_env"))
-
-    @classmethod
-    def _from_capture(cls, path: str) -> "ReplayArtifact":
+    def load(cls, path: str) -> "ReplayArtifact":
+        """Read (and structurally validate) a sealed artifact."""
         from ..capture.format import CaptureReader
         reader = CaptureReader(path)
         if reader.header.get("profile") != CAPTURE_PROFILE:
@@ -126,26 +88,6 @@ class ReplayArtifact:
             outcome=footer.get("summary"),
             campaign=reader.header.get("campaign"),
             requires_env=reader.header.get("requires_env"))
-
-    @classmethod
-    def load(cls, path: str) -> "ReplayArtifact":
-        """Load either rendering: the first line decides.
-
-        A capture header (``"record": "header"``) selects the validating
-        v1 path; anything else falls back to the legacy whole-file JSON
-        shim (v0 artifacts are pretty-printed, so their first line never
-        parses as a complete JSON object).
-        """
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-        try:
-            sniffed = json.loads(first)
-        except ValueError:
-            sniffed = None
-        if isinstance(sniffed, dict) and sniffed.get("record") == "header":
-            return cls._from_capture(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 def current_inject_env() -> Optional[Dict[str, str]]:

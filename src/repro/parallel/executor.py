@@ -24,15 +24,19 @@ time for the in-process round-robin fallback (``parallel="interleave"``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from ..checkers.history import Operation, operation_from_handle
+from ..faults.schedule import FaultTimeline
 from ..faults.transient import TransientFaultInjector
 from ..kvstore.pipeline import Pipeline
 from ..kvstore.store import StabilizingKVStore
 from ..registers.system import Cluster, ClusterConfig
-from ..sim.errors import SimulationLimitReached
-from .plan import ShardPlan, timeline_from_plan
+from ..workloads.scenarios import (_install_byzantine,
+                                   install_fault_envelope, run_batch,
+                                   soak_shard)
+from .plan import ShardPlan
 
 #: (messages_sent, events_processed, now) — a shard counter snapshot.
 Counters = Tuple[int, int, float]
@@ -60,12 +64,6 @@ class ShardOutcome:
     tau_local: float = 0.0
     corruptions: int = 0
     completed: bool = True
-
-    def first_failed_stage(self) -> Optional[str]:
-        for stage in self.stages:
-            if self.status.get(stage) == "failed":
-                return stage
-        return None
 
 
 class _Recorder:
@@ -97,13 +95,9 @@ class ShardExecutor:
                                     family=plan.family,
                                     stages=tuple(plan.stage_names()))
         self._next_stage = 0
-        self._failed = False
-        self._ready = False
         # lazily-built simulation state (per family)
         self._cluster: Optional[Cluster] = None
-        self._store: Optional[StabilizingKVStore] = None
         self._pipe: Optional[Pipeline] = None
-        self._injector: Optional[TransientFaultInjector] = None
         self._stage_records: List[Operation] = []
         self._batch_cursor = 0
 
@@ -128,81 +122,59 @@ class ShardExecutor:
             n=params["n"], t=params["t"], seed=plan.seed,
             trace_backend=params["trace_backend"],
             enforce_resilience=params["enforce_resilience"]))
-        self._store = StabilizingKVStore(self._cluster,
-                                         client_count=params["client_count"])
-        from ..workloads.scenarios import _install_byzantine
+        store = StabilizingKVStore(self._cluster,
+                                   client_count=params["client_count"])
         _install_byzantine(self._cluster, None, params["byzantine_count"],
                            params["byzantine_strategy"])
-        self._pipe = Pipeline(self._store, on_complete=self._observe)
-        self._ready = True
+        self._pipe = Pipeline(store, on_complete=self._observe)
 
     # -- kv stages ---------------------------------------------------------
     def _run_kv_batch(self, stage: str) -> bool:
         plan, outcome = self.plan, self.outcome
         ops = plan.op_batches[self._batch_cursor]
         self._batch_cursor += 1
-        records: List[Operation] = []
-        self._stage_records = records
-        outcome.records[stage] = records
-        pipe = self._pipe
-        try:
-            for kind, client, key, value in ops:
-                if kind == "put":
-                    pipe.put(client, key, value)
-                else:
-                    pipe.get(client, key)
+        self._stage_records = outcome.records[stage] = []
+
+        def enqueued() -> None:
             # serial equivalence point: when an earlier shard's drain
             # fails this batch, the serial run leaves this shard enqueued
             # but undrained — snapshot that state before flushing.
             outcome.pre_counters[stage] = self._counters()
-            pipe.flush(max_events=plan.params["max_events"])
-        except SimulationLimitReached:
-            pipe.issued.clear()
-            outcome.post_counters[stage] = self._counters()
-            return False
+
+        drained = run_batch(self._pipe, ops, plan.params["max_events"],
+                            before_flush=enqueued)
+        if not drained:
+            self._pipe.issued.clear()
         outcome.post_counters[stage] = self._counters()
-        return True
+        return drained
 
     def _run_kv_faults(self) -> bool:
         plan, outcome = self.plan, self.outcome
-        cluster = self._cluster
-        injector = TransientFaultInjector.for_cluster(cluster)
-        self._injector = injector
-        anchor = cluster.scheduler.now
-        tau_local = anchor
-        for time, fraction in zip(plan.params["corruption_times"],
-                                  plan.params["corruption_fractions"]):
-            injector.at(anchor + time,
-                        lambda cluster=cluster, fraction=fraction,
-                        injector=injector: injector.corrupt_all(
-                            cluster.servers, fraction))
-            tau_local = max(tau_local, anchor + time)
-        timeline = timeline_from_plan(plan)
-        if timeline is not None:
-            installed = timeline.shifted(anchor)
-            installed.install(cluster, injector)
-            tau_local = max(tau_local, installed.tau_no_tr)
+        injector = TransientFaultInjector.for_cluster(self._cluster)
+        # installing schedules events but processes none, so the
+        # installed-but-not-yet-run snapshot can be taken up front.
         outcome.pre_counters["faults"] = self._counters()
-        cluster.run(until=tau_local + 1.0)
+        outcome.tau_local = install_fault_envelope(
+            self._cluster, injector, plan.params["corruption_times"],
+            plan.params["corruption_fractions"],
+            plan.timeline and FaultTimeline.from_dict(plan.timeline))
         outcome.post_counters["faults"] = self._counters()
-        outcome.tau_local = tau_local
         outcome.corruptions = injector.corruptions
         return True
 
     # -- soak stage --------------------------------------------------------
     def _run_soak(self) -> bool:
-        from ..workloads.scenarios import _soak_simulation
         recorder = _Recorder()
         outcome = self.outcome
         outcome.pre_counters["run"] = (0, 0, 0.0)
-        shard = _soak_simulation(seed=self.plan.seed, engine_mode=None,
-                                 extra_checkers=(recorder,),
-                                 **self.plan.params)
+        shard = soak_shard(SimpleNamespace(**self.plan.params),
+                           self.plan.seed, tracked=False,
+                           checkers=(recorder,))
         self._cluster = shard.cluster
         outcome.records["run"] = recorder.ops
         outcome.post_counters["run"] = self._counters()
-        outcome.tau_local = shard.tau_report
-        outcome.corruptions = shard.injector.corruptions
+        outcome.tau_local = shard.tau_no_tr
+        outcome.corruptions = shard.extra["injector"].corruptions
         return shard.completed
 
     # -- driving -----------------------------------------------------------
@@ -212,21 +184,18 @@ class ShardExecutor:
             return False
         stage = self.outcome.stages[self._next_stage]
         self._next_stage += 1
-        if self._failed:
+        if not self.outcome.completed:
             self.outcome.status[stage] = "skipped"
         else:
-            if not self._ready and self.plan.family == "kv":
-                self._setup_kv()
             if self.plan.family == "soak":
                 ok = self._run_soak()
-            elif stage == "faults":
-                ok = self._run_kv_faults()
             else:
-                ok = self._run_kv_batch(stage)
+                if self._pipe is None:
+                    self._setup_kv()
+                ok = (self._run_kv_faults() if stage == "faults"
+                      else self._run_kv_batch(stage))
             self.outcome.status[stage] = "ok" if ok else "failed"
-            if not ok:
-                self._failed = True
-                self.outcome.completed = False
+            self.outcome.completed = ok
         return self._next_stage < len(self.outcome.stages)
 
     def run(self) -> ShardOutcome:

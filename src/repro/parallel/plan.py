@@ -7,8 +7,8 @@ slice of the concrete operation schedule.  Plans are built **once**, in
 the parent, from the same primitives the serial path uses
 (:class:`~repro.kvstore.sharding.HashRing` placement via
 :func:`~repro.kvstore.sharding.partition_ops`,
-:func:`~repro.kvstore.sharding.derive_shard_seed` seeds, the shared
-:class:`~repro.workloads.generators.ValueStream` draw order), which is
+:func:`~repro.kvstore.sharding.derive_shard_seed` seeds, the kv family's
+own :func:`~repro.workloads.scenarios.kv_op_batches` schedule), which is
 what makes the parallel execution *serial-equivalent*: a worker's
 sub-simulation is byte-identical to the corresponding shard of the serial
 run, because both are the same deterministic function of the same plan.
@@ -22,12 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..faults.schedule import FaultTimeline
 from ..kvstore.sharding import HashRing, derive_shard_seed, partition_ops
-from ..workloads.generators import ValueStream
-
-#: one concrete KV operation: ``(kind, client, key, value-or-None)``.
-KVOp = Tuple[str, str, str, Optional[Any]]
+from ..workloads.scenarios import (KVOp, _burst_fractions, kv_op_batches,
+                                   shard_timelines)
 
 
 @dataclass(frozen=True)
@@ -76,78 +73,38 @@ class ShardPlan:
         return stages
 
 
-def kv_op_batches(num_keys: int, rounds: int, clients: List[str]
-                  ) -> Tuple[List[str], List[List[KVOp]]]:
-    """The kv family's global batch schedule, values pre-drawn in order.
-
-    Mirrors ``_run_kv_scenario`` exactly: a create batch (round-robin
-    clients), then per round a put batch and a get batch with the same
-    client rotation.  ``ValueStream`` is a pure counter, so drawing every
-    value eagerly here yields the same values the serial path draws
-    lazily — for every operation that actually executes.
-    """
-    keys = [f"k{index}" for index in range(num_keys)]
-    values = ValueStream()
-    batches: List[List[KVOp]] = [
-        [("put", clients[index % len(clients)], key, values.next())
-         for index, key in enumerate(keys)]]
-    for round_index in range(rounds):
-        batches.append(
-            [("put", clients[(round_index + index) % len(clients)], key,
-              values.next())
-             for index, key in enumerate(keys)])
-        batches.append(
-            [("get", clients[(round_index + index + 1) % len(clients)], key,
-              None)
-             for index, key in enumerate(keys)])
-    return keys, batches
-
-
-def kv_shard_plans(shard_count: int, n: int, t: int, seed: int,
-                   client_count: int, num_keys: int, rounds: int,
-                   byzantine_count: int, byzantine_strategy: str,
-                   corruption_times, corruption_fraction,
-                   fault_timelines, trace_backend, enforce_resilience: bool,
-                   max_events: int, vnodes: int = 64
+def kv_shard_plans(shard_count: int, seed: int, client_count: int,
+                   num_keys: int, rounds: int, corruption_times,
+                   corruption_fraction, fault_timelines, vnodes: int = 64,
+                   **pool: Any
                    ) -> Tuple[List[ShardPlan], List[str], HashRing]:
-    """Slice one kv scenario into per-shard plans.
+    """Slice one kv scenario (its resolved parameters) into per-shard plans.
 
+    ``pool`` — the per-shard construction knobs (``n``, ``t``,
+    ``byzantine_count``/``_strategy``, ``trace_backend``,
+    ``enforce_resilience``, ``max_events``) — ships to the workers as is.
     Returns ``(plans, keys, ring)`` — the ring is the same placement the
     serial ``ShardedKVStore`` builds (``vnodes`` included, so ring
     density cannot drift between the serial and parallel paths), so the
     merge step can seal each key against its own shard's τ.
     """
-    from ..workloads.scenarios import _as_timeline, _burst_fractions
-
     ring = HashRing(shard_count, vnodes=vnodes)
     clients = [f"c{index + 1}" for index in range(client_count)]
-    keys, batches = kv_op_batches(num_keys, rounds, clients)
+    keys = [f"k{index}" for index in range(num_keys)]
+    # the serial run's own schedule, materialized up front (see
+    # kv_op_batches: eager and lazy draws yield the same values).
     slices = [partition_ops(batch, lambda op: ring.shard_for(op[2]))
-              for batch in batches]
+              for batch in kv_op_batches(keys, clients, rounds)]
 
     times = [float(time) for time in corruption_times]
     fractions = _burst_fractions(times, corruption_fraction)
-    timelines = {int(shard): _as_timeline(timeline).to_dict()
-                 for shard, timeline in (fault_timelines or {}).items()}
-    out_of_range = sorted(shard for shard in timelines
-                          if not 0 <= shard < shard_count)
-    if out_of_range:
-        raise ValueError(
-            f"fault_timelines reference shards {out_of_range} but the "
-            f"store has {shard_count} shard(s); a silently dropped "
-            "timeline would fake a fault-free verdict")
+    timelines = {shard: timeline.to_dict() for shard, timeline in
+                 shard_timelines(fault_timelines, shard_count).items()}
     run_faults = bool(times or timelines)
 
-    params = {
-        "n": n, "t": t, "client_count": client_count,
-        "byzantine_count": byzantine_count,
-        "byzantine_strategy": byzantine_strategy,
-        "corruption_times": tuple(times),
-        "corruption_fractions": tuple(fractions),
-        "trace_backend": trace_backend,
-        "enforce_resilience": enforce_resilience,
-        "max_events": max_events, "rounds": rounds,
-    }
+    params = dict(pool, client_count=client_count, rounds=rounds,
+                  corruption_times=tuple(times),
+                  corruption_fractions=tuple(fractions))
     return [ShardPlan(
         family="kv", shard_index=shard, shard_count=shard_count,
         seed=derive_shard_seed(seed, shard), params=dict(params),
@@ -171,10 +128,3 @@ def soak_shard_plans(shards: int, seed: int,
     return [ShardPlan(family="soak", shard_index=index, shard_count=shards,
                       seed=shard_seed, params=dict(params))
             for index, shard_seed in enumerate(seeds)]
-
-
-def timeline_from_plan(plan: ShardPlan) -> Optional[FaultTimeline]:
-    """The plan's declarative timeline, deserialized (``None`` if absent)."""
-    if plan.timeline is None:
-        return None
-    return FaultTimeline.from_dict(plan.timeline)

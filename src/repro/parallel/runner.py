@@ -35,6 +35,7 @@ from ..checkers.history import History
 from ..checkers.online import OnlineTauTracker, StreamingLinearizer
 from ..checkers.stream import ObservationStream
 from ..kvstore.sharding import HashRing
+from ..workloads.scenarios import ScenarioSummary, StoreScenarioResult
 from .executor import ShardExecutor, ShardOutcome, execute_shard_plan
 from .plan import ShardPlan, kv_shard_plans, soak_shard_plans
 
@@ -91,7 +92,7 @@ class ParallelScenarioRunner:
 
 
 # ----------------------------------------------------------------------
-# kv: merge S worker streams into one KVScenarioResult
+# kv: merge S worker streams into one StoreScenarioResult
 # ----------------------------------------------------------------------
 class _MergedStoreStats:
     """Duck-typed stand-in for ``ShardedKVStore`` in a merged result:
@@ -112,33 +113,17 @@ class _MergedStoreStats:
         return self.ring.shard_for(key)
 
 
-def run_parallel_kv(parallel: Optional[ParallelMode], shard_count: int,
-                    n: int, t: int, seed: int, client_count: int,
-                    num_keys: int, rounds: int, byzantine_count: int,
-                    byzantine_strategy: str, corruption_times,
-                    corruption_fraction, fault_timelines, trace_backend,
-                    enforce_resilience: bool, max_events: int,
-                    vnodes: int = 64):
-    """The kv family's shard-parallel execution path."""
-    plans, keys, ring = kv_shard_plans(
-        shard_count=shard_count, n=n, t=t, seed=seed,
-        client_count=client_count, num_keys=num_keys, rounds=rounds,
-        byzantine_count=byzantine_count,
-        byzantine_strategy=byzantine_strategy,
-        corruption_times=corruption_times,
-        corruption_fraction=corruption_fraction,
-        fault_timelines=fault_timelines, trace_backend=trace_backend,
-        enforce_resilience=enforce_resilience, max_events=max_events,
-        vnodes=vnodes)
+def run_parallel_kv(parallel: Optional[ParallelMode], **params: Any):
+    """The kv family's shard-parallel execution path (``params``: the
+    family's resolved parameters, see :func:`kv_shard_plans`)."""
+    plans, keys, ring = kv_shard_plans(**params)
     outcomes = ParallelScenarioRunner(plans, parallel).run()
     return merge_kv_outcomes(outcomes, keys, ring)
 
 
 def merge_kv_outcomes(outcomes: Sequence[ShardOutcome], keys: List[str],
                       ring: HashRing):
-    """Reassemble worker outcomes into the serial ``KVScenarioResult``."""
-    from ..workloads.scenarios import KVScenarioResult
-
+    """Reassemble worker outcomes into the serial run's result."""
     outcomes = sorted(outcomes, key=lambda outcome: outcome.shard_index)
     stages = list(outcomes[0].stages)
     shard_count = len(outcomes)
@@ -206,7 +191,7 @@ def merge_kv_outcomes(outcomes: Sequence[ShardOutcome], keys: List[str],
         events_processed=sum(counter[1] for counter in counters),
         now=max(counter[2] for counter in counters))
     per_key = {key: bool(linearizer.ok(f"kv/{key}")) for key in keys}
-    return KVScenarioResult(
+    return StoreScenarioResult(
         store=stats, history=stream.history, completed=completed,
         tau_no_tr=max(tau_by_shard), tau_by_shard=tau_by_shard,
         per_key_linearizable=per_key, stream=stream,
@@ -302,8 +287,6 @@ def run_parallel_soak(shards: int, parallel: Optional[ParallelMode],
 
 def merge_soak_outcomes(outcomes: Sequence[ShardOutcome],
                         params: Dict[str, Any]) -> MergedScenarioResult:
-    from ..workloads.scenarios import ScenarioSummary
-
     outcomes = sorted(outcomes, key=lambda outcome: outcome.shard_index)
     mode = "atomic" if params.get("kind") == "atomic" else "regular"
     stream = ObservationStream(keep_history=params.get("keep_history",

@@ -4,9 +4,9 @@ The paper's claims are statements over *families* of executions; this
 package turns one-at-a-time scenario calls into declarative, parallel,
 deterministic sweeps:
 
-* :class:`~repro.runner.spec.SweepSpec` — a parameter grid over the
-  scenario entry points (``run_swsr_scenario`` / ``run_mwmr_scenario`` /
-  ``run_figure1``) with deterministic per-cell seed derivation;
+* :class:`~repro.runner.spec.SweepSpec` — a parameter grid over one
+  scenario family of the registry (``run_scenario("swsr", ...)``, ...) or
+  ``run_figure1``, with deterministic per-cell seed derivation;
 * :func:`~repro.runner.engine.run_sweep` — fans the cells out over a
   ``ProcessPoolExecutor``; results are bit-identical regardless of worker
   count or completion order;

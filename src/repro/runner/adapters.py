@@ -1,8 +1,8 @@
 """Scenario adapters: cell parameters in, picklable result sections out.
 
-One adapter per scenario family.  Each runs the underlying entry point,
-immediately reduces the outcome through the ``summarize()`` boundary (the
-full :class:`~repro.workloads.scenarios.ScenarioResult` never crosses a
+Each adapter runs one family through :func:`run_family`, immediately
+reduces the outcome through the ``summarize()`` boundary (the full
+:class:`~repro.workloads.scenarios.ScenarioResult` never crosses a
 process boundary) and normalizes three sections:
 
 * ``verdicts`` — always includes ``completed`` and ``ok``, where ``ok``
@@ -12,33 +12,34 @@ process boundary) and normalizes three sections:
 * ``counters`` / ``timings`` — deterministic counts and simulated-time
   instants.
 
-Adding a scenario family = adding one adapter here plus its name in
+Families that share a result shape share a judgement: one function for
+the SWSR-shaped (stabilizing) families, one for the store-backed ones,
+each extended per family through :data:`EXTRAS`.  Adding a scenario
+family = one registry entry in ``repro.workloads.scenarios`` plus, here,
+one :data:`ADAPTERS` line (and an :data:`EXTRAS` entry if it reports
+more than its shape's shared sections) and its name in
 ``spec.SCENARIOS``; keep the returned sections picklable (plain scalars
 only) so cells stay shippable across worker processes.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Tuple
 
-from ..checkers.atomicity import check_linearizable, find_new_old_inversions
+from ..checkers.atomicity import check_linearizable
 from ..experiments.figure1 import run_figure1
-from ..workloads.scenarios import INITIAL
-from ..workloads.spec import ScenarioSpec, run_scenario
+from ..workloads.spec import IO_OPTIONS, ScenarioSpec
 
 Sections = Tuple[Dict[str, bool], Dict[str, int], Dict[str, float], str]
 
-#: Spec-level I/O options a sweep cell may carry alongside the family
-#: parameters (see ``repro.capture``); popped off before validation.
-_IO_KEYS = ("capture", "metrics_every", "metrics_out")
-
 
 def run_family(family: str, params: Dict[str, Any]) -> Any:
-    """Run one family from cell params, honoring capture/metrics keys."""
+    """Run one family from cell params; the spec-level I/O options a
+    sweep cell may carry alongside them (capture/metrics, see
+    ``repro.capture``) are popped off before validation."""
     params = dict(params)
-    io = {key: params.pop(key) for key in _IO_KEYS if key in params}
-    if not io:
-        return run_scenario(family, **params)
+    io = {key: params.pop(key) for key in IO_OPTIONS if key in params}
     return ScenarioSpec(family, params, **io).run()
 
 
@@ -65,15 +66,94 @@ def counters_from(summary) -> Dict[str, int]:
     return counters
 
 
-def run_swsr_cell(params: Dict[str, Any]) -> Sections:
-    """SWSR regular/atomic/synchronous cell: ``ok`` = terminates + stabilizes.
+def _partition_extras(result, verdicts, counters, timings) -> None:
+    """Partition cells also report dropped-message counts."""
+    counters["messages_dropped"] = result.cluster.network.messages_dropped
+
+
+def _soak_extras(result, verdicts, counters, timings) -> None:
+    """Soak cells are additionally ``ok`` only while the bounded-window
+    checkers stayed exact (no window overran)."""
+    verdicts["exact"] = bool(result.extra["tracker"].exact)
+    verdicts["ok"] = verdicts["ok"] and verdicts["exact"]
+
+
+def _reshard_extras(result, verdicts, counters, timings) -> None:
+    """Reshard cells are additionally ``ok`` only if every migration
+    epoch re-stabilizes (its aggregated τ exists); they report the
+    rebalance counters and per-epoch τ instants."""
+    epochs = result.epoch_taus
+    verdicts["stable"] = all(entry["tau"] is not None for entry in epochs)
+    verdicts["ok"] = verdicts["ok"] and verdicts["stable"]
+    counters["rebalances"] = len(result.rebalances)
+    counters["keys_moved"] = sum(len(report.moved_keys)
+                                 for report in result.rebalances)
+    counters["keys_transferred"] = sum(len(report.transferred)
+                                       for report in result.rebalances)
+    for index, entry in enumerate(epochs):
+        if entry["tau"] is not None:
+            timings[f"epoch{index}_tau"] = float(entry["tau"])
+
+
+#: per-family additions to the shared judgement of the family's shape:
+#: ``extras(result, verdicts, counters, timings)`` mutates the sections.
+EXTRAS: Dict[str, Callable[..., None]] = {
+    "partition": _partition_extras,
+    "soak": _soak_extras,
+    "reshard": _reshard_extras,
+}
+
+
+def _sections(family: str, result, summary, verdicts, counters) -> Sections:
+    timings = timings_from(summary)
+    if family in EXTRAS:
+        EXTRAS[family](result, verdicts, counters, timings)
+    return verdicts, counters, timings, summary.history_digest
+
+
+def run_stabilizing_cell(family: str, params: Dict[str, Any]) -> Sections:
+    """SWSR-shaped cell (``swsr`` regular/atomic/synchronous,
+    ``partition``, ``mobile-byz``, ``soak``): ``ok`` = terminates +
+    stabilizes.
 
     Atomic cells additionally count (and must not show) new/old inversions
-    after τ_no_tr — Theorem 3's headline; regular cells report the count as
-    a fact only (regularity legally allows inversions, Figure 1's point).
+    after the declared τ — Theorem 3's headline; regular cells report the
+    count as a fact only (regularity legally allows inversions, Figure 1's
+    point; so are pre-τ inversions during a rotation window).  The
+    initial value participates as virtual write #-1, matching the
+    stabilization report's judgement (see checkers.atomicity).  Every
+    verdict and counter is read off the run's observation stream (the
+    online detector saw every completed operation) — a soak cell retains
+    no history at all, which is the point of that family.
     """
-    result = run_family("swsr", params)
-    return _stabilizing_sections(result, params)
+    result = run_family(family, params)
+    inversions = result.inversions_after(result.tau_no_tr)
+    summary = result.summarize()
+    stable = summary.stable
+    ok = summary.completed and (stable is None or bool(stable))
+    if params.get("kind", "regular") == "atomic":
+        ok = ok and inversions == 0
+    verdicts = {"completed": summary.completed, "stable": bool(stable),
+                "ok": ok}
+    counters = counters_from(summary)
+    counters["new_old_inversions"] = inversions
+    return _sections(family, result, summary, verdicts, counters)
+
+
+def run_store_cell(family: str, params: Dict[str, Any]) -> Sections:
+    """Store-backed cell (``kv``, ``reshard``): ``ok`` = terminates +
+    every key's post-τ history linearizes (each key judged against its
+    own shard's τ, straight across every handoff)."""
+    result = run_family(family, params)
+    summary = result.summarize()
+    linearizable = bool(summary.completed and result.linearizable)
+    verdicts = {"completed": summary.completed,
+                "linearizable": linearizable,
+                "ok": summary.completed and linearizable}
+    counters = counters_from(summary)
+    counters["shards"] = result.store.shard_count
+    counters["keys"] = len(result.per_key_linearizable)
+    return _sections(family, result, summary, verdicts, counters)
 
 
 def run_mwmr_cell(params: Dict[str, Any]) -> Sections:
@@ -82,90 +162,10 @@ def run_mwmr_cell(params: Dict[str, Any]) -> Sections:
     linearizable = bool(result.completed
                         and check_linearizable(result.history).ok)
     summary = result.summarize()
-    verdicts = {
-        "completed": summary.completed,
-        "linearizable": linearizable,
-        "ok": summary.completed and linearizable,
-    }
+    verdicts = {"completed": summary.completed,
+                "linearizable": linearizable,
+                "ok": summary.completed and linearizable}
     return (verdicts, counters_from(summary), timings_from(summary),
-            summary.history_digest)
-
-
-def _stabilizing_sections(result, params: Dict[str, Any]) -> Sections:
-    """Shared verdict shape of the fault-timeline families.
-
-    ``ok`` = terminates + stabilizes; atomic cells must additionally show
-    no new/old inversion after the declared τ (Theorem 3's headline).
-    The initial value participates as virtual write #-1, matching the
-    stabilization report's judgement (see checkers.atomicity).
-
-    Inversion counts come off the run's observation stream (the online
-    detector saw every completed operation); the offline rescan remains
-    only as a fallback for stream-less results.
-    """
-    inversions = result.inversions_after(result.tau_no_tr)
-    if inversions is None:
-        inversions = len(find_new_old_inversions(
-            result.history, after=result.tau_no_tr,
-            initial=params.get("initial", INITIAL)))
-    summary = result.summarize()
-    stable = summary.stable
-    ok = summary.completed and (stable is None or bool(stable))
-    if params.get("kind", "regular") == "atomic":
-        ok = ok and inversions == 0
-    verdicts = {
-        "completed": summary.completed,
-        "stable": bool(stable),
-        "ok": ok,
-    }
-    counters = counters_from(summary)
-    counters["new_old_inversions"] = inversions
-    return (verdicts, counters, timings_from(summary),
-            summary.history_digest)
-
-
-def run_partition_cell(params: Dict[str, Any]) -> Sections:
-    """Partition-during-write cell; also reports dropped-message counts."""
-    result = run_family("partition", params)
-    verdicts, counters, timings, digest = _stabilizing_sections(result,
-                                                                params)
-    counters["messages_dropped"] = result.cluster.network.messages_dropped
-    return verdicts, counters, timings, digest
-
-
-def run_mobile_byz_cell(params: Dict[str, Any]) -> Sections:
-    """Mobile Byzantine rotation cell: ok = terminates + stabilizes."""
-    result = run_family("mobile-byz", params)
-    return _stabilizing_sections(result, params)
-
-
-def run_soak_cell(params: Dict[str, Any]) -> Sections:
-    """Long-horizon soak cell: ``ok`` = terminates + stabilizes + the
-    bounded-window checkers stayed exact (no window overran).
-
-    The cell retains no history: every verdict and counter is read off
-    the observation stream, which is the point of the family.
-    """
-    result = run_family("soak", params)
-    summary = result.summarize()
-    tracker = result.extra.get("tracker")
-    exact = bool(tracker.exact) if tracker is not None else True
-    stable = summary.stable
-    ok = summary.completed and (stable is None or bool(stable)) and exact
-    # same judgement base as _stabilizing_sections: inversions after the
-    # declared τ (pre-τ inversions during a rotation window are legal).
-    inversions = result.inversions_after(result.tau_no_tr) or 0
-    if params.get("kind", "regular") == "atomic":
-        ok = ok and inversions == 0
-    verdicts = {
-        "completed": summary.completed,
-        "stable": bool(stable),
-        "exact": exact,
-        "ok": ok,
-    }
-    counters = counters_from(summary)
-    counters["new_old_inversions"] = inversions
-    return (verdicts, counters, timings_from(summary),
             summary.history_digest)
 
 
@@ -199,54 +199,6 @@ def run_fuzz_cell(params: Dict[str, Any]) -> Sections:
             outcome.history_digest)
 
 
-def run_kv_cell(params: Dict[str, Any]) -> Sections:
-    """Sharded KV cell: ``ok`` = terminates + every key's post-τ history
-    linearizes (each key judged against its own shard's τ)."""
-    result = run_family("kv", params)
-    summary = result.summarize()
-    linearizable = bool(summary.completed and result.linearizable)
-    verdicts = {
-        "completed": summary.completed,
-        "linearizable": linearizable,
-        "ok": summary.completed and linearizable,
-    }
-    counters = counters_from(summary)
-    counters["shards"] = result.store.shard_count
-    counters["keys"] = len(result.per_key_linearizable)
-    return (verdicts, counters, timings_from(summary),
-            summary.history_digest)
-
-
-def run_reshard_cell(params: Dict[str, Any]) -> Sections:
-    """Live-resharding cell: ``ok`` = terminates + every key's post-τ
-    history linearizes straight across every handoff + every migration
-    epoch re-stabilizes (its aggregated τ exists)."""
-    result = run_family("reshard", params)
-    summary = result.summarize()
-    linearizable = bool(summary.completed and result.linearizable)
-    epochs = result.epoch_taus
-    stable = all(entry["tau"] is not None for entry in epochs)
-    verdicts = {
-        "completed": summary.completed,
-        "linearizable": linearizable,
-        "stable": stable,
-        "ok": summary.completed and linearizable and stable,
-    }
-    counters = counters_from(summary)
-    counters["shards"] = result.store.shard_count
-    counters["keys"] = len(result.per_key_linearizable)
-    counters["rebalances"] = len(result.rebalances)
-    counters["keys_moved"] = sum(len(report.moved_keys)
-                                 for report in result.rebalances)
-    counters["keys_transferred"] = sum(len(report.transferred)
-                                       for report in result.rebalances)
-    timings = timings_from(summary)
-    for index, entry in enumerate(epochs):
-        if entry["tau"] is not None:
-            timings[f"epoch{index}_tau"] = float(entry["tau"])
-    return (verdicts, counters, timings, summary.history_digest)
-
-
 def run_figure1_cell(params: Dict[str, Any]) -> Sections:
     """Figure-1 cell: the regular register must invert, the atomic must not."""
     summary = run_figure1(**params).summarize()
@@ -259,13 +211,13 @@ def run_figure1_cell(params: Dict[str, Any]) -> Sections:
 
 
 ADAPTERS: Dict[str, Callable[[Dict[str, Any]], Sections]] = {
-    "swsr": run_swsr_cell,
+    "swsr": partial(run_stabilizing_cell, "swsr"),
     "mwmr": run_mwmr_cell,
     "figure1": run_figure1_cell,
-    "partition": run_partition_cell,
-    "mobile-byz": run_mobile_byz_cell,
-    "soak": run_soak_cell,
+    "partition": partial(run_stabilizing_cell, "partition"),
+    "mobile-byz": partial(run_stabilizing_cell, "mobile-byz"),
+    "soak": partial(run_stabilizing_cell, "soak"),
     "fuzz": run_fuzz_cell,
-    "kv": run_kv_cell,
-    "reshard": run_reshard_cell,
+    "kv": partial(run_store_cell, "kv"),
+    "reshard": partial(run_store_cell, "reshard"),
 }

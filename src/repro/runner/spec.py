@@ -227,10 +227,10 @@ def smoke_specs() -> List[SweepSpec]:
         },
         seeds=[0, 1],
     )
-    # rotation strategies here must keep confirming (see the
-    # run_mobile_byzantine_scenario docstring: a broadcast in flight
-    # across a rotation sees *two* non-responsive servers under a silent
-    # set, which legitimately starves the n-t wait).
+    # rotation strategies here must keep confirming (see the mobile-byz
+    # family's liveness caveat: a broadcast in flight across a rotation
+    # sees *two* non-responsive servers under a silent set, which
+    # legitimately starves the n-t wait).
     mobile = SweepSpec(
         name="smoke-mobile-byz", scenario="mobile-byz",
         base={"n": 9, "t": 1, "num_writes": 8, "num_reads": 8,
@@ -243,7 +243,7 @@ def smoke_specs() -> List[SweepSpec]:
     )
     # the kv burst fraction stays at the family default (0.2, servers
     # only): heavier bursts can legitimately livelock the MWMR scan until
-    # the owner rewrites (see run_kv_scenario's liveness caveat).
+    # the owner rewrites (see the kv family's liveness caveat).
     kv = SweepSpec(
         name="smoke-kv", scenario="kv",
         base={"n": 9, "t": 1, "client_count": 2, "num_keys": 4,

@@ -1,22 +1,15 @@
-"""Workload generation and canned end-to-end scenarios."""
+"""Workload generation and the scenario-family registry."""
 
 from .engine import ScenarioEngine
 from .generators import (ClientDriver, OpSpec, ValueStream,
                          alternating_schedule, burst_schedule)
-from .scenarios import (KVScenarioResult, ReshardScenarioResult,
-                        ScenarioResult, ScenarioSummary, history_digest,
-                        run_kv_scenario, run_mobile_byzantine_scenario,
-                        run_mwmr_scenario, run_partition_scenario,
-                        run_reshard_scenario, run_soak_scenario,
-                        run_swsr_scenario)
+from .scenarios import (ScenarioResult, ScenarioSummary,
+                        StoreScenarioResult, history_digest)
 from .spec import ScenarioSpec, run_scenario, scenario_families
 
 __all__ = [
-    "ClientDriver", "KVScenarioResult", "OpSpec", "ReshardScenarioResult",
-    "ScenarioEngine", "ScenarioResult", "ScenarioSpec", "ScenarioSummary",
-    "ValueStream", "alternating_schedule", "burst_schedule",
-    "history_digest", "run_kv_scenario", "run_mobile_byzantine_scenario",
-    "run_mwmr_scenario", "run_partition_scenario", "run_reshard_scenario",
-    "run_scenario", "run_soak_scenario", "run_swsr_scenario",
-    "scenario_families",
+    "ClientDriver", "OpSpec", "ScenarioEngine", "ScenarioResult",
+    "ScenarioSpec", "ScenarioSummary", "StoreScenarioResult", "ValueStream",
+    "alternating_schedule", "burst_schedule", "history_digest",
+    "run_scenario", "scenario_families",
 ]

@@ -1,28 +1,42 @@
-"""Canned end-to-end scenarios: one call = one experiment run.
+"""Scenario families: one registry entry each, composed from shared steps.
 
-These are the workhorses behind the integration tests, the benchmark
-harness and the examples.  A scenario stands up a cluster, installs faults
-(transient bursts before τ_no_tr, Byzantine strategies throughout), drives
-a read/write workload, and returns the history plus stabilization report.
+A scenario stands up a cluster (or a sharded store), installs faults
+(transient bursts before τ_no_tr, Byzantine strategies throughout),
+drives a read/write workload, and returns the history plus stabilization
+verdicts.  Every family is one :class:`Family` entry in :data:`FAMILIES`
+— a parameter-defaults mapping (shared groups written once, overlaid per
+family) plus a short run function — reached through
+:class:`~repro.workloads.spec.ScenarioSpec` / ``run_scenario``, which
+validate and resolve parameters against that mapping.
 
-Since the streaming refactor every family runs on the shared
+The run functions compose steps that each exist exactly once: the four
+SWSR-shaped families (``swsr``, ``partition``, ``mobile-byz``, ``soak``)
+share :class:`_SwsrRig`, the :func:`_drive_swsr` loop and
+:func:`_rotation_timeline`, and differ only in fault plan, engine
+windows and chunk size; the store-backed families (``kv``, ``reshard``)
+share :func:`kv_op_batches`, :func:`run_batch`, :func:`shard_timelines`
+and :func:`install_fault_envelope` — which :mod:`repro.parallel` also
+plans and runs its shard workers from, making the parallel execution
+serial-equivalent by construction.
+
+Every family runs on the shared
 :class:`~repro.workloads.engine.ScenarioEngine`: completed operations are
 fed into an :class:`~repro.checkers.stream.ObservationStream` as drivers
 finish them, so counters, the history digest and (for SWSR-shaped runs)
 the stabilization report are online by-products of the run rather than
 terminal passes over a materialized history.  Ordinary scenarios still
 retain the full :class:`~repro.checkers.history.History` for replay and
-confirmation paths; the long-horizon :func:`run_soak_scenario` family
-switches retention off and runs arbitrarily long workloads under a
-bounded peak-memory envelope.
+confirmation paths; the long-horizon ``soak`` family switches retention
+off and runs arbitrarily long workloads under a bounded peak-memory
+envelope.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from types import SimpleNamespace
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..checkers.history import History
 from ..checkers.online import OnlineTauTracker, StreamingLinearizer
@@ -39,19 +53,19 @@ from ..registers.system import (Cluster, ClusterConfig, build_mwmr,
                                 build_swsr_atomic, build_swsr_regular)
 from ..sim.errors import SimulationLimitReached
 from .engine import ScenarioEngine
-from .generators import ValueStream, alternating_schedule
+from .generators import ValueStream
 
 __all__ = [
-    "INITIAL", "KVScenarioResult", "ReshardScenarioResult",
-    "ScenarioResult", "ScenarioSummary", "history_digest",
-    "run_kv_scenario", "run_mobile_byzantine_scenario",
-    "run_mwmr_scenario", "run_partition_scenario", "run_reshard_scenario",
-    "run_soak_scenario", "run_swsr_scenario",
+    "FAMILIES", "Family", "INITIAL", "ScenarioResult", "ScenarioSummary",
+    "StoreScenarioResult", "history_digest",
 ]
 
 #: default register initial value, shared by every scenario family (the
 #: checkers treat it as virtual write #-1 — keep one source of truth).
 INITIAL = "v_init"
+
+#: one concrete KV operation: ``(kind, client, key, value-or-None)``.
+KVOp = Tuple[str, str, str, Optional[Any]]
 
 
 @dataclass(frozen=True)
@@ -96,33 +110,29 @@ class ScenarioSummary:
     epoch_taus: Optional[Tuple[Dict[str, Any], ...]] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict rendering (JSON-ready, stable key order)."""
-        return {
-            "completed": self.completed,
-            "corruptions": self.corruptions,
-            "dirty_reads": self.dirty_reads,
-            "epoch_taus": (None if self.epoch_taus is None
-                           else [dict(sorted(entry.items()))
-                                 for entry in self.epoch_taus]),
-            "events_processed": self.events_processed,
-            "history_digest": self.history_digest,
-            "messages_sent": self.messages_sent,
-            "ops": self.ops,
-            "reads": self.reads,
-            "sim_end": self.sim_end,
-            "stabilization_time": self.stabilization_time,
-            "stable": self.stable,
-            "tau_1w": self.tau_1w,
-            "tau_no_tr": self.tau_no_tr,
-            "tau_stab": self.tau_stab,
-            "total_reads": self.total_reads,
-            "writes": self.writes,
-        }
+        """Plain-dict rendering (JSON-ready, keys sorted: stable order)."""
+        payload = dict(sorted(vars(self).items()))
+        if self.epoch_taus is not None:
+            payload["epoch_taus"] = [dict(sorted(entry.items()))
+                                     for entry in self.epoch_taus]
+        return payload
+
+
+def _stream_counters(stream: Optional[ObservationStream],
+                     history: Optional[History]) -> Dict[str, Any]:
+    """The summary's op counters and digest off the stream — single pass —
+    with a history-walking fallback for hand-built results (tests)."""
+    if stream is not None:
+        return dict(ops=stream.ops, writes=stream.writes,
+                    reads=stream.reads, history_digest=stream.digest())
+    return dict(ops=len(history), writes=len(history.writes()),
+                reads=len(history.reads()),
+                history_digest=history_digest(history))
 
 
 @dataclass
 class ScenarioResult:
-    """Everything an experiment needs to report.
+    """Everything a cluster-backed experiment needs to report.
 
     ``stream`` is the run's observation pipeline; ``history`` is the
     materialized operation history when the scenario retained one
@@ -168,39 +178,79 @@ class ScenarioResult:
         """Reduce to the compact, picklable record sweep workers return."""
         injector = self.extra.get("injector")
         report = self.report
-        ops, writes, reads, digest = _stream_counters(self.stream,
-                                                      self.history)
+        verdict = {} if report is None else {
+            name: getattr(report, name) for name in (
+                "stable", "tau_1w", "tau_stab", "stabilization_time",
+                "dirty_reads", "total_reads")}
         return ScenarioSummary(
             completed=self.completed,
             tau_no_tr=self.tau_no_tr,
-            ops=ops,
-            writes=writes,
-            reads=reads,
             messages_sent=self.messages_sent,
             events_processed=self.cluster.scheduler.events_processed,
             sim_end=self.cluster.scheduler.now,
             corruptions=injector.corruptions if injector else 0,
-            history_digest=digest,
-            stable=report.stable if report else None,
-            tau_1w=report.tau_1w if report else None,
-            tau_stab=report.tau_stab if report else None,
-            stabilization_time=(report.stabilization_time
-                                if report else None),
-            dirty_reads=report.dirty_reads if report else None,
-            total_reads=report.total_reads if report else None,
-        )
+            **_stream_counters(self.stream, self.history), **verdict)
 
 
-def _stream_counters(stream: Optional[ObservationStream],
-                     history: Optional[History]
-                     ) -> Tuple[int, int, int, str]:
-    """(ops, writes, reads, digest) off the stream — single pass — with a
-    history-walking fallback for hand-built results (tests)."""
-    if stream is not None:
-        return stream.ops, stream.writes, stream.reads, stream.digest()
-    return (len(history), len(history.writes()), len(history.reads()),
-            history_digest(history))
+@dataclass
+class StoreScenarioResult:
+    """Result of a store-backed run: many clusters, one merged history.
 
+    The per-key verdict (``linearizable``) judges the *post-τ* suffix of
+    every key's register history — exactly the window in which the MWMR
+    construction owes atomicity (writes restart after the last transient
+    event; the paper's assumption (b) per shard).  Verdicts come from the
+    run's :class:`~repro.checkers.online.StreamingLinearizer`, which
+    consumed each shard's completions as they happened.
+
+    A live-resharding run additionally carries its migration record:
+    ``rebalances`` (one :class:`~repro.kvstore.rebalance.RebalanceReport`
+    per applied plan event, in application order) and ``epoch_taus``
+    (per-migration-epoch τ — for each handoff, the instant from which
+    every key's reads are consistent again, ``None`` if violations
+    persisted to the end of the stream).  Runs whose ring never changes
+    (``kv``) leave ``rebalances`` empty and ``epoch_taus`` ``None``.
+    """
+
+    store: ShardedKVStore
+    history: Optional[History]
+    completed: bool
+    tau_no_tr: float = 0.0
+    #: per-shard last-transient instants (shards are independent
+    #: simulations, so each key is judged against its *own* shard's τ).
+    tau_by_shard: List[float] = field(default_factory=list)
+    per_key_linearizable: Dict[str, bool] = field(default_factory=dict)
+    rebalances: List[RebalanceReport] = field(default_factory=list)
+    epoch_taus: Optional[List[Dict[str, Any]]] = None
+    stream: Optional[ObservationStream] = None
+    extra: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def linearizable(self) -> bool:
+        return all(self.per_key_linearizable.values())
+
+    @property
+    def messages_sent(self) -> int:
+        return self.store.messages_sent
+
+    def summarize(self) -> ScenarioSummary:
+        """Reduce to the shared picklable summary: ``stable`` carries the
+        all-keys-linearizable verdict (across every handoff, if any) and
+        ``epoch_taus`` the per-migration-epoch τ timeline."""
+        return ScenarioSummary(
+            completed=self.completed,
+            tau_no_tr=self.tau_no_tr,
+            messages_sent=self.store.messages_sent,
+            events_processed=self.store.events_processed,
+            sim_end=self.store.now,
+            corruptions=int(self.extra.get("corruptions", 0)),
+            stable=self.completed and self.linearizable,
+            epoch_taus=(None if self.epoch_taus is None else
+                        tuple(dict(entry) for entry in self.epoch_taus)),
+            **_stream_counters(self.stream, self.history))
+
+
+# -- shared steps: faults ----------------------------------------------------
 
 def _burst_fractions(corruption_times: Sequence[float],
                      corruption_fraction: Union[float, Sequence[float]]
@@ -226,37 +276,6 @@ def _as_timeline(timeline: Union[dict, FaultTimeline]) -> FaultTimeline:
     return FaultTimeline.from_dict(timeline)
 
 
-def _schedule_swsr_ops(engine: ScenarioEngine, writer, reader, start: float,
-                       num_writes: int, num_reads: int, op_gap: float,
-                       reader_offset: Optional[float], values: ValueStream
-                       ) -> Tuple[Any, Any]:
-    """Queue the alternating write/read workload on fresh engine drivers."""
-    write_times, read_times = alternating_schedule(
-        start, max(num_writes, num_reads), op_gap, reader_offset)
-    writer_driver = engine.driver(writer)
-    reader_driver = engine.driver(reader)
-    for time in write_times[:num_writes]:
-        writer_driver.at(time, lambda w=writer: w.write(values.next()))
-    for time in read_times[:num_reads]:
-        reader_driver.at(time, lambda r=reader: r.read())
-    return writer_driver, reader_driver
-
-
-def _drive_swsr_workload(engine: ScenarioEngine, writer, reader,
-                         start: float, num_writes: int, num_reads: int,
-                         op_gap: float, reader_offset: Optional[float],
-                         max_events: int) -> bool:
-    """Schedule the alternating write/read workload and run it out.
-
-    Shared by every SWSR-shaped scenario family; completed operations
-    stream into ``engine.stream`` as they finish.  Returns whether all
-    operations terminated within the budget.
-    """
-    _schedule_swsr_ops(engine, writer, reader, start, num_writes,
-                       num_reads, op_gap, reader_offset, ValueStream())
-    return engine.run(max_events)
-
-
 def _install_byzantine(cluster: Cluster, byzantine: Optional[Dict[str, str]],
                        byzantine_count: int, byzantine_strategy: str) -> None:
     """Install strategies either from an explicit {server: name} map or
@@ -270,32 +289,6 @@ def _install_byzantine(cluster: Cluster, byzantine: Optional[Dict[str, str]],
         ids = cluster.server_ids[:byzantine_count]
         cluster.make_byzantine(ids,
                                strategy_factory(byzantine_strategy, cluster))
-
-
-def _build_swsr_cluster(kind: str, n: int, t: int, seed: int,
-                        transport: str, enforce_resilience: bool,
-                        record_trace: bool, trace_backend: Optional[str],
-                        initial: Any, synchronous: bool = False,
-                        wsn_config: Optional[WsnConfig] = None):
-    """Stand up the cluster + writer/reader pair every SWSR-shaped
-
-    scenario family shares.  ``trace_backend=None`` derives from
-    ``record_trace`` ("full" when true, else "counting").
-    """
-    if trace_backend is None:
-        trace_backend = "full" if record_trace else "counting"
-    config = ClusterConfig(
-        n=n, t=t, seed=seed, synchronous=synchronous, transport=transport,
-        enforce_resilience=enforce_resilience, trace_backend=trace_backend)
-    cluster = Cluster(config)
-    if kind == "regular":
-        writer, reader = build_swsr_regular(cluster, initial=initial)
-    elif kind == "atomic":
-        writer, reader = build_swsr_atomic(cluster, initial=initial,
-                                           config=wsn_config)
-    else:
-        raise ValueError(f"unknown register kind {kind!r}")
-    return cluster, writer, reader
 
 
 def _schedule_bursts(injector: TransientFaultInjector, targets,
@@ -316,50 +309,302 @@ def _schedule_bursts(injector: TransientFaultInjector, targets,
     return max(corruption_times) if corruption_times else 0.0
 
 
-def _swsr_result(engine: ScenarioEngine, writer, reader,
-                 injector: TransientFaultInjector, completed: bool,
-                 tau: float, **extra: Any) -> ScenarioResult:
-    """Result assembly shared by the SWSR-shaped families.
+def _rotation_timeline(cluster: Cluster, start: float,
+                       p: SimpleNamespace) -> FaultTimeline:
+    """The mobile-Byzantine rotation plan (footnote 1), as a timeline.
 
-    The stabilization report is read off the engine's online tracker —
-    no post-run checker pass over the history.
+    The Byzantine set (size ``rotation_size``, default ``t``) hops across
+    the server ring every ``rotation_gap`` time units (default
+    ``2 * op_gap``), ``rotations`` times, from ``start`` on.  A server
+    leaving the set re-joins the correct ones with *arbitrary* local
+    state — the timeline corrupts it through the transient injector,
+    which is exactly the situation the stabilization property covers.
     """
-    report = engine.report(tau, completed)
-    return ScenarioResult(cluster=engine.cluster, history=engine.history,
-                          completed=completed, report=report,
-                          tau_no_tr=tau, stream=engine.stream,
-                          extra={"writer": writer, "reader": reader,
-                                 "injector": injector,
-                                 "tracker": engine.tracker, **extra})
+    size = p.t if p.rotation_size is None else p.rotation_size
+    gap = 2.0 * p.op_gap if p.rotation_gap is None else p.rotation_gap
+    server_ids = cluster.server_ids
+    timeline = FaultTimeline()
+    for index in range(p.rotations):
+        members = [server_ids[(index * size + offset) % p.n]
+                   for offset in range(size)]
+        timeline.byzantine(start + index * gap, members,
+                           p.rotation_strategy)
+    return timeline
 
 
-def _swsr_engine(cluster: Cluster, kind: str, initial: Any,
-                 **engine_kwargs: Any) -> ScenarioEngine:
-    mode = "atomic" if kind == "atomic" else "regular"
-    return ScenarioEngine(cluster, mode=mode, initial=initial,
-                          **engine_kwargs)
+def shard_timelines(fault_timelines: Optional[Dict[Any, Any]],
+                    shard_count: int) -> Dict[int, FaultTimeline]:
+    """Parse ``{shard_index: FaultTimeline-or-dict}`` and range-check it."""
+    timelines = {int(shard): _as_timeline(timeline)
+                 for shard, timeline in (fault_timelines or {}).items()}
+    out_of_range = sorted(shard for shard in timelines
+                          if not 0 <= shard < shard_count)
+    if out_of_range:
+        raise ValueError(
+            f"fault_timelines reference shards {out_of_range} but the "
+            f"store has {shard_count} shard(s); a silently dropped "
+            "timeline would fake a fault-free verdict")
+    return timelines
 
 
-def run_swsr_scenario(kind: str = "regular", n: int = 9, t: int = 1,
-                      seed: int = 0, synchronous: bool = False,
-                      transport: str = "direct",
-                      num_writes: int = 6, num_reads: int = 6,
-                      op_gap: float = 10.0,
-                      reader_offset: Optional[float] = None,
-                      corruption_times: Sequence[float] = (),
-                      corruption_fraction: Union[float, Sequence[float]] = 1.0,
-                      link_garbage: int = 0,
-                      byzantine: Optional[Dict[str, str]] = None,
-                      byzantine_count: int = 0,
-                      byzantine_strategy: str = "random-garbage",
-                      wsn_modulus: Optional[int] = None,
-                      initial: Any = INITIAL,
-                      enforce_resilience: bool = True,
-                      max_events: int = 2_000_000,
-                      record_trace: bool = False,
-                      trace_backend: Optional[str] = None,
-                      fault_timeline: Optional[Union[dict, "FaultTimeline"]]
-                      = None) -> ScenarioResult:
+def install_fault_envelope(cluster: Cluster,
+                           injector: TransientFaultInjector,
+                           corruption_times: Sequence[float],
+                           fractions: Sequence[float],
+                           timeline: Optional[FaultTimeline]) -> float:
+    """One shard's fault phase; returns its τ_local.
+
+    Bursts (servers only, fraction-sampled) and the shard's declarative
+    timeline are anchored to the shard's local clock — shards are
+    independent simulations, each at its own post-create instant — and
+    the shard then runs to τ_local + 1, so the workload restarts after
+    its last transient event (the paper's assumption (b) per shard).
+    """
+    anchor = cluster.now
+    tau_local = max(anchor, _schedule_bursts(
+        injector, cluster.servers,
+        [anchor + time for time in corruption_times], fractions))
+    if timeline is not None:
+        installed = timeline.shifted(anchor)
+        installed.install(cluster, injector)
+        tau_local = max(tau_local, installed.tau_no_tr)
+    cluster.run(until=tau_local + 1.0)
+    return tau_local
+
+
+# -- shared steps: the SWSR-shaped families ----------------------------------
+
+class _SwsrRig:
+    """Cluster, writer/reader pair and injector of one SWSR-shaped run.
+
+    Built in the order every such family shares: cluster (``kind`` picks
+    the Figure 2/5 regular or Figure 3 atomic construction), static
+    Byzantine servers, then the transient injector.
+    """
+
+    def __init__(self, p: SimpleNamespace, seed: Optional[int] = None,
+                 synchronous: bool = False,
+                 wsn_config: Optional[WsnConfig] = None):
+        trace_backend = p.trace_backend
+        if trace_backend is None:
+            trace_backend = ("full" if getattr(p, "record_trace", False)
+                             else "counting")
+        self.cluster = cluster = Cluster(ClusterConfig(
+            n=p.n, t=p.t, seed=p.seed if seed is None else seed,
+            synchronous=synchronous, transport=p.transport,
+            enforce_resilience=p.enforce_resilience,
+            trace_backend=trace_backend))
+        if p.kind == "regular":
+            self.writer, self.reader = build_swsr_regular(
+                cluster, initial=p.initial)
+        elif p.kind == "atomic":
+            self.writer, self.reader = build_swsr_atomic(
+                cluster, initial=p.initial, config=wsn_config)
+        else:
+            raise ValueError(f"unknown register kind {p.kind!r}")
+        # mobile-byz has no static set: its adversary is the rotation.
+        _install_byzantine(cluster, getattr(p, "byzantine", None),
+                           getattr(p, "byzantine_count", 0),
+                           getattr(p, "byzantine_strategy", None))
+        self.injector = TransientFaultInjector.for_cluster(cluster)
+
+    def bursts(self, times: Sequence[float],
+               fraction: Union[float, Sequence[float]],
+               clients: bool = True) -> float:
+        """Schedule bursts over all servers (and, unless ``clients`` is
+        false, the writer and reader); returns their τ_no_tr."""
+        targets = self.cluster.servers + (
+            [self.writer, self.reader] if clients else [])
+        return _schedule_bursts(self.injector, targets, times, fraction)
+
+    def drive(self, p: SimpleNamespace, start: float, tau: float,
+              chunk_ops: Optional[int] = None,
+              engine_kwargs: Optional[Dict[str, Any]] = None,
+              **extra: Any) -> ScenarioResult:
+        """Run the workload from ``start`` and assemble the result.
+
+        The stabilization report is judged from ``tau`` and read off the
+        engine's online tracker — no post-run pass over the history.
+        ``engine_kwargs`` override the default engine (exact checkers,
+        retained history, tracker mode from ``kind``).
+        """
+        kwargs = {"mode": "atomic" if p.kind == "atomic" else "regular",
+                  **(engine_kwargs or {})}
+        engine = ScenarioEngine(self.cluster, initial=p.initial, **kwargs)
+        completed = _drive_swsr(engine, self.writer, self.reader, start, p,
+                                chunk_ops)
+        return ScenarioResult(
+            cluster=self.cluster, history=engine.history,
+            completed=completed, report=engine.report(tau, completed),
+            tau_no_tr=tau, stream=engine.stream,
+            extra={"writer": self.writer, "reader": self.reader,
+                   "injector": self.injector, "tracker": engine.tracker,
+                   **extra})
+
+
+def _drive_swsr(engine: ScenarioEngine, writer, reader, start: float,
+                p: SimpleNamespace, chunk_ops: Optional[int]) -> bool:
+    """The SWSR drive loop: alternating writes and reads, run to the end.
+
+    Write ``i`` is due at ``start + i * op_gap`` and read ``i``
+    ``reader_offset`` later (default ``op_gap / 2``: each read falls
+    strictly between two writes; a small offset creates read/write
+    concurrency).  Operations are scheduled ``chunk_ops`` indices at a
+    time (``None``: the whole workload at once) and stream into
+    ``engine.stream`` as they complete.  Returns whether all of them
+    terminated within ``p.max_events``.
+    """
+    writer_driver = engine.driver(writer)
+    reader_driver = engine.driver(reader)
+    values = ValueStream()
+    scheduler = engine.cluster.scheduler
+    offset = p.op_gap / 2 if p.reader_offset is None else p.reader_offset
+    count = max(p.num_writes, p.num_reads)
+    chunk = max(1, count if chunk_ops is None else chunk_ops)
+    completed = True
+    scheduled = 0
+    start_events = scheduler.events_processed
+    while completed and scheduled < count:
+        upper = min(count, scheduled + chunk)
+        # slow operations can outrun the nominal schedule across chunks;
+        # clamp to the clock — the sequential drivers queue either way.
+        now = scheduler.now
+        for index in range(scheduled, upper):
+            base = start + index * p.op_gap
+            if index < p.num_writes:
+                writer_driver.at(max(base, now),
+                                 lambda: writer.write(values.next()))
+            if index < p.num_reads:
+                reader_driver.at(max(base + offset, now), reader.read)
+        scheduled = upper
+        spent = scheduler.events_processed - start_events
+        completed = engine.step(p.max_events - spent)
+    engine.stream.close()
+    return completed
+
+
+# -- shared steps: the store-backed families ---------------------------------
+
+def kv_op_batches(keys: Sequence[str], clients: Sequence[str], rounds: int,
+                  writer_of: Optional[Mapping[str, str]] = None
+                  ) -> Iterator[List[KVOp]]:
+    """The store-backed families' batch schedule, one batch per barrier.
+
+    A create batch (one ``put`` per key), then per round a put batch and
+    a get batch.  Writers rotate round-robin over ``clients`` unless
+    ``writer_of`` designates one writer per key; readers always rotate.
+    :class:`ValueStream` is a pure counter, so a consumer that stops
+    early (the serial run) and one that materializes every batch up
+    front (the parallel planner) see the same value on every operation.
+    """
+    values = ValueStream()
+
+    def puts(turn: int) -> List[KVOp]:
+        return [("put", writer_of[key] if writer_of
+                 else clients[(turn + index) % len(clients)], key,
+                 values.next()) for index, key in enumerate(keys)]
+
+    yield puts(0)
+    for round_index in range(rounds):
+        yield puts(round_index)
+        yield get_batch(keys, clients, round_index)
+
+
+def get_batch(keys: Sequence[str], clients: Sequence[str],
+              round_index: int) -> List[KVOp]:
+    """Round ``round_index``'s read-every-key batch (rotating readers)."""
+    return [("get", clients[(round_index + index + 1) % len(clients)], key,
+             None) for index, key in enumerate(keys)]
+
+
+def run_batch(pipe: Pipeline, ops: Sequence[KVOp], max_events: int,
+              before_flush: Optional[Callable[[], None]] = None) -> bool:
+    """Enqueue one batch on ``pipe`` and drain it; ``False`` on budget.
+
+    ``before_flush`` runs with the batch enqueued and in flight (a live
+    rebalance applies there; a parallel worker snapshots its counters).
+    Flush is resumable (handles that completed were detached and
+    annotated on the exception); scenarios stop the workload instead.
+    """
+    try:
+        for kind, client, key, value in ops:
+            if kind == "put":
+                pipe.put(client, key, value)
+            else:
+                pipe.get(client, key)
+        if before_flush is not None:
+            before_flush()
+        pipe.flush(max_events=max_events)
+    except SimulationLimitReached:
+        return False
+    return True
+
+
+def _build_store(p: SimpleNamespace) -> Tuple[ShardedKVStore, List[str]]:
+    """The sharded store (static Byzantine servers installed on every
+    shard from the start) and the workload's keys ``k0..k{num_keys-1}``."""
+    store = ShardedKVStore(
+        shard_count=p.shard_count, n=p.n, t=p.t, seed=p.seed,
+        client_count=p.client_count, vnodes=p.vnodes,
+        trace_backend=p.trace_backend,
+        enforce_resilience=p.enforce_resilience)
+    for cluster in store.group:
+        _install_byzantine(cluster, None, p.byzantine_count,
+                           p.byzantine_strategy)
+    return store, [f"k{index}" for index in range(p.num_keys)]
+
+
+def _check_store_workload(p: SimpleNamespace) -> None:
+    if p.rounds < 1:
+        raise ValueError("need at least one workload round")
+    if p.vnodes < 1:
+        raise ValueError("need at least one virtual node per shard")
+
+
+def _drive_store(p: SimpleNamespace, store: ShardedKVStore,
+                 keys: List[str], linearizer: StreamingLinearizer,
+                 batch: Callable[..., bool], tau_by_shard: List[float],
+                 writer_of: Optional[Mapping[str, str]] = None
+                 ) -> Tuple[bool, int]:
+    """The three phases of a store-backed run; ``(completed, corruptions)``.
+
+    1. **create** — every key receives an initial ``put``, so each shard
+       materializes its registers before any fault fires;
+    2. **faults** — :func:`install_fault_envelope` on every (initial)
+       shard, filling ``tau_by_shard``; then each key is sealed at its
+       own shard's τ, which fixes the linearizer's post-τ cutoff and
+       replays the (tiny) pre-fault buffer through it;
+    3. **workload** — ``rounds`` rounds; each re-``put``\\s every key and
+       then ``get``\\s it back, with a flush barrier between the puts and
+       the gets (writes-repair-then-read, the paper's stabilization
+       posture).  ``batch(ops, live=True)`` marks these batches as the
+       ones a live rebalance may ride.
+    """
+    batches = kv_op_batches(keys, store.client_pids, p.rounds, writer_of)
+    completed = batch(next(batches))
+    corruptions = 0
+    if completed and (p.corruption_times or p.fault_timelines):
+        fractions = _burst_fractions(p.corruption_times,
+                                     p.corruption_fraction)
+        timelines = shard_timelines(p.fault_timelines, p.shard_count)
+        for shard in range(p.shard_count):
+            tau_by_shard[shard] = install_fault_envelope(
+                store.group[shard], store.injector_for(shard),
+                p.corruption_times, fractions, timelines.get(shard))
+        corruptions = sum(injector.corruptions
+                          for injector in store._injectors.values())
+    for key in keys:
+        linearizer.seal(f"kv/{key}", tau_by_shard[store.shard_for(key)])
+    for ops in batches:
+        if not completed:
+            break
+        completed = batch(ops, live=True)
+    return completed, corruptions
+
+
+# -- the families -------------------------------------------------------------
+
+def _run_swsr(p: SimpleNamespace) -> ScenarioResult:
     """Run a full SWSR experiment (Figure 2/3/5 depending on flags).
 
     * ``kind``: ``"regular"`` (Figure 2 / 5) or ``"atomic"`` (Figure 3).
@@ -374,130 +619,30 @@ def run_swsr_scenario(kind: str = "regular", n: int = 9, t: int = 1,
     * writes start after τ_no_tr (the paper's assumption (b)); reads are
       offset by ``reader_offset`` (default ``op_gap / 2``: no concurrency).
 
-    >>> result = run_swsr_scenario(kind="atomic", seed=1, num_writes=2,
-    ...                            num_reads=2, corruption_times=[2.0])
+    >>> from repro.workloads.spec import run_scenario
+    >>> result = run_scenario("swsr", kind="atomic", seed=1, num_writes=2,
+    ...                       num_reads=2, corruption_times=[2.0])
     >>> result.completed, result.summarize().stable
     (True, True)
     """
-    cluster, writer, reader = _build_swsr_cluster(
-        kind, n, t, seed, transport, enforce_resilience, record_trace,
-        trace_backend, initial, synchronous=synchronous,
-        wsn_config=WsnConfig(wsn_modulus) if wsn_modulus else None)
-    _install_byzantine(cluster, byzantine, byzantine_count,
-                       byzantine_strategy)
-
-    injector = TransientFaultInjector.for_cluster(cluster)
-    tau_no_tr = _schedule_bursts(injector,
-                                 cluster.servers + [writer, reader],
-                                 corruption_times, corruption_fraction)
-    if link_garbage > 0 and corruption_times:
-        first = min(corruption_times)
-        injector.at(first, lambda: injector.garbage_everywhere(
-            [writer.pid, reader.pid], cluster.server_ids,
-            per_link=link_garbage))
-    if fault_timeline is not None:
-        timeline = _as_timeline(fault_timeline)
-        timeline.install(cluster, injector)
+    rig = _SwsrRig(
+        p, synchronous=p.synchronous,
+        wsn_config=WsnConfig(p.wsn_modulus) if p.wsn_modulus else None)
+    injector = rig.injector
+    tau_no_tr = rig.bursts(p.corruption_times, p.corruption_fraction)
+    if p.link_garbage > 0 and p.corruption_times:
+        injector.at(min(p.corruption_times),
+                    lambda: injector.garbage_everywhere(
+                        [rig.writer.pid, rig.reader.pid],
+                        rig.cluster.server_ids, per_link=p.link_garbage))
+    if p.fault_timeline is not None:
+        timeline = _as_timeline(p.fault_timeline)
+        timeline.install(rig.cluster, injector)
         tau_no_tr = max(tau_no_tr, timeline.tau_no_tr)
-
-    start = tau_no_tr + 1.0
-    engine = _swsr_engine(cluster, kind, initial)
-    completed = _drive_swsr_workload(
-        engine, writer, reader, start, num_writes, num_reads, op_gap,
-        reader_offset, max_events)
-    return _swsr_result(engine, writer, reader, injector, completed,
-                        tau_no_tr)
+    return rig.drive(p, tau_no_tr + 1.0, tau_no_tr)
 
 
-def run_mwmr_scenario(m: int = 3, n: int = 9, t: int = 1, seed: int = 0,
-                      ops_per_process: int = 2, op_gap: float = 40.0,
-                      stagger: float = 7.0,
-                      corruption_times: Sequence[float] = (),
-                      corruption_fraction: Union[float, Sequence[float]] = 0.3,
-                      byzantine_count: int = 0,
-                      byzantine_strategy: str = "random-garbage",
-                      seq_bound: int = 2 ** 64,
-                      k: Optional[int] = None,
-                      transport: str = "direct",
-                      enforce_resilience: bool = True,
-                      max_events: int = 6_000_000,
-                      concurrent: bool = False,
-                      trace_backend: str = "counting") -> ScenarioResult:
-    """Run a full MWMR experiment (Figure 4).
-
-    Each of the ``m`` processes alternates ``mwmr_write`` / ``mwmr_read``.
-    With ``concurrent=False`` the stagger spaces processes apart so most
-    operations are sequential; ``concurrent=True`` makes them collide.
-
-    ``corruption_fraction`` is deliberately partial by default: corrupting
-    *every* server copy of a register that is never written again leaves
-    its readers without any quorum — and the MWMR scan (Figure 4 line
-    01/09) runs *before* the write that would repair it, so full corruption
-    of all ``m`` registers deadlocks the construction.  This liveness
-    subtlety of the extended abstract is documented in EXPERIMENTS.md
-    (T4 notes) and demonstrated by
-    ``tests/test_registers_mwmr.py::TestLiveness``.
-
-    >>> result = run_mwmr_scenario(m=2, seed=4, ops_per_process=1)
-    >>> result.completed, len(result.history)
-    (True, 4)
-    """
-    config = ClusterConfig(n=n, t=t, seed=seed, transport=transport,
-                           enforce_resilience=enforce_resilience,
-                           trace_backend=trace_backend)
-    cluster = Cluster(config)
-    register = build_mwmr(cluster, m, seq_bound=seq_bound, k=k)
-    _install_byzantine(cluster, None, byzantine_count, byzantine_strategy)
-
-    injector = TransientFaultInjector.for_cluster(cluster)
-    tau_no_tr = max(corruption_times) if corruption_times else 0.0
-    # bind per-burst fractions (see run_swsr_scenario: closure hazard).
-    fractions = _burst_fractions(corruption_times, corruption_fraction)
-    corruption_targets = cluster.servers + register.processes
-    for time, fraction in zip(corruption_times, fractions):
-        injector.at(time, lambda fraction=fraction: injector.corrupt_all(
-            corruption_targets, fraction=fraction))
-
-    start = tau_no_tr + 1.0
-    values = ValueStream()
-    # writes are not totally ordered by real time here: counters + digest
-    # stream, but no SWSR tau tracker (mode=None).
-    engine = ScenarioEngine(cluster)
-    for index, process in enumerate(register.processes):
-        driver = engine.driver(process)
-        offset = 0.0 if concurrent else index * stagger
-        for round_index in range(ops_per_process):
-            base = start + offset + round_index * op_gap
-            driver.at(base, lambda p=process: p.mwmr_write(values.next()))
-            driver.at(base + op_gap / 2, lambda p=process: p.mwmr_read())
-
-    completed = engine.run(max_events)
-    return ScenarioResult(cluster=cluster, history=engine.history,
-                          completed=completed, tau_no_tr=tau_no_tr,
-                          stream=engine.stream,
-                          extra={"register": register,
-                                 "injector": injector})
-
-
-def run_partition_scenario(kind: str = "regular", n: int = 9, t: int = 1,
-                           seed: int = 0, transport: str = "direct",
-                           num_writes: int = 6, num_reads: int = 6,
-                           op_gap: float = 10.0,
-                           reader_offset: Optional[float] = None,
-                           partition_count: Optional[int] = None,
-                           partition_start: Optional[float] = None,
-                           partition_duration: Optional[float] = None,
-                           corruption_times: Sequence[float] = (),
-                           corruption_fraction: Union[float,
-                                                      Sequence[float]] = 1.0,
-                           byzantine_count: int = 0,
-                           byzantine_strategy: str = "random-garbage",
-                           initial: Any = INITIAL,
-                           enforce_resilience: bool = True,
-                           max_events: int = 2_000_000,
-                           record_trace: bool = False,
-                           trace_backend: Optional[str] = None
-                           ) -> ScenarioResult:
+def _run_partition(p: SimpleNamespace) -> ScenarioResult:
     """Partition-during-write: a server group drops off mid-workload.
 
     After the optional transient bursts settle, the write/read workload
@@ -515,667 +660,34 @@ def run_partition_scenario(kind: str = "regular", n: int = 9, t: int = 1,
     Only meaningful on the ``direct`` transport: the datalink transport's
     packet channels bypass the network's link layer.
     """
-    if transport != "direct":
+    if p.transport != "direct":
         raise ValueError("partition scenarios require the direct transport "
                          "(datalink channels bypass Network links)")
-    cluster, writer, reader = _build_swsr_cluster(
-        kind, n, t, seed, transport, enforce_resilience, record_trace,
-        trace_backend, initial)
-    _install_byzantine(cluster, None, byzantine_count, byzantine_strategy)
-
-    injector = TransientFaultInjector.for_cluster(cluster)
-    tau_bursts = _schedule_bursts(injector,
-                                  cluster.servers + [writer, reader],
-                                  corruption_times, corruption_fraction)
-
+    count = p.t if p.partition_count is None else p.partition_count
+    if not 0 <= count <= p.n:
+        raise ValueError(f"partition_count must be within 0..n={p.n}, got "
+                         f"{count}; a group sliced past the server list "
+                         "would report a partition that never happened")
+    rig = _SwsrRig(p)
+    tau_bursts = rig.bursts(p.corruption_times, p.corruption_fraction)
     start = tau_bursts + 1.0
-    count = t if partition_count is None else partition_count
-    group = cluster.server_ids[n - count:] if count else []
-    p_start = (start + 1.5 * op_gap if partition_start is None
-               else partition_start)
-    duration = 2.0 * op_gap if partition_duration is None \
-        else partition_duration
+    group = rig.cluster.server_ids[p.n - count:] if count else []
+    cut = (start + 1.5 * p.op_gap if p.partition_start is None
+           else p.partition_start)
+    duration = (2.0 * p.op_gap if p.partition_duration is None
+                else p.partition_duration)
     timeline = FaultTimeline()
     if group:
-        timeline.partition(p_start, p_start + duration, group)
-    timeline.install(cluster, injector)
-    tau_report = max(tau_bursts, timeline.tau_no_tr)
-
-    engine = _swsr_engine(cluster, kind, initial)
-    completed = _drive_swsr_workload(
-        engine, writer, reader, start, num_writes, num_reads, op_gap,
-        reader_offset, max_events)
-    return _swsr_result(engine, writer, reader, injector, completed,
-                        tau_report, timeline=timeline,
-                        partition_group=group)
+        timeline.partition(cut, cut + duration, group)
+    timeline.install(rig.cluster, rig.injector)
+    return rig.drive(p, start, max(tau_bursts, timeline.tau_no_tr),
+                     timeline=timeline, partition_group=group)
 
 
-@dataclass
-class KVScenarioResult:
-    """Result of a sharded KV run: many clusters, one merged history.
-
-    The per-key verdict (``linearizable``) judges the *post-τ* suffix of
-    every key's register history — exactly the window in which the MWMR
-    construction owes atomicity (writes restart after the last transient
-    event; the paper's assumption (b) per shard).  Verdicts come from the
-    run's :class:`~repro.checkers.online.StreamingLinearizer`, which
-    consumed each shard's completions as they happened.
-    """
-
-    store: ShardedKVStore
-    history: Optional[History]
-    completed: bool
-    tau_no_tr: float = 0.0
-    #: per-shard last-transient instants (shards are independent
-    #: simulations, so each key is judged against its *own* shard's τ).
-    tau_by_shard: List[float] = field(default_factory=list)
-    per_key_linearizable: Dict[str, bool] = field(default_factory=dict)
-    stream: Optional[ObservationStream] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def linearizable(self) -> bool:
-        return all(self.per_key_linearizable.values())
-
-    @property
-    def messages_sent(self) -> int:
-        return self.store.messages_sent
-
-    def summarize(self) -> ScenarioSummary:
-        """Reduce to the shared picklable summary (``stable`` carries the
-        all-keys-linearizable verdict)."""
-        ops, writes, reads, digest = _stream_counters(self.stream,
-                                                      self.history)
-        return ScenarioSummary(
-            completed=self.completed,
-            tau_no_tr=self.tau_no_tr,
-            ops=ops,
-            writes=writes,
-            reads=reads,
-            messages_sent=self.store.messages_sent,
-            events_processed=self.store.events_processed,
-            sim_end=self.store.now,
-            corruptions=int(self.extra.get("corruptions", 0)),
-            history_digest=digest,
-            stable=self.completed and self.linearizable,
-        )
-
-
-def run_kv_scenario(shard_count: int = 2, n: int = 9, t: int = 1,
-                    seed: int = 0, client_count: int = 2,
-                    num_keys: int = 4, rounds: int = 2,
-                    pipelined: bool = True, vnodes: int = 64,
-                    byzantine_count: int = 0,
-                    byzantine_strategy: str = "random-garbage",
-                    corruption_times: Sequence[float] = (),
-                    corruption_fraction: Union[float, Sequence[float]] = 0.2,
-                    fault_timelines: Optional[Dict[Any, Any]] = None,
-                    trace_backend: Optional[str] = "null",
-                    enforce_resilience: bool = True,
-                    max_events: int = 6_000_000,
-                    parallel: Optional[Union[int, str]] = None
-                    ) -> KVScenarioResult:
-    """Drive a sharded KV workload end to end (the ``kv`` runner family).
-
-    Three phases, all deterministic:
-
-    1. **create** — every key (``k0..k{num_keys-1}``) receives an initial
-       ``put`` (round-robin across the logical clients), so each shard
-       materializes its registers before any fault fires;
-    2. **faults** — transient bursts at ``corruption_times`` (servers
-       only, fraction-sampled, on *every* shard, anchored to each shard's
-       local clock) plus optional per-shard ``fault_timelines``
-       (``{shard_index: FaultTimeline-or-dict}``, times relative to the
-       shard clock).  Static Byzantine servers (``byzantine_count`` per
-       shard, at most ``t``) are installed from the start;
-    3. **workload** — ``rounds`` rounds; each round re-``put``\\s every
-       key and then ``get``\\s it back, with a flush barrier between the
-       puts and the gets (writes-repair-then-read, the paper's
-       stabilization posture).  ``pipelined=True`` drains each batch
-       through the :class:`~repro.kvstore.pipeline.Pipeline` (operations
-       in flight on every shard and client simultaneously);
-       ``pipelined=False`` runs one operation at a time — the serial
-       baseline the KV bench compares against.
-
-    Completed operations stream into a per-run
-    :class:`~repro.checkers.stream.ObservationStream`; the per-key
-    post-τ linearizability verdict is maintained online by a
-    :class:`~repro.checkers.online.StreamingLinearizer` (each key sealed
-    at its own shard's τ, segments collapsed at the batch barriers) — see
-    :class:`KVScenarioResult`.
-
-    ``parallel`` runs the shards in worker processes (a count) or
-    round-robin in-process (``"interleave"``) via :mod:`repro.parallel`,
-    with the merged result asserted equal to this serial path — digest,
-    verdicts and summary alike.  Requires ``pipelined=True``.
-
-    Liveness caveat, inherited from the MWMR construction: a burst that
-    corrupts *every* server copy of some per-key register livelocks the
-    scan until the register's owner rewrites it (see the
-    :func:`run_mwmr_scenario` docstring and
-    ``tests/test_registers_mwmr.py::TestLiveness``) — keep
-    ``corruption_fraction`` partial, as the default does.
-
-    >>> result = run_kv_scenario(shard_count=2, num_keys=2, rounds=1,
-    ...                          seed=3)
-    >>> result.completed and result.linearizable
-    True
-    >>> len(result.history)           # 2 creates + 1 round of put+get
-    6
-    """
-    if rounds < 1:
-        raise ValueError("need at least one workload round")
-    if vnodes < 1:
-        raise ValueError("need at least one virtual node per shard")
-    if parallel is not None:
-        if not pipelined:
-            raise ValueError(
-                "parallel kv execution requires pipelined=True (the "
-                "serial completion order the merge reconstructs is the "
-                "pipelined per-batch drain)")
-        from ..parallel.runner import run_parallel_kv
-        return run_parallel_kv(
-            parallel=parallel, shard_count=shard_count, n=n, t=t,
-            seed=seed, client_count=client_count, num_keys=num_keys,
-            rounds=rounds, vnodes=vnodes,
-            byzantine_count=byzantine_count,
-            byzantine_strategy=byzantine_strategy,
-            corruption_times=corruption_times,
-            corruption_fraction=corruption_fraction,
-            fault_timelines=fault_timelines, trace_backend=trace_backend,
-            enforce_resilience=enforce_resilience, max_events=max_events)
-    store = ShardedKVStore(
-        shard_count=shard_count, n=n, t=t, seed=seed,
-        client_count=client_count, vnodes=vnodes,
-        trace_backend=trace_backend,
-        enforce_resilience=enforce_resilience)
-    clients = store.client_pids
-    keys = [f"k{index}" for index in range(num_keys)]
-    for cluster in store.group:
-        _install_byzantine(cluster, None, byzantine_count,
-                           byzantine_strategy)
-
-    values = ValueStream()
-    completed = True
-    linearizer = StreamingLinearizer()
-    stream = ObservationStream(checkers=[linearizer], keep_history=True)
-    pipe = (Pipeline(store, on_complete=stream.observe_handle)
-            if pipelined else None)
-
-    def batch(ops: List[Tuple[str, str, str, Optional[Any]]]) -> bool:
-        """Run one batch of (kind, client, key[, value]) operations."""
-        try:
-            if pipe is not None:
-                for kind, client, key, value in ops:
-                    if kind == "put":
-                        pipe.put(client, key, value)
-                    else:
-                        pipe.get(client, key)
-                pipe.flush(max_events=max_events)
-            else:
-                for kind, client, key, value in ops:
-                    handle = (store.put(client, key, value)
-                              if kind == "put" else store.get(client, key))
-                    handle.on_done(stream.observe_handle)
-                    store.run_ops([handle], max_events=max_events)
-        except SimulationLimitReached:
-            # flush is resumable (handles that completed were detached
-            # and annotated on the exception); this scenario stops the
-            # workload instead, reporting completed=False.
-            return False
-        # a drained batch is a quiesce point: nothing is in flight, so
-        # the linearizer can collapse settled segments (bounded memory).
-        linearizer.settle()
-        return True
-
-    # -- phase 1: create every key ----------------------------------------
-    completed = batch([("put", clients[index % len(clients)], key,
-                        values.next())
-                       for index, key in enumerate(keys)])
-
-    # -- phase 2: faults, anchored per shard -------------------------------
-    tau_by_shard = [0.0] * shard_count
-    corruptions = 0
-    if completed and (corruption_times or fault_timelines):
-        fractions = _burst_fractions(corruption_times, corruption_fraction)
-        timelines = {int(shard): _as_timeline(timeline)
-                     for shard, timeline in (fault_timelines or {}).items()}
-        out_of_range = sorted(shard for shard in timelines
-                              if not 0 <= shard < shard_count)
-        if out_of_range:
-            raise ValueError(
-                f"fault_timelines reference shards {out_of_range} but the "
-                f"store has {shard_count} shard(s); a silently dropped "
-                "timeline would fake a fault-free verdict")
-        for shard, cluster in enumerate(store.group):
-            injector = store.injector_for(shard)
-            anchor = cluster.now
-            tau_local = anchor
-            for time, fraction in zip(corruption_times, fractions):
-                injector.at(anchor + time,
-                            lambda cluster=cluster, fraction=fraction,
-                            injector=injector: injector.corrupt_all(
-                                cluster.servers, fraction))
-                tau_local = max(tau_local, anchor + time)
-            timeline = timelines.get(shard)
-            if timeline is not None:
-                installed = store.install_timeline(shard, timeline,
-                                                   anchor=anchor)
-                tau_local = max(tau_local, installed.tau_no_tr)
-            tau_by_shard[shard] = tau_local
-        for cluster, tau_local in zip(store.group, tau_by_shard):
-            cluster.run(until=tau_local + 1.0)
-        corruptions = sum(injector.corruptions
-                          for injector in store._injectors.values())
-    tau_no_tr = max(tau_by_shard)
-
-    # each key is judged against its own shard's τ: sealing fixes the
-    # post-τ cutoff and replays the (tiny) pre-fault buffer through it.
-    for key in keys:
-        linearizer.seal(f"kv/{key}", tau_by_shard[store.shard_for(key)])
-
-    # -- phase 3: workload rounds (put barrier, then get barrier) ----------
-    for round_index in range(rounds):
-        if not completed:
-            break
-        completed = batch([
-            ("put", clients[(round_index + index) % len(clients)], key,
-             values.next())
-            for index, key in enumerate(keys)])
-        if not completed:
-            break
-        completed = batch([
-            ("get", clients[(round_index + index + 1) % len(clients)], key,
-             None)
-            for index, key in enumerate(keys)])
-
-    stream.close()
-    per_key = {key: bool(linearizer.ok(f"kv/{key}")) for key in keys}
-    return KVScenarioResult(
-        store=store, history=stream.history, completed=completed,
-        tau_no_tr=tau_no_tr, tau_by_shard=tau_by_shard,
-        per_key_linearizable=per_key, stream=stream,
-        extra={"corruptions": corruptions, "pipeline": pipe,
-               "keys": keys, "linearizer": linearizer})
-
-
-@dataclass
-class ReshardScenarioResult:
-    """Result of a live-resharding run: a KV run whose ring changed.
-
-    Everything :class:`KVScenarioResult` carries, plus the migration
-    record: ``rebalances`` (one :class:`~repro.kvstore.rebalance
-    .RebalanceReport` per applied plan event, in application order) and
-    ``epoch_taus`` (per-migration-epoch τ — for each handoff, the
-    instant from which every key's reads are consistent again, ``None``
-    if violations persisted to the end of the stream).
-    """
-
-    store: ShardedKVStore
-    history: Optional[History]
-    completed: bool
-    tau_no_tr: float = 0.0
-    tau_by_shard: List[float] = field(default_factory=list)
-    per_key_linearizable: Dict[str, bool] = field(default_factory=dict)
-    rebalances: List[RebalanceReport] = field(default_factory=list)
-    epoch_taus: List[Dict[str, Any]] = field(default_factory=list)
-    stream: Optional[ObservationStream] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def linearizable(self) -> bool:
-        return all(self.per_key_linearizable.values())
-
-    @property
-    def messages_sent(self) -> int:
-        return self.store.messages_sent
-
-    def summarize(self) -> ScenarioSummary:
-        """The shared picklable summary; ``stable`` carries the
-        all-keys-linearizable-across-handoffs verdict and
-        ``epoch_taus`` the per-migration-epoch τ timeline."""
-        ops, writes, reads, digest = _stream_counters(self.stream,
-                                                      self.history)
-        return ScenarioSummary(
-            completed=self.completed,
-            tau_no_tr=self.tau_no_tr,
-            ops=ops,
-            writes=writes,
-            reads=reads,
-            messages_sent=self.store.messages_sent,
-            events_processed=self.store.events_processed,
-            sim_end=self.store.now,
-            corruptions=int(self.extra.get("corruptions", 0)),
-            history_digest=digest,
-            stable=self.completed and self.linearizable,
-            epoch_taus=tuple(dict(entry) for entry in self.epoch_taus),
-        )
-
-
-def _reshard_plan(reshard_plan: Optional[Union[dict, FaultTimeline]],
-                  shard_count: int) -> List[Any]:
-    """Validate and order a resharding plan's events.
-
-    Only store-scoped kinds are allowed (cluster-scoped faults belong in
-    ``fault_timelines``), and every referenced shard index must exist by
-    the time its event applies — splits allocate indices in event order,
-    so the check replays that allocation statically.
-    """
-    if reshard_plan is None:
-        plan = FaultTimeline().reshard_split(0.0, 0)
-    else:
-        plan = _as_timeline(reshard_plan)
-    bad = sorted({event.kind for event in plan.events
-                  if event.kind not in RESHARD_KINDS})
-    if bad:
-        raise ValueError(
-            f"reshard_plan may only contain store-scoped rebalance "
-            f"events {sorted(RESHARD_KINDS)}, got {bad}; put per-shard "
-            f"fault events in fault_timelines instead")
-    events = sorted(plan.events, key=lambda event: event.time)
-    allocated = shard_count
-    for event in events:
-        if event.kind == "reshard_split":
-            referenced = [int(event.args["shard"])]
-        elif event.kind == "reshard_merge":
-            referenced = [int(event.args["source"]),
-                          int(event.args["into"])]
-        else:
-            referenced = [int(event.args["source"]),
-                          int(event.args["dest"])]
-        out_of_range = [shard for shard in referenced
-                        if not 0 <= shard < allocated]
-        if out_of_range:
-            raise ValueError(
-                f"reshard_plan event {event.kind!r} at t={event.time} "
-                f"references shard(s) {out_of_range} but only "
-                f"{allocated} shard(s) exist at that point")
-        if event.kind == "reshard_split":
-            allocated += 1
-    return events
-
-
-def run_reshard_scenario(shard_count: int = 2, n: int = 9, t: int = 1,
-                         seed: int = 0, client_count: int = 2,
-                         num_keys: int = 4, rounds: int = 2,
-                         vnodes: int = 16,
-                         reshard_plan: Optional[Union[dict,
-                                                      FaultTimeline]] = None,
-                         byzantine_count: int = 0,
-                         byzantine_strategy: str = "random-garbage",
-                         corruption_times: Sequence[float] = (),
-                         corruption_fraction: Union[
-                             float, Sequence[float]] = 0.2,
-                         fault_timelines: Optional[Dict[Any, Any]] = None,
-                         strict: bool = False,
-                         trace_backend: Optional[str] = "null",
-                         enforce_resilience: bool = True,
-                         max_events: int = 6_000_000
-                         ) -> ReshardScenarioResult:
-    """Reshard a live KV store under traffic (the ``reshard`` family).
-
-    The :func:`run_kv_scenario` workload — create keys, install the
-    fault envelope, then rounds of put-barrier/get-barrier batches —
-    except that each key's writes all come from one designated writer
-    client (reads still rotate over every client): the per-key online τ
-    trackers are single-writer checkers, and the rebalancer issues each
-    moved key's transfer ops from that same writer.  The addition is a
-    ``reshard_plan`` (a :class:`~repro.faults
-    .schedule.FaultTimeline` of ``reshard_split`` / ``reshard_merge`` /
-    ``migrate_vnodes`` events) reshapes the ring *while clients issue*.
-    Each plan event applies at the first batch whose group clock has
-    reached its time (leftovers apply after the last round): operations
-    already enqueued drain on their old owners, the
-    :class:`~repro.kvstore.rebalance.Rebalancer` transfers the moved
-    keys' state through real quorum operations fed to the observation
-    stream, and the next batch routes to the new owners — the
-    dual-ownership window is explicit in the history, and the
-    :class:`~repro.checkers.online.StreamingLinearizer` hard-checks
-    every ``kv/{key}`` lane straight across the handoff (``strict=True``
-    raises on any per-key violation).
-
-    Each applied rebalance opens a *migration epoch*: per-key
-    :class:`~repro.checkers.online.OnlineTauTracker` instances record
-    the boundary (:meth:`~repro.checkers.online.OnlineTauTracker
-    .begin_epoch`) and the result's ``epoch_taus`` reports, per epoch,
-    the instant from which every key's reads are consistent again — the
-    paper's τ, measured per ownership change instead of per transient
-    burst.  A final read-all batch after the last rebalance guarantees
-    every handoff is observed.
-
-    The default plan splits shard 0 as soon as traffic starts.  The run
-    is deterministic end to end — byte-identical summaries for any
-    sweep worker count (the CI ``reshard-smoke`` job's guard).
-
-    >>> result = run_reshard_scenario(shard_count=2, num_keys=2,
-    ...                               rounds=1, seed=3)
-    >>> result.completed and result.linearizable
-    True
-    >>> [report.kind for report in result.rebalances]
-    ['reshard_split']
-    >>> result.store.shard_count
-    3
-    >>> entry = result.summarize().epoch_taus[0]
-    >>> entry["tau"] is not None
-    True
-    """
-    if rounds < 1:
-        raise ValueError("need at least one workload round")
-    if vnodes < 1:
-        raise ValueError("need at least one virtual node per shard")
-    plan_events = _reshard_plan(reshard_plan, shard_count)
-    store = ShardedKVStore(
-        shard_count=shard_count, n=n, t=t, seed=seed,
-        client_count=client_count, vnodes=vnodes,
-        trace_backend=trace_backend,
-        enforce_resilience=enforce_resilience)
-    clients = store.client_pids
-    keys = [f"k{index}" for index in range(num_keys)]
-    # per-register online τ trackers are single-writer: every key gets a
-    # designated writer client (spread round-robin over the pool), and
-    # reads rotate over *all* clients.  The rebalancer issues each moved
-    # key's transfer ops from that same writer, so the ``kv/{key}`` lane
-    # stays SWSR straight across every handoff.
-    writer_of = {key: clients[index % len(clients)]
-                 for index, key in enumerate(keys)}
-    for cluster in store.group:
-        _install_byzantine(cluster, None, byzantine_count,
-                           byzantine_strategy)
-
-    values = ValueStream()
-    linearizer = StreamingLinearizer()
-    trackers = {key: OnlineTauTracker(mode="atomic",
-                                      register=f"kv/{key}")
-                for key in keys}
-    by_register = {f"kv/{key}": tracker
-                   for key, tracker in trackers.items()}
-    stream = ObservationStream(checkers=[linearizer], keep_history=True)
-
-    def observe_workload(handle: Any) -> None:
-        op = stream.observe_handle(handle)
-        if op is not None:
-            tracker = by_register.get(op.register)
-            if tracker is not None:
-                tracker.observe(op)
-
-    # state-transfer operations are checker-visible — they enter the
-    # history, the digest and the linearizer (value-set semantics) — but
-    # *not* the τ trackers: a transfer re-writes the key's current value,
-    # and the single-writer trackers require unique written values.
-    # Skipping it is sound: later reads return exactly the last write the
-    # tracker did observe.
-    pipe = Pipeline(store, on_complete=observe_workload)
-    rebalancer = Rebalancer(store, pipeline=pipe,
-                            observe=stream.observe_handle,
-                            migration_client=lambda key: writer_of.get(
-                                key, clients[0]),
-                            max_events=max_events)
-
-    tau_by_shard = [0.0] * shard_count
-    pending = list(plan_events)
-    epoch_marks: List[Tuple[str, float]] = []
-
-    def apply_due(force: bool = False) -> None:
-        while pending and (force or store.now >= pending[0].time):
-            event = pending.pop(0)
-            report = rebalancer.apply_event(event)
-            label = f"{event.kind}#{len(rebalancer.reports)}"
-            epoch_marks.append((label, report.time))
-            for tracker in trackers.values():
-                tracker.begin_epoch(report.time, label)
-            while len(tau_by_shard) < store.shard_count:
-                tau_by_shard.append(0.0)
-
-    def batch(ops: List[Tuple[str, str, str, Optional[Any]]],
-              rebalance: bool = False) -> bool:
-        try:
-            for kind, client, key, value in ops:
-                if kind == "put":
-                    pipe.put(client, key, value)
-                else:
-                    pipe.get(client, key)
-            if rebalance:
-                # mid-batch: enqueued operations are in flight — the
-                # rebalance drains them on their pre-mutation owners.
-                apply_due()
-            pipe.flush(max_events=max_events)
-        except SimulationLimitReached:
-            return False
-        linearizer.settle()
-        return True
-
-    # -- phase 1: create every key (pre-rebalance placement) ---------------
-    completed = batch([("put", writer_of[key], key, values.next())
-                       for key in keys])
-
-    # -- phase 2: the fault envelope, anchored per (initial) shard ---------
-    corruptions = 0
-    if completed and (corruption_times or fault_timelines):
-        fractions = _burst_fractions(corruption_times, corruption_fraction)
-        timelines = {int(shard): _as_timeline(timeline)
-                     for shard, timeline in (fault_timelines or {}).items()}
-        out_of_range = sorted(shard for shard in timelines
-                              if not 0 <= shard < shard_count)
-        if out_of_range:
-            raise ValueError(
-                f"fault_timelines reference shards {out_of_range} but the "
-                f"store has {shard_count} shard(s); a silently dropped "
-                "timeline would fake a fault-free verdict")
-        for shard in range(shard_count):
-            cluster = store.group[shard]
-            injector = store.injector_for(shard)
-            anchor = cluster.now
-            tau_local = anchor
-            for time, fraction in zip(corruption_times, fractions):
-                injector.at(anchor + time,
-                            lambda cluster=cluster, fraction=fraction,
-                            injector=injector: injector.corrupt_all(
-                                cluster.servers, fraction))
-                tau_local = max(tau_local, anchor + time)
-            timeline = timelines.get(shard)
-            if timeline is not None:
-                installed = store.install_timeline(shard, timeline,
-                                                   anchor=anchor)
-                tau_local = max(tau_local, installed.tau_no_tr)
-            tau_by_shard[shard] = tau_local
-        for shard in range(shard_count):
-            store.group[shard].run(until=tau_by_shard[shard] + 1.0)
-        corruptions = sum(injector.corruptions
-                          for injector in store._injectors.values())
-    tau_no_tr = max(tau_by_shard)
-
-    # sealing happens before any rebalance: each key's cutoff is its
-    # *initial* owner's τ, so every post-fault op — the whole handoff
-    # window included — is hard-checked by the linearizer.
-    for key in keys:
-        linearizer.seal(f"kv/{key}", tau_by_shard[store.shard_for(key)])
-
-    # -- phase 3: workload rounds with live rebalances ---------------------
-    for round_index in range(rounds):
-        if not completed:
-            break
-        completed = batch([
-            ("put", writer_of[key], key, values.next())
-            for key in keys], rebalance=True)
-        if not completed:
-            break
-        completed = batch([
-            ("get", clients[(round_index + index + 1) % len(clients)], key,
-             None)
-            for index, key in enumerate(keys)], rebalance=True)
-
-    # plan events the clock never reached apply now, then a final
-    # read-all batch observes every handoff.
-    if completed and pending:
-        try:
-            apply_due(force=True)
-        except SimulationLimitReached:
-            completed = False
-    if completed:
-        completed = batch([
-            ("get", clients[(rounds + index) % len(clients)], key, None)
-            for index, key in enumerate(keys)])
-
-    stream.close()
-    for tracker in trackers.values():
-        tracker.finish()
-    per_key = {key: bool(linearizer.ok(f"kv/{key}")) for key in keys}
-
-    # per-epoch τ: aggregate the per-key trackers — the epoch is stable
-    # from the latest instant at which *every* key's suffix is clean.
-    per_key_epochs = {key: trackers[key].epoch_taus() for key in keys}
-    epoch_taus: List[Dict[str, Any]] = []
-    for index, (label, start) in enumerate(epoch_marks):
-        taus = [per_key_epochs[key][index]["tau"] for key in keys]
-        tau = None if any(value is None for value in taus) \
-            else (max(taus) if taus else start)
-        epoch_taus.append({"label": label, "start": start, "tau": tau})
-
-    if strict and completed:
-        violated = sorted(key for key, ok in per_key.items() if not ok)
-        if violated:
-            raise AssertionError(
-                f"per-key linearizability violated across rebalance "
-                f"handoffs for {violated}")
-    return ReshardScenarioResult(
-        store=store, history=stream.history, completed=completed,
-        tau_no_tr=tau_no_tr, tau_by_shard=tau_by_shard,
-        per_key_linearizable=per_key,
-        rebalances=list(rebalancer.reports), epoch_taus=epoch_taus,
-        stream=stream,
-        extra={"corruptions": corruptions, "pipeline": pipe,
-               "keys": keys, "linearizer": linearizer,
-               "trackers": trackers, "rebalancer": rebalancer})
-
-
-def run_mobile_byzantine_scenario(kind: str = "regular", n: int = 9,
-                                  t: int = 1, seed: int = 0,
-                                  transport: str = "direct",
-                                  num_writes: int = 8, num_reads: int = 8,
-                                  op_gap: float = 10.0,
-                                  reader_offset: Optional[float] = None,
-                                  rotations: int = 3,
-                                  rotation_gap: Optional[float] = None,
-                                  rotation_size: Optional[int] = None,
-                                  rotation_strategy: str = "random-garbage",
-                                  corruption_times: Sequence[float] = (),
-                                  corruption_fraction: Union[
-                                      float, Sequence[float]] = 1.0,
-                                  initial: Any = INITIAL,
-                                  enforce_resilience: bool = True,
-                                  max_events: int = 2_000_000,
-                                  record_trace: bool = False,
-                                  trace_backend: Optional[str] = None
-                                  ) -> ScenarioResult:
-    """Mobile Byzantine rotation (footnote 1) under a live workload.
-
-    The Byzantine set (size ``rotation_size``, default ``t``) hops across
-    the server ring every ``rotation_gap`` time units (default
-    ``2 * op_gap``), ``rotations`` times, while the writer and reader keep
-    operating.  A server leaving the set re-joins the correct ones with
-    *arbitrary* local state — the timeline corrupts it through the
-    transient injector, which is exactly the situation the stabilization
-    property covers.
+def _run_mobile_byz(p: SimpleNamespace) -> ScenarioResult:
+    """Mobile Byzantine rotation (footnote 1) under a live workload: the
+    Byzantine set hops across the server ring (:func:`_rotation_timeline`)
+    while the writer and reader keep operating.
 
     Stabilization is judged from the **last rotation**: a moving set is a
     sequence of transient disruptions, but once it stops moving the
@@ -1188,184 +700,16 @@ def run_mobile_byzantine_scenario(kind: str = "regular", n: int = 9,
     can legitimately starve an operation (``completed=False``).  Strict
     sweeps should rotate responsive liars (``random-garbage``, ``stale``).
     """
-    cluster, writer, reader = _build_swsr_cluster(
-        kind, n, t, seed, transport, enforce_resilience, record_trace,
-        trace_backend, initial)
-
-    injector = TransientFaultInjector.for_cluster(cluster)
-    tau_bursts = _schedule_bursts(injector,
-                                  cluster.servers + [writer, reader],
-                                  corruption_times, corruption_fraction)
-
+    rig = _SwsrRig(p)
+    tau_bursts = rig.bursts(p.corruption_times, p.corruption_fraction)
     start = tau_bursts + 1.0
-    size = t if rotation_size is None else rotation_size
-    gap = 2.0 * op_gap if rotation_gap is None else rotation_gap
-    timeline = FaultTimeline()
-    last_rotation = 0.0
-    server_ids = cluster.server_ids
-    for index in range(rotations):
-        members = [server_ids[(index * size + offset) % n]
-                   for offset in range(size)]
-        time = start + index * gap
-        timeline.byzantine(time, members, rotation_strategy)
-        last_rotation = time
-    timeline.install(cluster, injector)
-    tau_report = max(tau_bursts, last_rotation)
-
-    engine = _swsr_engine(cluster, kind, initial)
-    completed = _drive_swsr_workload(
-        engine, writer, reader, start, num_writes, num_reads, op_gap,
-        reader_offset, max_events)
-    return _swsr_result(engine, writer, reader, injector, completed,
-                        tau_report, timeline=timeline)
+    timeline = _rotation_timeline(rig.cluster, start, p)
+    timeline.install(rig.cluster, rig.injector)
+    return rig.drive(p, start, max(tau_bursts, timeline.last_event_time),
+                     timeline=timeline)
 
 
-@dataclass
-class _SoakRun:
-    """One soak sub-simulation's live state (see :func:`_soak_simulation`).
-
-    The legacy single-cluster path assembles a :class:`ScenarioResult`
-    from it; the parallel shard executor ships only the plain-data parts
-    back (records via an extra stream checker, counters and τ read off
-    ``cluster`` / ``tau_report``).
-    """
-
-    cluster: Cluster
-    writer: Any
-    reader: Any
-    injector: TransientFaultInjector
-    engine: ScenarioEngine
-    completed: bool
-    tau_report: float
-    timeline: Optional[FaultTimeline]
-
-
-def _soak_simulation(kind: str = "regular", n: int = 9, t: int = 1,
-                     seed: int = 0, transport: str = "direct",
-                     num_writes: int = 500, num_reads: int = 500,
-                     op_gap: float = 4.0,
-                     reader_offset: Optional[float] = None,
-                     fault_bursts: int = 3, fault_period: float = 5.0,
-                     corruption_fraction: Union[float,
-                                                Sequence[float]] = 0.3,
-                     rotations: int = 0,
-                     rotation_gap: Optional[float] = None,
-                     rotation_size: Optional[int] = None,
-                     rotation_strategy: str = "random-garbage",
-                     byzantine_count: int = 0,
-                     byzantine_strategy: str = "random-garbage",
-                     initial: Any = INITIAL,
-                     enforce_resilience: bool = True,
-                     max_events: int = 100_000_000,
-                     trace_backend: str = "null",
-                     keep_history: bool = False,
-                     write_window: int = 64, read_window: int = 64,
-                     max_records: int = 64, candidate_cap: int = 4096,
-                     chunk_ops: int = 256, *,
-                     engine_mode: Optional[str] = "auto",
-                     extra_checkers: Sequence[Any] = ()) -> _SoakRun:
-    """One complete soak sub-simulation (cluster + faults + workload).
-
-    The body of :func:`run_soak_scenario`, factored so the parallel
-    shard executor (:mod:`repro.parallel`) can run exactly this —
-    byte-identical cluster construction, fault schedule and chunked
-    driving loop — inside a worker process.  ``engine_mode="auto"``
-    derives the τ-tracker mode from ``kind`` (the legacy in-process
-    path); ``None`` attaches no tracker (workers ship raw operation
-    records back through ``extra_checkers`` and the parent re-runs the
-    tracker on the merged stream side).
-    """
-    cluster, writer, reader = _build_swsr_cluster(
-        kind, n, t, seed, transport, enforce_resilience,
-        record_trace=False, trace_backend=trace_backend, initial=initial)
-    _install_byzantine(cluster, None, byzantine_count, byzantine_strategy)
-
-    injector = TransientFaultInjector.for_cluster(cluster)
-    burst_times = [fault_period * (index + 1)
-                   for index in range(fault_bursts)]
-    tau_no_tr = _schedule_bursts(injector, list(cluster.servers),
-                                 burst_times, corruption_fraction)
-
-    start = tau_no_tr + 1.0
-    tau_report = tau_no_tr
-    timeline = None
-    if rotations > 0:
-        size = t if rotation_size is None else rotation_size
-        gap = 2.0 * op_gap if rotation_gap is None else rotation_gap
-        timeline = FaultTimeline()
-        server_ids = cluster.server_ids
-        for index in range(rotations):
-            members = [server_ids[(index * size + offset) % n]
-                       for offset in range(size)]
-            time = start + index * gap
-            timeline.byzantine(time, members, rotation_strategy)
-            tau_report = max(tau_report, time)
-        timeline.install(cluster, injector)
-
-    mode = (("atomic" if kind == "atomic" else "regular")
-            if engine_mode == "auto" else engine_mode)
-    engine = ScenarioEngine(cluster, mode=mode, initial=initial,
-                            keep_history=keep_history,
-                            write_window=write_window,
-                            read_window=read_window,
-                            max_records=max_records,
-                            candidate_cap=candidate_cap,
-                            tau_hint=tau_report,
-                            retain_handles=keep_history,
-                            checkers=extra_checkers)
-    writer_driver = engine.driver(writer)
-    reader_driver = engine.driver(reader)
-    values = ValueStream()
-    offset = op_gap / 2 if reader_offset is None else reader_offset
-    count = max(num_writes, num_reads)
-    completed = True
-    scheduled = 0
-    start_events = cluster.scheduler.events_processed
-    while completed and scheduled < count:
-        upper = min(count, scheduled + max(1, chunk_ops))
-        # slow operations can outrun the nominal schedule across chunks;
-        # clamp to the clock — the sequential drivers queue either way.
-        now = cluster.scheduler.now
-        for index in range(scheduled, upper):
-            base = start + index * op_gap
-            if index < num_writes:
-                writer_driver.at(max(base, now),
-                                 lambda w=writer: w.write(values.next()))
-            if index < num_reads:
-                reader_driver.at(max(base + offset, now),
-                                 lambda r=reader: r.read())
-        scheduled = upper
-        spent = cluster.scheduler.events_processed - start_events
-        completed = engine.step(max_events - spent)
-    engine.stream.close()
-    return _SoakRun(cluster=cluster, writer=writer, reader=reader,
-                    injector=injector, engine=engine, completed=completed,
-                    tau_report=tau_report, timeline=timeline)
-
-
-def run_soak_scenario(kind: str = "regular", n: int = 9, t: int = 1,
-                      seed: int = 0, transport: str = "direct",
-                      num_writes: int = 500, num_reads: int = 500,
-                      op_gap: float = 4.0,
-                      reader_offset: Optional[float] = None,
-                      fault_bursts: int = 3, fault_period: float = 5.0,
-                      corruption_fraction: Union[float,
-                                                 Sequence[float]] = 0.3,
-                      rotations: int = 0,
-                      rotation_gap: Optional[float] = None,
-                      rotation_size: Optional[int] = None,
-                      rotation_strategy: str = "random-garbage",
-                      byzantine_count: int = 0,
-                      byzantine_strategy: str = "random-garbage",
-                      initial: Any = INITIAL,
-                      enforce_resilience: bool = True,
-                      max_events: int = 100_000_000,
-                      trace_backend: str = "null",
-                      keep_history: bool = False,
-                      write_window: int = 64, read_window: int = 64,
-                      max_records: int = 64, candidate_cap: int = 4096,
-                      chunk_ops: int = 256, shards: int = 1,
-                      parallel: Optional[Union[int, str]] = None):
+def _run_soak(p: SimpleNamespace):
     """Long-horizon SWSR soak: N× longer workloads at bounded peak memory.
 
     The memory-bounded member of the SWSR-shaped family: a periodic
@@ -1395,100 +739,478 @@ def run_soak_scenario(kind: str = "regular", n: int = 9, t: int = 1,
     ``"interleave"`` for the same-process round-robin fallback.
     ``shards=1, parallel=1`` (or ``"interleave"``) routes through the
     same plan/executor/merge machinery and is asserted equal to the
-    legacy in-process run, field for field (see
-    ``tests/test_parallel_sim.py``).
+    in-process run, field for field (see ``tests/test_parallel_sim.py``).
 
-    >>> result = run_soak_scenario(seed=1, num_writes=8, num_reads=8,
-    ...                            fault_bursts=1)
+    >>> from repro.workloads.spec import run_scenario
+    >>> result = run_scenario("soak", seed=1, num_writes=8, num_reads=8,
+    ...                       fault_bursts=1)
     >>> result.completed, result.summarize().stable, result.history is None
     (True, True, True)
     """
-    if shards < 1:
+    if p.shards < 1:
         raise ValueError("need at least one soak shard")
-    if shards != 1 or parallel is not None:
+    if p.shards != 1 or p.parallel is not None:
         from ..parallel.runner import run_parallel_soak
+        params = vars(p).copy()
         return run_parallel_soak(
-            shards=shards, parallel=parallel, seed=seed,
-            params=dict(
-                kind=kind, n=n, t=t, transport=transport,
-                num_writes=num_writes, num_reads=num_reads, op_gap=op_gap,
-                reader_offset=reader_offset, fault_bursts=fault_bursts,
-                fault_period=fault_period,
-                corruption_fraction=corruption_fraction,
-                rotations=rotations, rotation_gap=rotation_gap,
-                rotation_size=rotation_size,
-                rotation_strategy=rotation_strategy,
-                byzantine_count=byzantine_count,
-                byzantine_strategy=byzantine_strategy, initial=initial,
-                enforce_resilience=enforce_resilience,
-                max_events=max_events, trace_backend=trace_backend,
-                keep_history=keep_history, write_window=write_window,
-                read_window=read_window, max_records=max_records,
-                candidate_cap=candidate_cap, chunk_ops=chunk_ops))
-    run = _soak_simulation(
-        kind=kind, n=n, t=t, seed=seed, transport=transport,
-        num_writes=num_writes, num_reads=num_reads, op_gap=op_gap,
-        reader_offset=reader_offset, fault_bursts=fault_bursts,
-        fault_period=fault_period,
-        corruption_fraction=corruption_fraction, rotations=rotations,
-        rotation_gap=rotation_gap, rotation_size=rotation_size,
-        rotation_strategy=rotation_strategy,
-        byzantine_count=byzantine_count,
-        byzantine_strategy=byzantine_strategy, initial=initial,
-        enforce_resilience=enforce_resilience, max_events=max_events,
-        trace_backend=trace_backend, keep_history=keep_history,
-        write_window=write_window, read_window=read_window,
-        max_records=max_records, candidate_cap=candidate_cap,
-        chunk_ops=chunk_ops)
-    return _swsr_result(run.engine, run.writer, run.reader, run.injector,
-                        run.completed, run.tau_report,
-                        timeline=run.timeline,
-                        soak={"num_writes": num_writes,
-                              "num_reads": num_reads,
-                              "chunk_ops": chunk_ops,
-                              "write_window": write_window,
-                              "read_window": read_window})
+            shards=params.pop("shards"), parallel=params.pop("parallel"),
+            seed=params.pop("seed"), params=params)
+    return soak_shard(p, p.seed)
 
 
-# -- deprecated entry points ------------------------------------------------
-# The blessed way to run a scenario is a ScenarioSpec (repro.workloads.spec):
-# one config object, one vocabulary of families, validated parameters.  The
-# historical per-family entry points remain as thin shims so existing code
-# keeps working, but new code should not grow calls to them.
+def soak_shard(p: SimpleNamespace, seed: int, tracked: bool = True,
+               checkers: Sequence[Any] = ()) -> ScenarioResult:
+    """One complete soak sub-simulation (cluster + faults + workload).
 
-_run_swsr_scenario = run_swsr_scenario
-_run_mwmr_scenario = run_mwmr_scenario
-_run_partition_scenario = run_partition_scenario
-_run_kv_scenario = run_kv_scenario
-_run_reshard_scenario = run_reshard_scenario
-_run_mobile_byzantine_scenario = run_mobile_byzantine_scenario
-_run_soak_scenario = run_soak_scenario
+    The in-process ``soak`` run, and exactly what a parallel shard worker
+    (:mod:`repro.parallel`) executes.  Workers pass ``tracked=False`` (no
+    τ-tracker: they ship raw operation records back through ``checkers``
+    and the parent re-runs the tracker on the merged stream side).
+    """
+    rig = _SwsrRig(p, seed=seed)
+    tau = rig.bursts([p.fault_period * (index + 1)
+                      for index in range(p.fault_bursts)],
+                     p.corruption_fraction, clients=False)
+    start = tau + 1.0
+    timeline = None
+    if p.rotations > 0:
+        timeline = _rotation_timeline(rig.cluster, start, p)
+        timeline.install(rig.cluster, rig.injector)
+        tau = max(tau, timeline.last_event_time)
+    engine_kwargs = dict(
+        keep_history=p.keep_history, write_window=p.write_window,
+        read_window=p.read_window, max_records=p.max_records,
+        candidate_cap=p.candidate_cap, tau_hint=tau,
+        retain_handles=p.keep_history, checkers=checkers)
+    if not tracked:
+        engine_kwargs["mode"] = None
+    return rig.drive(p, start, tau, chunk_ops=p.chunk_ops,
+                     engine_kwargs=engine_kwargs, timeline=timeline,
+                     soak={name: getattr(p, name) for name in (
+                         "num_writes", "num_reads", "chunk_ops",
+                         "write_window", "read_window")})
 
 
-def _deprecated_entry(impl, family: str):
-    """Wrap ``impl`` so direct calls steer callers to the spec path."""
+def _run_mwmr(p: SimpleNamespace) -> ScenarioResult:
+    """Run a full MWMR experiment (Figure 4).
 
-    @functools.wraps(impl)
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"{impl.__name__} is deprecated; use "
-            f"ScenarioSpec({family!r}, **params).run() or "
-            f"run_scenario({family!r}, **params) from repro.api",
-            DeprecationWarning, stacklevel=2)
-        return impl(*args, **kwargs)
+    Each of the ``m`` processes alternates ``mwmr_write`` / ``mwmr_read``.
+    With ``concurrent=False`` the stagger spaces processes apart so most
+    operations are sequential; ``concurrent=True`` makes them collide.
 
-    shim.__doc__ = (f"Deprecated alias for ``ScenarioSpec({family!r})`` — "
-                    f"see :mod:`repro.workloads.spec`.  Parameters are "
-                    f"those of the ``{family}`` family.")
-    return shim
+    ``corruption_fraction`` is deliberately partial by default: corrupting
+    *every* server copy of a register that is never written again leaves
+    its readers without any quorum — and the MWMR scan (Figure 4 line
+    01/09) runs *before* the write that would repair it, so full corruption
+    of all ``m`` registers deadlocks the construction.  This liveness
+    subtlety of the extended abstract is documented in EXPERIMENTS.md
+    (T4 notes) and demonstrated by
+    ``tests/test_registers_mwmr.py::TestLiveness``.
+
+    >>> from repro.workloads.spec import run_scenario
+    >>> result = run_scenario("mwmr", m=2, seed=4, ops_per_process=1)
+    >>> result.completed, len(result.history)
+    (True, 4)
+    """
+    cluster = Cluster(ClusterConfig(
+        n=p.n, t=p.t, seed=p.seed, transport=p.transport,
+        enforce_resilience=p.enforce_resilience,
+        trace_backend=p.trace_backend))
+    register = build_mwmr(cluster, p.m, seq_bound=p.seq_bound, k=p.k)
+    _install_byzantine(cluster, None, p.byzantine_count,
+                       p.byzantine_strategy)
+    injector = TransientFaultInjector.for_cluster(cluster)
+    tau_no_tr = _schedule_bursts(injector,
+                                 cluster.servers + register.processes,
+                                 p.corruption_times, p.corruption_fraction)
+
+    start = tau_no_tr + 1.0
+    values = ValueStream()
+    # writes are not totally ordered by real time here: counters + digest
+    # stream, but no SWSR tau tracker (mode=None).
+    engine = ScenarioEngine(cluster)
+    for index, process in enumerate(register.processes):
+        driver = engine.driver(process)
+        offset = 0.0 if p.concurrent else index * p.stagger
+        for round_index in range(p.ops_per_process):
+            base = start + offset + round_index * p.op_gap
+            driver.at(base, lambda q=process: q.mwmr_write(values.next()))
+            driver.at(base + p.op_gap / 2, process.mwmr_read)
+
+    completed = engine.run(p.max_events)
+    return ScenarioResult(cluster=cluster, history=engine.history,
+                          completed=completed, tau_no_tr=tau_no_tr,
+                          stream=engine.stream,
+                          extra={"register": register,
+                                 "injector": injector})
 
 
-run_swsr_scenario = _deprecated_entry(_run_swsr_scenario, "swsr")
-run_mwmr_scenario = _deprecated_entry(_run_mwmr_scenario, "mwmr")
-run_partition_scenario = _deprecated_entry(_run_partition_scenario,
-                                           "partition")
-run_kv_scenario = _deprecated_entry(_run_kv_scenario, "kv")
-run_reshard_scenario = _deprecated_entry(_run_reshard_scenario, "reshard")
-run_mobile_byzantine_scenario = _deprecated_entry(
-    _run_mobile_byzantine_scenario, "mobile-byz")
-run_soak_scenario = _deprecated_entry(_run_soak_scenario, "soak")
+def _run_kv(p: SimpleNamespace) -> StoreScenarioResult:
+    """Drive a sharded KV workload end to end (the ``kv`` runner family).
+
+    The three deterministic phases of :func:`_drive_store` — create
+    (round-robin across the logical clients), the per-shard fault
+    envelope (transient bursts at ``corruption_times`` on *every* shard
+    plus optional per-shard ``fault_timelines``, ``{shard_index:
+    FaultTimeline-or-dict}``, times relative to the shard clock; static
+    Byzantine servers — ``byzantine_count`` per shard, at most ``t`` —
+    are installed from the start), and ``rounds`` put-barrier/get-barrier
+    rounds.  ``pipelined=True`` drains each batch through the
+    :class:`~repro.kvstore.pipeline.Pipeline` (operations in flight on
+    every shard and client simultaneously); ``pipelined=False`` runs one
+    operation at a time — the serial baseline the KV bench compares
+    against.
+
+    Completed operations stream into a per-run
+    :class:`~repro.checkers.stream.ObservationStream`; the per-key
+    post-τ linearizability verdict is maintained online by a
+    :class:`~repro.checkers.online.StreamingLinearizer` (each key sealed
+    at its own shard's τ, segments collapsed at the batch barriers) — see
+    :class:`StoreScenarioResult`.
+
+    ``parallel`` runs the shards in worker processes (a count) or
+    round-robin in-process (``"interleave"``) via :mod:`repro.parallel`,
+    with the merged result asserted equal to this serial path — digest,
+    verdicts and summary alike.  Requires ``pipelined=True``.
+
+    Liveness caveat, inherited from the MWMR construction: a burst that
+    corrupts *every* server copy of some per-key register livelocks the
+    scan until the register's owner rewrites it (see the ``mwmr``
+    family's docstring and
+    ``tests/test_registers_mwmr.py::TestLiveness``) — keep
+    ``corruption_fraction`` partial, as the default does.
+
+    >>> from repro.workloads.spec import run_scenario
+    >>> result = run_scenario("kv", shard_count=2, num_keys=2, rounds=1,
+    ...                       seed=3)
+    >>> result.completed and result.linearizable
+    True
+    >>> len(result.history)           # 2 creates + 1 round of put+get
+    6
+    """
+    _check_store_workload(p)
+    if p.parallel is not None:
+        if not p.pipelined:
+            raise ValueError(
+                "parallel kv execution requires pipelined=True (the "
+                "serial completion order the merge reconstructs is the "
+                "pipelined per-batch drain)")
+        from ..parallel.runner import run_parallel_kv
+        params = vars(p).copy()
+        del params["pipelined"]
+        return run_parallel_kv(**params)
+    store, keys = _build_store(p)
+    linearizer = StreamingLinearizer()
+    stream = ObservationStream(checkers=[linearizer], keep_history=True)
+    pipe = (Pipeline(store, on_complete=stream.observe_handle)
+            if p.pipelined else None)
+
+    def one_at_a_time(ops: Sequence[KVOp]) -> bool:
+        try:
+            for kind, client, key, value in ops:
+                handle = (store.put(client, key, value)
+                          if kind == "put" else store.get(client, key))
+                handle.on_done(stream.observe_handle)
+                store.run_ops([handle], max_events=p.max_events)
+        except SimulationLimitReached:
+            return False
+        return True
+
+    def batch(ops: Sequence[KVOp], live: bool = False) -> bool:
+        drained = (run_batch(pipe, ops, p.max_events) if pipe is not None
+                   else one_at_a_time(ops))
+        if drained:
+            # a drained batch is a quiesce point: nothing is in flight,
+            # so the linearizer can collapse settled segments (bounded
+            # memory).
+            linearizer.settle()
+        return drained
+
+    tau_by_shard = [0.0] * p.shard_count
+    completed, corruptions = _drive_store(p, store, keys, linearizer, batch,
+                                          tau_by_shard)
+    stream.close()
+    return StoreScenarioResult(
+        store=store, history=stream.history, completed=completed,
+        tau_no_tr=max(tau_by_shard), tau_by_shard=tau_by_shard,
+        per_key_linearizable={key: bool(linearizer.ok(f"kv/{key}"))
+                              for key in keys},
+        stream=stream,
+        extra={"corruptions": corruptions, "pipeline": pipe,
+               "keys": keys, "linearizer": linearizer})
+
+
+#: the shard-index arguments of each store-scoped event kind.
+_SHARD_ARGS = {"reshard_split": ("shard",),
+               "reshard_merge": ("source", "into"),
+               "migrate_vnodes": ("source", "dest")}
+
+
+def _reshard_plan(reshard_plan: Optional[Union[dict, FaultTimeline]],
+                  shard_count: int) -> List[Any]:
+    """Validate and order a resharding plan's events.
+
+    Only store-scoped kinds are allowed (cluster-scoped faults belong in
+    ``fault_timelines``), and every referenced shard index must exist by
+    the time its event applies — splits allocate indices in event order,
+    so the check replays that allocation statically.
+    """
+    if reshard_plan is None:
+        plan = FaultTimeline().reshard_split(0.0, 0)
+    else:
+        plan = _as_timeline(reshard_plan)
+    bad = sorted({event.kind for event in plan.events
+                  if event.kind not in RESHARD_KINDS})
+    if bad:
+        raise ValueError(
+            f"reshard_plan may only contain store-scoped rebalance "
+            f"events {sorted(RESHARD_KINDS)}, got {bad}; put per-shard "
+            f"fault events in fault_timelines instead")
+    events = sorted(plan.events, key=lambda event: event.time)
+    allocated = shard_count
+    for event in events:
+        out_of_range = [shard for shard in (
+            int(event.args[name]) for name in _SHARD_ARGS[event.kind])
+            if not 0 <= shard < allocated]
+        if out_of_range:
+            raise ValueError(
+                f"reshard_plan event {event.kind!r} at t={event.time} "
+                f"references shard(s) {out_of_range} but only "
+                f"{allocated} shard(s) exist at that point")
+        if event.kind == "reshard_split":
+            allocated += 1
+    return events
+
+
+def _run_reshard(p: SimpleNamespace) -> StoreScenarioResult:
+    """Reshard a live KV store under traffic (the ``reshard`` family).
+
+    The ``kv`` family's workload — create keys, install the fault
+    envelope, then rounds of put-barrier/get-barrier batches — except
+    that each key's writes all come from one designated writer client
+    (reads still rotate over every client): the per-key online τ
+    trackers are single-writer checkers, and the rebalancer issues each
+    moved key's transfer ops from that same writer.  The addition is a
+    ``reshard_plan`` (a :class:`~repro.faults
+    .schedule.FaultTimeline` of ``reshard_split`` / ``reshard_merge`` /
+    ``migrate_vnodes`` events) reshapes the ring *while clients issue*.
+    Each plan event applies at the first batch whose group clock has
+    reached its time (leftovers apply after the last round): operations
+    already enqueued drain on their old owners, the
+    :class:`~repro.kvstore.rebalance.Rebalancer` transfers the moved
+    keys' state through real quorum operations fed to the observation
+    stream, and the next batch routes to the new owners — the
+    dual-ownership window is explicit in the history, and the
+    :class:`~repro.checkers.online.StreamingLinearizer` hard-checks
+    every ``kv/{key}`` lane straight across the handoff (``strict=True``
+    raises on any per-key violation).
+
+    Each applied rebalance opens a *migration epoch*: per-key
+    :class:`~repro.checkers.online.OnlineTauTracker` instances record
+    the boundary (:meth:`~repro.checkers.online.OnlineTauTracker
+    .begin_epoch`) and the result's ``epoch_taus`` reports, per epoch,
+    the instant from which every key's reads are consistent again — the
+    paper's τ, measured per ownership change instead of per transient
+    burst.  A final read-all batch after the last rebalance guarantees
+    every handoff is observed.
+
+    The default plan splits shard 0 as soon as traffic starts.  The run
+    is deterministic end to end — byte-identical summaries for any
+    sweep worker count (the CI ``reshard-smoke`` job's guard).
+
+    >>> from repro.workloads.spec import run_scenario
+    >>> result = run_scenario("reshard", shard_count=2, num_keys=2,
+    ...                       rounds=1, seed=3)
+    >>> result.completed and result.linearizable
+    True
+    >>> [report.kind for report in result.rebalances]
+    ['reshard_split']
+    >>> result.store.shard_count
+    3
+    >>> entry = result.summarize().epoch_taus[0]
+    >>> entry["tau"] is not None
+    True
+    """
+    _check_store_workload(p)
+    pending = _reshard_plan(p.reshard_plan, p.shard_count)
+    store, keys = _build_store(p)
+    clients = store.client_pids
+    # per-register online τ trackers are single-writer: every key gets a
+    # designated writer client (spread round-robin over the pool), and
+    # reads rotate over *all* clients.  The rebalancer issues each moved
+    # key's transfer ops from that same writer, so the ``kv/{key}`` lane
+    # stays SWSR straight across every handoff.
+    writer_of = {key: clients[index % len(clients)]
+                 for index, key in enumerate(keys)}
+    linearizer = StreamingLinearizer()
+    trackers = {key: OnlineTauTracker(mode="atomic", register=f"kv/{key}")
+                for key in keys}
+    by_register = {f"kv/{key}": tracker
+                   for key, tracker in trackers.items()}
+    stream = ObservationStream(checkers=[linearizer], keep_history=True)
+
+    def observe_workload(handle: Any) -> None:
+        op = stream.observe_handle(handle)
+        if op is not None:
+            tracker = by_register.get(op.register)
+            if tracker is not None:
+                tracker.observe(op)
+
+    # state-transfer operations are checker-visible — they enter the
+    # history, the digest and the linearizer (value-set semantics) — but
+    # *not* the τ trackers: a transfer re-writes the key's current value,
+    # and the single-writer trackers require unique written values.
+    # Skipping it is sound: later reads return exactly the last write the
+    # tracker did observe.
+    pipe = Pipeline(store, on_complete=observe_workload)
+    rebalancer = Rebalancer(store, pipeline=pipe,
+                            observe=stream.observe_handle,
+                            migration_client=lambda key: writer_of.get(
+                                key, clients[0]),
+                            max_events=p.max_events)
+    tau_by_shard = [0.0] * p.shard_count
+    epoch_marks: List[Tuple[str, float]] = []
+
+    def apply_due(force: bool = False) -> None:
+        while pending and (force or store.now >= pending[0].time):
+            event = pending.pop(0)
+            report = rebalancer.apply_event(event)
+            label = f"{event.kind}#{len(rebalancer.reports)}"
+            epoch_marks.append((label, report.time))
+            for tracker in trackers.values():
+                tracker.begin_epoch(report.time, label)
+            while len(tau_by_shard) < store.shard_count:
+                tau_by_shard.append(0.0)
+
+    def batch(ops: Sequence[KVOp], live: bool = False) -> bool:
+        # a live batch rebalances mid-batch: enqueued operations are in
+        # flight — the rebalance drains them on their pre-mutation owners.
+        drained = run_batch(pipe, ops, p.max_events,
+                            before_flush=apply_due if live else None)
+        if drained:
+            linearizer.settle()
+        return drained
+
+    # sealing (inside _drive_store) happens before any rebalance: each
+    # key's cutoff is its *initial* owner's τ, so every post-fault op —
+    # the whole handoff window included — is hard-checked.
+    completed, corruptions = _drive_store(p, store, keys, linearizer, batch,
+                                          tau_by_shard, writer_of)
+    tau_no_tr = max(tau_by_shard)
+
+    # plan events the clock never reached apply now, then a final
+    # read-all batch observes every handoff.
+    if completed and pending:
+        try:
+            apply_due(force=True)
+        except SimulationLimitReached:
+            completed = False
+    if completed:
+        completed = batch(get_batch(keys, clients, p.rounds - 1))
+
+    stream.close()
+    for tracker in trackers.values():
+        tracker.finish()
+    per_key = {key: bool(linearizer.ok(f"kv/{key}")) for key in keys}
+
+    # per-epoch τ: aggregate the per-key trackers — the epoch is stable
+    # from the latest instant at which *every* key's suffix is clean.
+    per_key_epochs = {key: trackers[key].epoch_taus() for key in keys}
+    epoch_taus: List[Dict[str, Any]] = []
+    for index, (label, start) in enumerate(epoch_marks):
+        taus = [per_key_epochs[key][index]["tau"] for key in keys]
+        tau = None if any(value is None for value in taus) \
+            else (max(taus) if taus else start)
+        epoch_taus.append({"label": label, "start": start, "tau": tau})
+
+    if p.strict and completed:
+        violated = sorted(key for key, ok in per_key.items() if not ok)
+        if violated:
+            raise AssertionError(
+                f"per-key linearizability violated across rebalance "
+                f"handoffs for {violated}")
+    return StoreScenarioResult(
+        store=store, history=stream.history, completed=completed,
+        tau_no_tr=tau_no_tr, tau_by_shard=tau_by_shard,
+        per_key_linearizable=per_key,
+        rebalances=list(rebalancer.reports), epoch_taus=epoch_taus,
+        stream=stream,
+        extra={"corruptions": corruptions, "pipeline": pipe,
+               "keys": keys, "linearizer": linearizer,
+               "trackers": trackers, "rebalancer": rebalancer})
+
+
+# -- the registry -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One scenario family: what a spec validates, resolves and runs.
+
+    ``defaults`` is the family's whole parameter vocabulary; ``run``
+    receives the resolved parameters (defaults overlaid with the spec's
+    pins) as one namespace and returns the result.
+    """
+
+    defaults: Mapping[str, Any]
+    run: Callable[[SimpleNamespace], Any]
+
+
+# Parameter groups, written once and overlaid per family (a later entry
+# overrides an earlier one, so a family restates only what differs).
+_POOL = dict(n=9, t=1, seed=0, enforce_resilience=True)
+_CLUSTER = _POOL | dict(transport="direct")
+_STATIC_BYZANTINE = dict(byzantine_count=0,
+                         byzantine_strategy="random-garbage")
+_BURSTS = dict(corruption_times=(), corruption_fraction=1.0)
+_SWSR_WORKLOAD = dict(kind="regular", num_writes=6, num_reads=6,
+                      op_gap=10.0, reader_offset=None, initial=INITIAL,
+                      max_events=2_000_000)
+_TRACE = dict(record_trace=False, trace_backend=None)
+_ROTATION = dict(rotations=3, rotation_gap=None, rotation_size=None,
+                 rotation_strategy="random-garbage")
+_STORE = _BURSTS | dict(shard_count=2, client_count=2, num_keys=4, rounds=2,
+                        vnodes=64, corruption_fraction=0.2,
+                        fault_timelines=None, trace_backend="null",
+                        max_events=6_000_000)
+
+#: canonical family name -> registry entry.
+FAMILIES: Dict[str, Family] = {
+    "swsr": Family(
+        _CLUSTER | _SWSR_WORKLOAD | _TRACE | _BURSTS | _STATIC_BYZANTINE
+        | dict(synchronous=False, link_garbage=0, byzantine=None,
+               wsn_modulus=None, fault_timeline=None),
+        _run_swsr),
+    "mwmr": Family(
+        _CLUSTER | _BURSTS | _STATIC_BYZANTINE
+        | dict(m=3, ops_per_process=2, op_gap=40.0, stagger=7.0,
+               corruption_fraction=0.3, seq_bound=2 ** 64, k=None,
+               max_events=6_000_000, concurrent=False,
+               trace_backend="counting"),
+        _run_mwmr),
+    "partition": Family(
+        _CLUSTER | _SWSR_WORKLOAD | _TRACE | _BURSTS | _STATIC_BYZANTINE
+        | dict(partition_count=None, partition_start=None,
+               partition_duration=None),
+        _run_partition),
+    "kv": Family(
+        _POOL | _STORE | _STATIC_BYZANTINE
+        | dict(pipelined=True, parallel=None),
+        _run_kv),
+    "reshard": Family(
+        _POOL | _STORE | _STATIC_BYZANTINE
+        | dict(vnodes=16, reshard_plan=None, strict=False),
+        _run_reshard),
+    "mobile-byz": Family(
+        _CLUSTER | _SWSR_WORKLOAD | _TRACE | _BURSTS | _ROTATION
+        | dict(num_writes=8, num_reads=8),
+        _run_mobile_byz),
+    "soak": Family(
+        _CLUSTER | _SWSR_WORKLOAD | _STATIC_BYZANTINE | _ROTATION
+        | dict(num_writes=500, num_reads=500, op_gap=4.0, fault_bursts=3,
+               fault_period=5.0, corruption_fraction=0.3, rotations=0,
+               max_events=100_000_000, trace_backend="null",
+               keep_history=False, write_window=64, read_window=64,
+               max_records=64, candidate_cap=4096, chunk_ops=256,
+               shards=1, parallel=None),
+        _run_soak),
+}

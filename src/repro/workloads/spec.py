@@ -1,9 +1,9 @@
 """One config object for every scenario family: :class:`ScenarioSpec`.
 
-Historically each family grew its own ``run_*_scenario`` entry point with
-a slightly different signature; sweep code, fuzz harnesses and notebooks
-all had to know which keyword went with which function.  A
-:class:`ScenarioSpec` replaces that with a single validated value:
+Every family is one entry of the :data:`~repro.workloads.scenarios
+.FAMILIES` registry — a parameter-defaults mapping plus a run function —
+and a :class:`ScenarioSpec` is a single validated value over it, so
+sweep code, fuzz harnesses and notebooks share one vocabulary:
 
 >>> spec = ScenarioSpec("swsr", seed=3, num_writes=2, num_reads=2)
 >>> spec.family
@@ -26,24 +26,17 @@ Families (aliases in parentheses): ``swsr``, ``mwmr``, ``partition``,
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Tuple, Union
+from types import SimpleNamespace
+from typing import Any, Dict, Mapping, Tuple, Union
 
-from . import scenarios as _scenarios
+from .scenarios import FAMILIES
 
 __all__ = ["FAMILIES", "ScenarioSpec", "run_scenario", "scenario_families"]
 
-#: canonical family name -> implementation (the un-deprecated callables).
-FAMILIES: Dict[str, Callable[..., Any]] = {
-    "swsr": _scenarios._run_swsr_scenario,
-    "mwmr": _scenarios._run_mwmr_scenario,
-    "partition": _scenarios._run_partition_scenario,
-    "kv": _scenarios._run_kv_scenario,
-    "reshard": _scenarios._run_reshard_scenario,
-    "mobile-byz": _scenarios._run_mobile_byzantine_scenario,
-    "soak": _scenarios._run_soak_scenario,
-}
+#: spec-level I/O options (not family parameters): record the run to a
+#: capture file / emit periodic metrics snapshots (see ``repro.capture``).
+IO_OPTIONS = ("capture", "metrics_every", "metrics_out")
 
 _ALIASES = {
     "mobile-byzantine": "mobile-byz",
@@ -71,18 +64,16 @@ def _canonical_family(family: str) -> str:
 class ScenarioSpec:
     """A validated, serializable description of one scenario run.
 
-    ``params`` are the keyword arguments of the family's implementation;
-    unknown keys raise :class:`TypeError` immediately, with the valid
-    vocabulary in the message.  Defaults are *not* materialized into the
-    spec — a spec only records what the caller pinned, so serialized
-    specs stay forward-compatible with new defaulted parameters.
+    ``params`` pin entries of the family's defaults mapping; unknown keys
+    raise :class:`TypeError` immediately, with the valid vocabulary in
+    the message.  Defaults are *not* materialized into the spec — a spec
+    only records what the caller pinned, so serialized specs stay
+    forward-compatible with new defaulted parameters.
     """
 
     family: str
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: spec-level I/O options (not family parameters): record the run to
-    #: a capture file / emit periodic metrics snapshots (see
-    #: ``repro.capture``).
+    #: the spec-level :data:`IO_OPTIONS`.
     capture: Any = None
     metrics_every: Any = None
     metrics_out: Any = None
@@ -101,8 +92,7 @@ class ScenarioSpec:
         if metrics_every is not None and not float(metrics_every) > 0:
             raise ValueError(f"metrics_every must be positive, got "
                              f"{metrics_every!r}")
-        if capture is not None or metrics_every is not None \
-                or metrics_out is not None:
+        if (capture, metrics_every, metrics_out) != (None, None, None):
             _reject_multiprocess(canonical, merged)
         object.__setattr__(self, "family", canonical)
         object.__setattr__(self, "params", merged)
@@ -111,47 +101,35 @@ class ScenarioSpec:
         object.__setattr__(self, "metrics_out", metrics_out)
 
     # -- ergonomics --------------------------------------------------------
+    def _io(self) -> Dict[str, Any]:
+        return {key: getattr(self, key) for key in IO_OPTIONS
+                if getattr(self, key) is not None}
+
     def with_params(self, **overrides: Any) -> "ScenarioSpec":
         """A new spec with ``overrides`` merged over these params."""
-        merged = dict(self.params)
-        merged.update(overrides)
-        return ScenarioSpec(self.family, merged, capture=self.capture,
-                            metrics_every=self.metrics_every,
-                            metrics_out=self.metrics_out)
+        return ScenarioSpec(self.family, {**self.params, **overrides},
+                            **self._io())
 
     def defaults(self) -> Dict[str, Any]:
         """Every parameter the family accepts, with its default value."""
-        signature = inspect.signature(FAMILIES[self.family])
-        return {name: parameter.default
-                for name, parameter in signature.parameters.items()}
+        return dict(FAMILIES[self.family].defaults)
 
     def resolved(self) -> Dict[str, Any]:
         """Family defaults overlaid with this spec's pinned params."""
-        merged = self.defaults()
-        merged.update(self.params)
-        return merged
+        return {**self.defaults(), **self.params}
 
     # -- (de)serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"family": self.family,
-                                   "params": dict(self.params)}
-        for key in ("capture", "metrics_every", "metrics_out"):
-            value = getattr(self, key)
-            if value is not None:
-                payload[key] = value
-        return payload
+        return {"family": self.family, "params": dict(self.params),
+                **self._io()}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        allowed = {"family", "params", "capture", "metrics_every",
-                   "metrics_out"}
-        extra = sorted(set(payload) - allowed)
+        extra = sorted(set(payload) - {"family", "params", *IO_OPTIONS})
         if extra:
             raise ValueError(f"unexpected spec keys: {', '.join(extra)}")
         return cls(payload["family"], dict(payload.get("params") or {}),
-                   capture=payload.get("capture"),
-                   metrics_every=payload.get("metrics_every"),
-                   metrics_out=payload.get("metrics_out"))
+                   **{key: payload.get(key) for key in IO_OPTIONS})
 
     # -- execution ---------------------------------------------------------
     def run(self) -> Any:
@@ -162,12 +140,13 @@ class ScenarioSpec:
         written and sealed around the family call, and the metrics
         emitter ends up in ``result.extra["metrics"]``.
         """
-        if self.capture is None and self.metrics_every is None \
-                and self.metrics_out is None:
-            return FAMILIES[self.family](**self.params)
+        run = FAMILIES[self.family].run
+        resolved = SimpleNamespace(**self.resolved())
+        if not self._io():
+            return run(resolved)
         from ..capture.session import capturing
         with capturing(self) as session:
-            result = FAMILIES[self.family](**self.params)
+            result = run(resolved)
             session.finalize(result)
         if session.metrics is not None:
             result.extra["metrics"] = session.metrics
@@ -194,13 +173,13 @@ def _validate_params(family: str, params: Mapping[str, Any]) -> None:
     if bad_keys:
         raise TypeError(f"parameter names must be strings, got "
                         f"{bad_keys!r}")
-    signature = inspect.signature(FAMILIES[family])
-    unknown = sorted(set(params) - set(signature.parameters))
+    defaults = FAMILIES[family].defaults
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise TypeError(
             f"unknown parameter(s) for scenario family {family!r}: "
             f"{', '.join(unknown)}; valid parameters: "
-            f"{', '.join(signature.parameters)}")
+            f"{', '.join(defaults)}")
 
 
 def run_scenario(spec: Union[ScenarioSpec, str, Mapping[str, Any]],

@@ -26,6 +26,22 @@ def test_repro_reexports_the_api_surface():
     assert set(repro.__all__) == set(api.__all__) | {"__version__"}
 
 
+def test_scenario_surface_is_one_entry_point_and_two_result_types():
+    """The per-family ``run_*_scenario`` shims and result classes are
+    gone for good; what the repository benchmark imports must stay."""
+    import repro.workloads as workloads
+    import repro.workloads.scenarios as scenarios
+    gone = [f"run_{family}_scenario" for family in (
+        "swsr", "mwmr", "partition", "kv", "reshard", "mobile_byzantine",
+        "soak")] + ["KVScenarioResult", "ReshardScenarioResult"]
+    for module in (api, workloads, scenarios):
+        assert not [name for name in gone if hasattr(module, name)]
+    assert {"run_scenario", "scenario_families", "ScenarioSpec",
+            "ScenarioResult", "StoreScenarioResult"} <= set(api.__all__)
+    assert set(api.scenario_families()) == set(scenarios.FAMILIES)
+    from repro.sim.scheduler import HeapScheduler  # noqa: F401
+
+
 def test_service_package_all_is_importable():
     missing = [name for name in service.__all__
                if not hasattr(service, name)]

@@ -10,7 +10,6 @@ initial-value edge cases PR 3 pinned, the committed regression corpus
 the online verdicts are produced by the engine itself.
 """
 
-import json
 import os
 import random
 
@@ -26,8 +25,8 @@ from repro.checkers.regularity import check_regularity
 from repro.checkers.stabilization import (find_tau_stab,
                                           stabilization_report)
 from repro.checkers.stream import ObservationStream, history_digest
-from repro.workloads.scenarios import (INITIAL, run_kv_scenario,
-                                       run_swsr_scenario)
+from repro.workloads.scenarios import INITIAL
+from repro.workloads.spec import run_scenario
 from test_checkers_properties import (gen_mwmr_history, gen_rewrite_history,
                                       gen_swsr_history)
 
@@ -220,15 +219,14 @@ class TestRegressionCorpus:
     """Scenario-level equivalence on the committed counterexample."""
 
     def _corpus_case(self):
-        from repro.fuzz.gen import case_from_dict
-        path = os.path.join(REPLAYS, "wsn-jump-atomic.json")
-        with open(path, encoding="utf-8") as handle:
-            return case_from_dict(json.load(handle)["case"])
+        from repro.fuzz.replay import ReplayArtifact
+        return ReplayArtifact.load(
+            os.path.join(REPLAYS, "wsn-jump-atomic.json")).case
 
     def test_online_report_matches_offline_on_wsn_jump(self):
         case = self._corpus_case()
-        result = run_swsr_scenario(trace_backend="null",
-                                   **case.scenario_kwargs())
+        result = run_scenario("swsr", trace_backend="null",
+                              **case.scenario_kwargs())
         assert result.completed
         timeline = case.fault_timeline()
         tau = max(result.tau_no_tr, timeline.last_event_time)
@@ -244,8 +242,8 @@ class TestRegressionCorpus:
 
     def test_online_inversions_match_offline_on_wsn_jump(self):
         case = self._corpus_case()
-        result = run_swsr_scenario(trace_backend="null",
-                                   **case.scenario_kwargs())
+        result = run_scenario("swsr", trace_backend="null",
+                              **case.scenario_kwargs())
         offline = len(find_new_old_inversions(
             result.history, after=result.tau_no_tr, initial=INITIAL))
         assert result.inversions_after(result.tau_no_tr) == offline
@@ -257,10 +255,10 @@ class TestScenarioStreamEquivalence:
     @pytest.mark.parametrize("kind", ["regular", "atomic"])
     def test_swsr_scenario_report_matches_offline(self, kind):
         for seed in (0, 3, 7):
-            result = run_swsr_scenario(kind=kind, seed=seed, num_writes=5,
-                                       num_reads=5, reader_offset=0.5,
-                                       corruption_times=(2.0,),
-                                       byzantine_count=1)
+            result = run_scenario("swsr", kind=kind, seed=seed, num_writes=5,
+                                  num_reads=5, reader_offset=0.5,
+                                  corruption_times=(2.0,),
+                                  byzantine_count=1)
             if not (result.completed and result.history.reads()):
                 continue
             mode = "atomic" if kind == "atomic" else "regular"
@@ -274,8 +272,8 @@ class TestScenarioStreamEquivalence:
                  offline.total_reads, offline.stable)
 
     def test_kv_scenario_verdicts_match_offline(self):
-        result = run_kv_scenario(shard_count=2, num_keys=3, rounds=2,
-                                 seed=5, corruption_times=(2.0,))
+        result = run_scenario("kv", shard_count=2, num_keys=3, rounds=2,
+                              seed=5, corruption_times=(2.0,))
         for key in result.extra["keys"]:
             register = f"kv/{key}"
             tau = result.tau_by_shard[result.store.shard_for(key)]
@@ -371,8 +369,8 @@ class TestWindowedModes:
 
 class TestObservationStream:
     def test_counters_and_digest_single_pass(self):
-        result = run_swsr_scenario(seed=3, num_writes=3, num_reads=3,
-                                   corruption_times=(2.0,))
+        result = run_scenario("swsr", seed=3, num_writes=3, num_reads=3,
+                              corruption_times=(2.0,))
         stream = result.stream
         assert stream.ops == len(result.history)
         assert stream.writes == len(result.history.writes())
@@ -398,10 +396,9 @@ class TestObservationStream:
         assert history_digest(base) == history_digest(list(base))
 
     def test_soak_scenario_streams_without_history(self):
-        from repro.workloads.scenarios import run_soak_scenario
-        result = run_soak_scenario(seed=2, num_writes=30, num_reads=30,
-                                   fault_bursts=2, fault_period=3.0,
-                                   chunk_ops=8)
+        result = run_scenario("soak", seed=2, num_writes=30, num_reads=30,
+                              fault_bursts=2, fault_period=3.0,
+                              chunk_ops=8)
         assert result.history is None
         summary = result.summarize()
         assert summary.completed and summary.stable

@@ -92,6 +92,15 @@ def test_perf_smoke_job_gates_streaming_checkers(workflow):
     assert "BENCH_checkers.json" in uploads[0]["with"]["path"]
 
 
+def test_perf_smoke_job_runs_the_repository_benchmark(workflow):
+    """What ``bench/`` imports from ``src/`` is pinned by nothing else:
+    its self-tests and a quick correctness-gated pass must stay in CI."""
+    steps = workflow["jobs"]["perf-smoke"]["steps"]
+    runs = [step.get("run", "").strip() for step in steps]
+    assert "python -m pytest bench -q" in runs
+    assert "python -m bench --quick" in runs
+
+
 def test_parallel_sim_job_gates_speedup_and_digest_equality(workflow):
     steps = workflow["jobs"]["parallel-sim"]["steps"]
     runs = " ".join(step.get("run", "") for step in steps)

@@ -134,14 +134,17 @@ class TestCli:
         assert main(["--replay", str(bad)]) == 2
 
     def test_replay_rejects_malformed_case_fields(self, tmp_path, capsys):
-        import copy
-        with open("tests/replays/injected-burst.json",
-                  encoding="utf-8") as handle:
-            artifact = json.load(handle)
-        broken = copy.deepcopy(artifact)
-        del broken["case"]["seed"]
+        from repro.capture.format import CaptureSink
+        from repro.fuzz.replay import CAPTURE_PROFILE, ReplayArtifact
+        artifact = ReplayArtifact.load("tests/replays/injected-burst.json")
+        broken = artifact.case.to_dict()
+        del broken["seed"]
         bad = tmp_path / "broken.json"
-        bad.write_text(json.dumps(broken))
+        # a validly sealed capture whose header carries the broken case
+        CaptureSink(str(bad), profile=CAPTURE_PROFILE, seed=0,
+                    extra_header={"case": broken}).close(
+            history_digest=None, summary=None, check={"kind": "fuzz"},
+            extra_footer={"violations": artifact.violations})
         assert main(["--replay", str(bad)]) == 2
         assert "bad replay artifact" in capsys.readouterr().err
 

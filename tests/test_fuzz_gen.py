@@ -116,9 +116,8 @@ class TestEnvelope:
                 assert round(event["time"], 1) == event["time"]
 
     def test_scenario_kwargs_are_complete(self, cases):
-        from inspect import signature
-        from repro.workloads.scenarios import run_swsr_scenario
-        params = set(signature(run_swsr_scenario).parameters)
+        from repro.workloads.spec import ScenarioSpec
+        params = set(ScenarioSpec("swsr").defaults())
         for case in cases[:20]:
             kwargs = case.scenario_kwargs()
             assert set(kwargs) <= params

@@ -48,9 +48,9 @@ def test_wsn_jump_reproduces_without_any_env(monkeypatch):
     assert "regularity" in outcome.outcome.signature
 
 
-def test_v0_artifact_roundtrips_through_capture_format(tmp_path):
-    """Re-saving a legacy artifact writes the unified capture format,
-    and the sniffing loader reads it back equal, field for field."""
+def test_artifact_roundtrips_through_capture_format(tmp_path):
+    """Re-saving an artifact writes the unified capture format, and the
+    loader reads it back equal, field for field."""
     artifact = ReplayArtifact.load(
         os.path.join(REPLAY_DIR, "wsn-jump-atomic.json"))
     path = str(tmp_path / "wsn-v1.jsonl")
@@ -73,7 +73,7 @@ def test_v0_artifact_roundtrips_through_capture_format(tmp_path):
     assert info["profile"] == "fuzz-replay" and info["events"] == 0
 
 
-def test_v1_artifact_still_reproduces(monkeypatch, tmp_path):
+def test_rewritten_artifact_still_reproduces(monkeypatch, tmp_path):
     monkeypatch.delenv(INJECT_ENV, raising=False)
     artifact = ReplayArtifact.load(
         os.path.join(REPLAY_DIR, "wsn-jump-atomic.json"))

@@ -13,17 +13,17 @@ import pytest
 from repro.checkers.regularity import check_regularity
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_regular
 from repro.workloads.generators import ClientDriver, ValueStream
-from repro.workloads.scenarios import run_mwmr_scenario, run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["regular", "atomic"])
     def test_identical_histories_for_identical_seeds(self, kind):
         def run():
-            return run_swsr_scenario(kind=kind, n=9, t=1, seed=42,
-                                     num_writes=3, num_reads=3,
-                                     corruption_times=(2.0,),
-                                     byzantine_count=1)
+            return run_scenario("swsr", kind=kind, n=9, t=1, seed=42,
+                                num_writes=3, num_reads=3,
+                                corruption_times=(2.0,),
+                                byzantine_count=1)
 
         first, second = run(), run()
         assert first.history.format() == second.history.format()
@@ -31,22 +31,22 @@ class TestDeterminism:
         assert first.report.tau_stab == second.report.tau_stab
 
     def test_different_seeds_differ(self):
-        first = run_swsr_scenario(seed=1, num_writes=2, num_reads=2)
-        second = run_swsr_scenario(seed=2, num_writes=2, num_reads=2)
+        first = run_scenario("swsr", seed=1, num_writes=2, num_reads=2)
+        second = run_scenario("swsr", seed=2, num_writes=2, num_reads=2)
         assert first.history.format() != second.history.format()
 
     def test_mwmr_determinism(self):
         def run():
-            return run_mwmr_scenario(m=3, seed=11, ops_per_process=1)
+            return run_scenario("mwmr", m=3, seed=11, ops_per_process=1)
 
         first, second = run(), run()
         assert first.history.format() == second.history.format()
 
     def test_event_counts_reproducible(self):
         def run():
-            result = run_swsr_scenario(seed=5, num_writes=2, num_reads=2,
-                                       byzantine_count=1,
-                                       byzantine_strategy="random-garbage")
+            result = run_scenario("swsr", seed=5, num_writes=2, num_reads=2,
+                                  byzantine_count=1,
+                                  byzantine_strategy="random-garbage")
             return result.cluster.scheduler.events_processed
 
         assert run() == run()
@@ -78,22 +78,22 @@ class TestConcurrentWriteBursts:
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_burst_with_byzantine_and_randomized_delays(self, seed):
-        result = run_swsr_scenario(kind="regular", n=9, t=1, seed=seed,
-                                   num_writes=8, num_reads=4,
-                                   op_gap=1.0, reader_offset=0.3,
-                                   byzantine_count=1,
-                                   byzantine_strategy="equivocate",
-                                   max_events=2_000_000)
+        result = run_scenario("swsr", kind="regular", n=9, t=1, seed=seed,
+                              num_writes=8, num_reads=4,
+                              op_gap=1.0, reader_offset=0.3,
+                              byzantine_count=1,
+                              byzantine_strategy="equivocate",
+                              max_events=2_000_000)
         assert result.completed
         assert check_regularity(result.history, initial="v_init") == []
 
     def test_atomic_reader_under_burst_never_inverts(self):
         from repro.checkers.atomicity import find_new_old_inversions
-        result = run_swsr_scenario(kind="atomic", n=9, t=1, seed=34,
-                                   num_writes=8, num_reads=6,
-                                   op_gap=1.2, reader_offset=0.4,
-                                   byzantine_count=1,
-                                   byzantine_strategy="flip-flop",
-                                   max_events=2_000_000)
+        result = run_scenario("swsr", kind="atomic", n=9, t=1, seed=34,
+                              num_writes=8, num_reads=6,
+                              op_gap=1.2, reader_offset=0.4,
+                              byzantine_count=1,
+                              byzantine_strategy="flip-flop",
+                              max_events=2_000_000)
         assert result.completed
         assert find_new_old_inversions(result.history) == []

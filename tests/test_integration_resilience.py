@@ -9,27 +9,27 @@ import pytest
 
 from repro.faults.byzantine import strategy_factory
 from repro.sim.errors import SimulationLimitReached
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 class TestWithinBounds:
     @pytest.mark.parametrize("n,t", [(9, 1), (17, 2), (25, 3)])
     def test_async_max_t_works(self, n, t):
         """t = floor((n-1)/8): the largest tolerated asynchronous setting."""
-        result = run_swsr_scenario(kind="regular", n=n, t=t, seed=1,
-                                   num_writes=2, num_reads=2,
-                                   byzantine_count=t,
-                                   byzantine_strategy="random-garbage")
+        result = run_scenario("swsr", kind="regular", n=n, t=t, seed=1,
+                              num_writes=2, num_reads=2,
+                              byzantine_count=t,
+                              byzantine_strategy="random-garbage")
         assert result.completed
         assert result.report.stable
 
     @pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3)])
     def test_sync_max_t_works(self, n, t):
         """t = floor((n-1)/3) in the synchronous model."""
-        result = run_swsr_scenario(kind="regular", n=n, t=t, seed=2,
-                                   synchronous=True, num_writes=2,
-                                   num_reads=2, byzantine_count=t,
-                                   byzantine_strategy="silent")
+        result = run_scenario("swsr", kind="regular", n=n, t=t, seed=2,
+                              synchronous=True, num_writes=2,
+                              num_reads=2, byzantine_count=t,
+                              byzantine_strategy="silent")
         assert result.completed
         assert result.report.stable
 
@@ -42,12 +42,12 @@ class TestBeyondBounds:
         reads can never terminate.  The quorum arithmetic itself fails —
         value_quorum > ack_quorum.
         """
-        result = run_swsr_scenario(kind="regular", n=9, t=3, seed=3,
-                                   enforce_resilience=False,
-                                   num_writes=1, num_reads=1,
-                                   byzantine_count=3,
-                                   byzantine_strategy="equivocate",
-                                   max_events=150_000)
+        result = run_scenario("swsr", kind="regular", n=9, t=3, seed=3,
+                              enforce_resilience=False,
+                              num_writes=1, num_reads=1,
+                              byzantine_count=3,
+                              byzantine_strategy="equivocate",
+                              max_events=150_000)
         assert not result.completed
 
     def test_async_t_quarter_of_n_degrades(self):
@@ -57,20 +57,20 @@ class TestBeyondBounds:
         fresh; two poisoners leave only 7-2 = 5 — any single stale server
         starves the read forever under adversarial timing).
         """
-        result = run_swsr_scenario(kind="regular", n=9, t=2, seed=4,
-                                   enforce_resilience=False,
-                                   num_writes=2, num_reads=2,
-                                   reader_offset=0.1,  # reads race writes
-                                   byzantine_count=2,
-                                   byzantine_strategy="equivocate",
-                                   max_events=150_000)
+        result = run_scenario("swsr", kind="regular", n=9, t=2, seed=4,
+                              enforce_resilience=False,
+                              num_writes=2, num_reads=2,
+                              reader_offset=0.1,  # reads race writes
+                              byzantine_count=2,
+                              byzantine_strategy="equivocate",
+                              max_events=150_000)
         # Either liveness is lost or (if lucky timing) it completes —
         # the guarantee is gone either way; we only assert no crash.
         assert result is not None
 
     def test_constructor_guards_the_bound(self):
         with pytest.raises(ValueError):
-            run_swsr_scenario(kind="regular", n=9, t=2, seed=5)
+            run_scenario("swsr", kind="regular", n=9, t=2, seed=5)
 
     def test_sync_beyond_third_breaks(self):
         """t = 2 of n = 4 in the synchronous model: t+1 = 3 matching values
@@ -78,13 +78,13 @@ class TestBeyondBounds:
         cannot be told apart from Byzantine fabrication; with two silent
         servers only 2 replies arrive and no t+1 quorum of fresh values
         forms reliably."""
-        result = run_swsr_scenario(kind="regular", n=4, t=2, seed=6,
-                                   synchronous=True,
-                                   enforce_resilience=False,
-                                   num_writes=1, num_reads=1,
-                                   byzantine_count=2,
-                                   byzantine_strategy="equivocate",
-                                   max_events=150_000)
+        result = run_scenario("swsr", kind="regular", n=4, t=2, seed=6,
+                              synchronous=True,
+                              enforce_resilience=False,
+                              num_writes=1, num_reads=1,
+                              byzantine_count=2,
+                              byzantine_strategy="equivocate",
+                              max_events=150_000)
         if result.completed:
             # if it terminated, correctness may still be violated; check
             # the read value against the single write

@@ -16,7 +16,6 @@ from repro.faults.schedule import FaultTimeline
 from repro.parallel import (ParallelScenarioRunner, ShardExecutor,
                             ShardPlan, execute_shard_plan, kv_shard_plans,
                             normalize_parallel, soak_shard_plans)
-from repro.workloads.scenarios import _run_kv_scenario, _run_soak_scenario
 from repro.workloads.spec import ScenarioSpec, run_scenario
 
 KV_KWARGS = dict(shard_count=3, n=9, t=1, seed=11, client_count=2,
@@ -37,12 +36,12 @@ def _assert_kv_equal(serial, candidate):
 
 class TestKVSerialEquivalence:
     def test_interleave_and_pool_match_serial(self):
-        serial = _run_kv_scenario(**KV_KWARGS)
+        serial = run_scenario("kv", **KV_KWARGS)
         assert serial.completed            # the config exercises a full run
         _assert_kv_equal(serial,
-                         _run_kv_scenario(parallel="interleave",
-                                          **KV_KWARGS))
-        _assert_kv_equal(serial, _run_kv_scenario(parallel=2, **KV_KWARGS))
+                         run_scenario("kv", parallel="interleave",
+                                      **KV_KWARGS))
+        _assert_kv_equal(serial, run_scenario("kv", parallel=2, **KV_KWARGS))
 
     def test_budget_truncation_matches_serial(self):
         """The serial run stops mid-batch when a flush exhausts its event
@@ -51,33 +50,33 @@ class TestKVSerialEquivalence:
         enqueued-but-undrained later shards)."""
         kwargs = dict(KV_KWARGS, corruption_fraction=0.6, max_events=800,
                       byzantine_count=0)
-        serial = _run_kv_scenario(**kwargs)
+        serial = run_scenario("kv", **kwargs)
         assert not serial.completed
         assert len(serial.history) > kwargs["num_keys"]  # died *after* create
         _assert_kv_equal(serial,
-                         _run_kv_scenario(parallel="interleave", **kwargs))
-        _assert_kv_equal(serial, _run_kv_scenario(parallel=2, **kwargs))
+                         run_scenario("kv", parallel="interleave", **kwargs))
+        _assert_kv_equal(serial, run_scenario("kv", parallel=2, **kwargs))
 
     def test_create_truncation_matches_serial(self):
         kwargs = dict(KV_KWARGS, max_events=300, byzantine_count=0)
-        serial = _run_kv_scenario(**kwargs)
+        serial = run_scenario("kv", **kwargs)
         assert not serial.completed
         assert len(serial.history) < kwargs["num_keys"]  # died in create
         _assert_kv_equal(serial,
-                         _run_kv_scenario(parallel="interleave", **kwargs))
+                         run_scenario("kv", parallel="interleave", **kwargs))
 
     def test_per_shard_timelines_match_serial(self):
         timeline = FaultTimeline().burst(1.0, fraction=0.2,
                                          targets="servers")
         kwargs = dict(shard_count=2, num_keys=4, rounds=1, seed=6,
                       fault_timelines={1: timeline.to_dict()})
-        serial = _run_kv_scenario(**kwargs)
-        parallel = _run_kv_scenario(parallel=2, **kwargs)
+        serial = run_scenario("kv", **kwargs)
+        parallel = run_scenario("kv", parallel=2, **kwargs)
         _assert_kv_equal(serial, parallel)
         assert parallel.tau_by_shard[1] > parallel.tau_by_shard[0]
 
     def test_merged_result_supports_summary_surface(self):
-        result = _run_kv_scenario(parallel="interleave", **KV_KWARGS)
+        result = run_scenario("kv", parallel="interleave", **KV_KWARGS)
         assert result.store.shard_count == KV_KWARGS["shard_count"]
         assert result.messages_sent > 0
         assert result.store.shard_for("k0") == \
@@ -85,17 +84,17 @@ class TestKVSerialEquivalence:
 
     def test_requires_pipelined(self):
         with pytest.raises(ValueError, match="pipelined"):
-            _run_kv_scenario(parallel=2, pipelined=False, **KV_KWARGS)
+            run_scenario("kv", parallel=2, pipelined=False, **KV_KWARGS)
 
 
 class TestSoakSerialEquivalence:
     def test_single_shard_matches_legacy_path(self):
         """``shards=1`` through plan/executor/merge must be field-for-
         field the legacy in-process soak — same seed, same verdicts."""
-        legacy = _run_soak_scenario(**SOAK_KWARGS)
+        legacy = run_scenario("soak", **SOAK_KWARGS)
         assert legacy.completed
         for parallel in ("interleave", 1):
-            merged = _run_soak_scenario(parallel=parallel, **SOAK_KWARGS)
+            merged = run_scenario("soak", parallel=parallel, **SOAK_KWARGS)
             assert legacy.summarize() == merged.summarize()
             assert legacy.inversions_after(legacy.tau_no_tr) == \
                 merged.inversions_after(merged.tau_no_tr)
@@ -105,13 +104,13 @@ class TestSoakSerialEquivalence:
                 merged.stream_report(merged.tau_no_tr)
 
     def test_multi_shard_pool_matches_interleave(self):
-        pooled = _run_soak_scenario(shards=3, parallel=2, **SOAK_KWARGS)
-        inline = _run_soak_scenario(shards=3, parallel="interleave",
-                                    **SOAK_KWARGS)
+        pooled = run_scenario("soak", shards=3, parallel=2, **SOAK_KWARGS)
+        inline = run_scenario("soak", shards=3, parallel="interleave",
+                              **SOAK_KWARGS)
         assert pooled.summarize() == inline.summarize()
         assert pooled.completed and pooled.summarize().stable
         # three sub-soaks: triple the single-shard operation count
-        single = _run_soak_scenario(**SOAK_KWARGS)
+        single = run_scenario("soak", **SOAK_KWARGS)
         assert pooled.summarize().ops == 3 * single.summarize().ops
 
     def test_multi_shard_seeds_are_derived(self):
@@ -158,9 +157,9 @@ class TestPlansAndDispatch:
         timeline = FaultTimeline().burst(1.0, fraction=0.2,
                                          targets="servers")
         with pytest.raises(ValueError, match="reference shards"):
-            _run_kv_scenario(parallel=2, shard_count=2, num_keys=2,
-                             rounds=1, seed=6,
-                             fault_timelines={5: timeline.to_dict()})
+            run_scenario("kv", parallel=2, shard_count=2, num_keys=2,
+                         rounds=1, seed=6,
+                         fault_timelines={5: timeline.to_dict()})
 
     def test_executor_stage_stepping_matches_one_shot_run(self):
         plans, _, _ = kv_shard_plans(

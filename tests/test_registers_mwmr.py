@@ -9,7 +9,7 @@ from repro.faults.transient import TransientFaultInjector
 from repro.registers.epochs import Epoch, EpochLabeling
 from repro.registers.mwmr import is_valid_triple
 from repro.registers.system import Cluster, ClusterConfig, build_mwmr
-from repro.workloads.scenarios import run_mwmr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def make_system(m=3, n=9, t=1, seed=0, seq_bound=2 ** 64, **kwargs):
@@ -122,35 +122,35 @@ class TestValidTriple:
 
 class TestConsistency:
     def test_sequential_history_linearizes(self):
-        result = run_mwmr_scenario(m=3, n=9, t=1, seed=5, ops_per_process=2)
+        result = run_scenario("mwmr", m=3, n=9, t=1, seed=5, ops_per_process=2)
         assert result.completed
         outcome = check_linearizable(result.history)
         assert outcome.ok
 
     def test_concurrent_history_linearizes(self):
-        result = run_mwmr_scenario(m=3, n=9, t=1, seed=6, ops_per_process=2,
-                                   concurrent=True)
+        result = run_scenario("mwmr", m=3, n=9, t=1, seed=6, ops_per_process=2,
+                              concurrent=True)
         assert result.completed
         assert check_linearizable(result.history).ok
 
     def test_with_byzantine_server(self):
-        result = run_mwmr_scenario(m=3, n=9, t=1, seed=7, ops_per_process=2,
-                                   byzantine_count=1,
-                                   byzantine_strategy="random-garbage")
+        result = run_scenario("mwmr", m=3, n=9, t=1, seed=7, ops_per_process=2,
+                              byzantine_count=1,
+                              byzantine_strategy="random-garbage")
         assert result.completed
         assert check_linearizable(result.history).ok
 
     def test_stabilizes_after_partial_corruption(self):
-        result = run_mwmr_scenario(m=2, n=9, t=1, seed=8, ops_per_process=2,
-                                   corruption_times=(2.0,),
-                                   corruption_fraction=0.3)
+        result = run_scenario("mwmr", m=2, n=9, t=1, seed=8, ops_per_process=2,
+                              corruption_times=(2.0,),
+                              corruption_fraction=0.3)
         assert result.completed
         # post-corruption ops (all of them: workload starts after tau_no_tr)
         # must linearize
         assert check_linearizable(result.history).ok
 
     def test_two_processes_small(self):
-        result = run_mwmr_scenario(m=2, n=9, t=1, seed=9, ops_per_process=3)
+        result = run_scenario("mwmr", m=2, n=9, t=1, seed=9, ops_per_process=3)
         assert result.completed
         assert check_linearizable(result.history).ok
 
@@ -183,8 +183,8 @@ class TestLiveness:
         The MWMR scan runs before the repairing write, so full corruption
         of all registers deadlocks — surfaced as non-completion.
         """
-        result = run_mwmr_scenario(m=2, n=9, t=1, seed=8, ops_per_process=1,
-                                   corruption_times=(2.0,),
-                                   corruption_fraction=1.0,
-                                   max_events=150_000)
+        result = run_scenario("mwmr", m=2, n=9, t=1, seed=8, ops_per_process=1,
+                              corruption_times=(2.0,),
+                              corruption_fraction=1.0,
+                              max_events=150_000)
         assert not result.completed

@@ -7,7 +7,7 @@ from repro.faults.byzantine import strategy_factory
 from repro.faults.transient import TransientFaultInjector
 from repro.registers.bounded_seq import WsnConfig
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_atomic
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def make_system(n=9, t=1, seed=0, modulus=None, **kwargs):
@@ -84,32 +84,32 @@ class TestSanityCheck:
 
 class TestNoInversion:
     def test_no_inversion_under_inversion_attack(self):
-        result = run_swsr_scenario(kind="atomic", n=9, t=1, seed=51,
-                                   num_writes=6, num_reads=6,
-                                   reader_offset=0.2,
-                                   byzantine_count=1,
-                                   byzantine_strategy="inversion-attack")
+        result = run_scenario("swsr", kind="atomic", n=9, t=1, seed=51,
+                              num_writes=6, num_reads=6,
+                              reader_offset=0.2,
+                              byzantine_count=1,
+                              byzantine_strategy="inversion-attack")
         assert result.completed
         inversions = find_new_old_inversions(result.history,
                                              after=result.tau_no_tr)
         assert inversions == []
 
     def test_no_inversion_under_flip_flop(self):
-        result = run_swsr_scenario(kind="atomic", n=9, t=1, seed=52,
-                                   num_writes=6, num_reads=6,
-                                   reader_offset=0.2,
-                                   byzantine_count=1,
-                                   byzantine_strategy="flip-flop")
+        result = run_scenario("swsr", kind="atomic", n=9, t=1, seed=52,
+                              num_writes=6, num_reads=6,
+                              reader_offset=0.2,
+                              byzantine_count=1,
+                              byzantine_strategy="flip-flop")
         assert result.completed
         assert find_new_old_inversions(result.history,
                                        after=result.tau_no_tr) == []
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_eventual_atomicity_after_corruption(self, seed):
-        result = run_swsr_scenario(kind="atomic", n=9, t=1, seed=seed,
-                                   num_writes=5, num_reads=5,
-                                   corruption_times=(2.0, 5.0),
-                                   link_garbage=1, byzantine_count=1)
+        result = run_scenario("swsr", kind="atomic", n=9, t=1, seed=seed,
+                              num_writes=5, num_reads=5,
+                              corruption_times=(2.0, 5.0),
+                              link_garbage=1, byzantine_count=1)
         assert result.completed
         assert result.report.stable
 

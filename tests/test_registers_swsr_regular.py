@@ -8,7 +8,7 @@ from repro.faults.byzantine import strategy_factory
 from repro.faults.transient import TransientFaultInjector
 from repro.registers.messages import BOT
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_regular
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def make_system(n=9, t=1, seed=0, **kwargs):
@@ -137,19 +137,19 @@ class TestTransientFailures:
 
 class TestEventualRegularity:
     def test_scenario_regular_after_corruption(self):
-        result = run_swsr_scenario(kind="regular", n=9, t=1, seed=31,
-                                   num_writes=5, num_reads=5,
-                                   corruption_times=(2.0, 4.0),
-                                   link_garbage=1, byzantine_count=1)
+        result = run_scenario("swsr", kind="regular", n=9, t=1, seed=31,
+                              num_writes=5, num_reads=5,
+                              corruption_times=(2.0, 4.0),
+                              link_garbage=1, byzantine_count=1)
         assert result.completed
         assert result.report.stable
         assert result.report.tau_stab is not None
 
     def test_concurrent_reads_and_writes_still_regular(self):
-        result = run_swsr_scenario(kind="regular", n=9, t=1, seed=32,
-                                   num_writes=6, num_reads=6,
-                                   reader_offset=0.2,  # heavy overlap
-                                   byzantine_count=1)
+        result = run_scenario("swsr", kind="regular", n=9, t=1, seed=32,
+                              num_writes=6, num_reads=6,
+                              reader_offset=0.2,  # heavy overlap
+                              byzantine_count=1)
         assert result.completed
         violations = check_regularity(result.history, after=result.tau_no_tr,
                                       initial="v_init")
@@ -157,18 +157,18 @@ class TestEventualRegularity:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_regularity_across_seeds(self, seed):
-        result = run_swsr_scenario(kind="regular", n=9, t=1, seed=seed,
-                                   num_writes=4, num_reads=4,
-                                   corruption_times=(3.0,),
-                                   byzantine_count=1,
-                                   byzantine_strategy="stale")
+        result = run_scenario("swsr", kind="regular", n=9, t=1, seed=seed,
+                              num_writes=4, num_reads=4,
+                              corruption_times=(3.0,),
+                              byzantine_count=1,
+                              byzantine_strategy="stale")
         assert result.completed
         assert result.report.stable
 
     def test_larger_cluster(self):
-        result = run_swsr_scenario(kind="regular", n=25, t=3, seed=33,
-                                   num_writes=3, num_reads=3,
-                                   byzantine_count=3)
+        result = run_scenario("swsr", kind="regular", n=25, t=3, seed=33,
+                              num_writes=3, num_reads=3,
+                              byzantine_count=3)
         assert result.completed
         assert result.report.stable
 

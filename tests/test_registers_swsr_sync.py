@@ -10,7 +10,7 @@ from repro.registers.swsr_sync import (SyncAtomicReader, SyncAtomicWriter,
                                        install_sync_regular_servers,
                                        sync_params)
 from repro.registers.system import Cluster, ClusterConfig
-from repro.workloads.scenarios import run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 def make_sync_system(n=4, t=1, seed=0, atomic=False, **kwargs):
@@ -107,29 +107,29 @@ class TestSyncAtomic:
 
 class TestSyncScenarios:
     def test_regular_scenario_stabilizes(self):
-        result = run_swsr_scenario(kind="regular", n=4, t=1, seed=6,
-                                   synchronous=True, num_writes=4,
-                                   num_reads=4, corruption_times=(2.0,),
-                                   byzantine_count=1,
-                                   byzantine_strategy="silent")
+        result = run_scenario("swsr", kind="regular", n=4, t=1, seed=6,
+                              synchronous=True, num_writes=4,
+                              num_reads=4, corruption_times=(2.0,),
+                              byzantine_count=1,
+                              byzantine_strategy="silent")
         assert result.completed
         assert result.report.stable
 
     def test_atomic_scenario_stabilizes(self):
-        result = run_swsr_scenario(kind="atomic", n=7, t=2, seed=7,
-                                   synchronous=True, num_writes=4,
-                                   num_reads=4, corruption_times=(2.0,),
-                                   byzantine_count=2)
+        result = run_scenario("swsr", kind="atomic", n=7, t=2, seed=7,
+                              synchronous=True, num_writes=4,
+                              num_reads=4, corruption_times=(2.0,),
+                              byzantine_count=2)
         assert result.completed
         assert result.report.stable
 
     def test_sync_uses_fewer_servers_than_async_for_same_t(self):
         """The headline resilience gap: t=2 needs 7 sync vs 17 async."""
-        sync_result = run_swsr_scenario(kind="regular", n=7, t=2, seed=8,
-                                        synchronous=True, num_writes=2,
-                                        num_reads=2, byzantine_count=2)
-        async_result = run_swsr_scenario(kind="regular", n=17, t=2, seed=8,
-                                         num_writes=2, num_reads=2,
-                                         byzantine_count=2)
+        sync_result = run_scenario("swsr", kind="regular", n=7, t=2, seed=8,
+                                   synchronous=True, num_writes=2,
+                                   num_reads=2, byzantine_count=2)
+        async_result = run_scenario("swsr", kind="regular", n=17, t=2, seed=8,
+                                    num_writes=2, num_reads=2,
+                                    byzantine_count=2)
         assert sync_result.completed and sync_result.report.stable
         assert async_result.completed and async_result.report.stable

@@ -5,15 +5,15 @@ import pickle
 import pytest
 
 from repro.sim.trace import FAULT
-from repro.workloads.scenarios import (ScenarioSummary, history_digest,
-                                       run_mwmr_scenario, run_swsr_scenario)
+from repro.workloads.scenarios import ScenarioSummary, history_digest
+from repro.workloads.spec import run_scenario
 
 
 class TestSummarize:
     def test_summary_matches_result(self):
-        result = run_swsr_scenario(n=9, t=1, seed=3, num_writes=3,
-                                   num_reads=3, corruption_times=(2.0,),
-                                   byzantine_count=1)
+        result = run_scenario("swsr", n=9, t=1, seed=3, num_writes=3,
+                              num_reads=3, corruption_times=(2.0,),
+                              byzantine_count=1)
         summary = result.summarize()
         assert summary.completed == result.completed
         assert summary.messages_sent == result.messages_sent
@@ -27,8 +27,8 @@ class TestSummarize:
         assert summary.history_digest == history_digest(result.history)
 
     def test_summary_is_picklable_and_compact(self):
-        summary = run_swsr_scenario(seed=1, num_writes=2,
-                                    num_reads=2).summarize()
+        summary = run_scenario("swsr", seed=1, num_writes=2,
+                               num_reads=2).summarize()
         blob = pickle.dumps(summary)
         assert pickle.loads(blob) == summary
         # the whole point of the boundary: orders of magnitude smaller
@@ -36,21 +36,21 @@ class TestSummarize:
         assert len(blob) < 2000
 
     def test_mwmr_summary_has_no_stabilization_report(self):
-        summary = run_mwmr_scenario(m=2, seed=1,
-                                    ops_per_process=1).summarize()
+        summary = run_scenario("mwmr", m=2, seed=1,
+                               ops_per_process=1).summarize()
         assert summary.completed
         assert summary.stable is None
         assert summary.tau_stab is None
 
     def test_to_dict_is_json_ready(self):
         import json
-        summary = run_swsr_scenario(seed=1, num_writes=2,
-                                    num_reads=2).summarize()
+        summary = run_scenario("swsr", seed=1, num_writes=2,
+                               num_reads=2).summarize()
         data = summary.to_dict()
         assert json.loads(json.dumps(data)) == data
 
     def test_digest_deterministic_across_runs(self):
-        run = lambda: run_swsr_scenario(seed=7, num_writes=2, num_reads=2)
+        run = lambda: run_scenario("swsr", seed=7, num_writes=2, num_reads=2)
         assert run().summarize() == run().summarize()
 
     def test_figure1_summary_contract(self):
@@ -66,8 +66,8 @@ class TestCorruptionSchedules:
     (pre-fix, a naive ``lambda:`` would have every burst share state)."""
 
     def test_two_bursts_both_fire_at_their_times(self):
-        result = run_swsr_scenario(
-            n=9, t=1, seed=5, num_writes=3, num_reads=3,
+        result = run_scenario(
+            "swsr", n=9, t=1, seed=5, num_writes=3, num_reads=3,
             corruption_times=(2.0, 5.0), record_trace=True)
         fault_times = sorted({event.time for event
                               in result.cluster.trace.of_kind(FAULT)})
@@ -78,8 +78,8 @@ class TestCorruptionSchedules:
         bug would apply the *last* fraction (0.0) to both bursts and
         corrupt nothing; correctly bound, t=2.0 corrupts everything and
         t=5.0 nothing."""
-        result = run_swsr_scenario(
-            n=9, t=1, seed=5, num_writes=3, num_reads=3,
+        result = run_scenario(
+            "swsr", n=9, t=1, seed=5, num_writes=3, num_reads=3,
             corruption_times=(2.0, 5.0), corruption_fraction=(1.0, 0.0),
             record_trace=True)
         events = list(result.cluster.trace.of_kind(FAULT))
@@ -87,8 +87,8 @@ class TestCorruptionSchedules:
         assert {event.time for event in events} == {2.0}
 
     def test_per_burst_fractions_reversed(self):
-        result = run_swsr_scenario(
-            n=9, t=1, seed=5, num_writes=3, num_reads=3,
+        result = run_scenario(
+            "swsr", n=9, t=1, seed=5, num_writes=3, num_reads=3,
             corruption_times=(2.0, 5.0), corruption_fraction=(0.0, 1.0),
             record_trace=True)
         assert {event.time for event
@@ -96,18 +96,18 @@ class TestCorruptionSchedules:
 
     def test_fraction_sequence_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="corruption_fraction"):
-            run_swsr_scenario(corruption_times=(2.0, 5.0),
-                              corruption_fraction=(1.0,))
+            run_scenario("swsr", corruption_times=(2.0, 5.0),
+                         corruption_fraction=(1.0,))
 
     def test_mwmr_accepts_per_burst_fractions(self):
-        result = run_mwmr_scenario(
-            m=2, seed=3, ops_per_process=1,
+        result = run_scenario(
+            "mwmr", m=2, seed=3, ops_per_process=1,
             corruption_times=(2.0, 4.0), corruption_fraction=(0.5, 0.0))
         assert result.completed
 
     def test_scalar_fraction_still_broadcasts(self):
-        result = run_swsr_scenario(
-            n=9, t=1, seed=5, num_writes=3, num_reads=3,
+        result = run_scenario(
+            "swsr", n=9, t=1, seed=5, num_writes=3, num_reads=3,
             corruption_times=(2.0, 5.0), corruption_fraction=1.0,
             record_trace=True)
         assert {event.time for event

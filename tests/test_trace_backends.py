@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from repro.sim.trace import (CountingTrace, DELIVER, FullTrace, NullTrace,
                              SEND, build_trace)
-from repro.workloads.scenarios import (run_mobile_byzantine_scenario,
-                                       run_partition_scenario,
-                                       run_swsr_scenario)
+from repro.workloads.spec import run_scenario
 
 BACKENDS = ("full", "counting", "null")
 
@@ -42,21 +40,22 @@ class TestBackendsAreObservers:
                                                  byzantine):
         fingerprints = set()
         for backend in BACKENDS:
-            result = run_swsr_scenario(
-                kind=kind, n=9, t=1, seed=seed, num_writes=3, num_reads=3,
-                corruption_times=(2.0,), link_garbage=1,
+            result = run_scenario(
+                "swsr", kind=kind, n=9, t=1, seed=seed, num_writes=3,
+                num_reads=3, corruption_times=(2.0,), link_garbage=1,
                 byzantine_count=byzantine, trace_backend=backend)
             assert result.completed
             fingerprints.add(_fingerprint(result))
         assert len(fingerprints) == 1
 
     def test_backends_agree_under_partition_and_mobile_byz(self):
-        for runner, kwargs in [
-            (run_partition_scenario, dict(seed=5, corruption_times=(2.0,))),
-            (run_mobile_byzantine_scenario, dict(seed=5, rotations=3)),
+        for family, kwargs in [
+            ("partition", dict(seed=5, corruption_times=(2.0,))),
+            ("mobile-byz", dict(seed=5, rotations=3)),
         ]:
             fingerprints = {
-                _fingerprint(runner(trace_backend=backend, **kwargs))
+                _fingerprint(run_scenario(family, trace_backend=backend,
+                                          **kwargs))
                 for backend in BACKENDS
             }
             assert len(fingerprints) == 1

@@ -5,24 +5,22 @@ import pytest
 from repro.faults.schedule import FaultTimeline, TimelineEvent
 from repro.runner.engine import run_sweep
 from repro.runner.spec import SweepSpec
-from repro.workloads.scenarios import (run_mobile_byzantine_scenario,
-                                       run_partition_scenario,
-                                       run_swsr_scenario)
+from repro.workloads.spec import run_scenario
 
 
 class TestPartitionScenario:
     def test_same_seed_same_summary(self):
-        first = run_partition_scenario(seed=11).summarize()
-        second = run_partition_scenario(seed=11).summarize()
+        first = run_scenario("partition", seed=11).summarize()
+        second = run_scenario("partition", seed=11).summarize()
         assert first == second
 
     def test_different_seeds_diverge(self):
-        first = run_partition_scenario(seed=11).summarize()
-        second = run_partition_scenario(seed=12).summarize()
+        first = run_scenario("partition", seed=11).summarize()
+        second = run_scenario("partition", seed=12).summarize()
         assert first.history_digest != second.history_digest
 
     def test_partition_drops_messages_and_still_stabilizes(self):
-        result = run_partition_scenario(seed=3)
+        result = run_scenario("partition", seed=3)
         assert result.completed
         assert result.report is not None and result.report.stable
         assert result.cluster.network.messages_dropped > 0
@@ -34,29 +32,36 @@ class TestPartitionScenario:
         # 2 of 9 servers unreachable with t=1: the n-t ack quorum cannot
         # form while the partition lasts; with a long enough partition the
         # run must exhaust its budget rather than terminate.
-        result = run_partition_scenario(seed=3, partition_count=2,
-                                        partition_duration=1_000.0,
-                                        max_events=100_000)
+        result = run_scenario("partition", seed=3, partition_count=2,
+                              partition_duration=1_000.0,
+                              max_events=100_000)
         assert not result.completed
 
     def test_atomic_kind_supported(self):
-        result = run_partition_scenario(kind="atomic", seed=4)
+        result = run_scenario("partition", kind="atomic", seed=4)
         assert result.completed
         assert result.report is not None and result.report.stable
 
-    def test_rejects_datalink_transport(self):
-        with pytest.raises(ValueError):
-            run_partition_scenario(transport="datalink")
+    @pytest.mark.parametrize("params, match", [
+        (dict(transport="datalink"), "direct transport"),
+        # n=9: a count outside 0..n used to slice a silently wrong group
+        # (12 cut 3 servers, -2 cut none) under a clean partition verdict
+        (dict(partition_count=12), "partition_count"),
+        (dict(partition_count=-2), "partition_count"),
+    ])
+    def test_rejects_unrunnable_parameters(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            run_scenario("partition", **params)
 
 
 class TestMobileByzantineScenario:
     def test_same_seed_same_summary(self):
-        first = run_mobile_byzantine_scenario(seed=21).summarize()
-        second = run_mobile_byzantine_scenario(seed=21).summarize()
+        first = run_scenario("mobile-byz", seed=21).summarize()
+        second = run_scenario("mobile-byz", seed=21).summarize()
         assert first == second
 
     def test_rotation_moves_the_byzantine_set(self):
-        result = run_mobile_byzantine_scenario(seed=2, rotations=3)
+        result = run_scenario("mobile-byz", seed=2, rotations=3)
         assert result.completed
         # after 3 rotations of size t=1 the set sits on the 3rd server
         assert result.cluster.byzantine_ids == ["s3"]
@@ -65,10 +70,10 @@ class TestMobileByzantineScenario:
 
     def test_rotation_respects_t_bound(self):
         with pytest.raises(ValueError):
-            run_mobile_byzantine_scenario(seed=0, rotation_size=2)  # t=1
+            run_scenario("mobile-byz", seed=0, rotation_size=2)  # t=1
 
     def test_stabilizes_after_last_rotation(self):
-        result = run_mobile_byzantine_scenario(seed=5, rotations=2)
+        result = run_scenario("mobile-byz", seed=5, rotations=2)
         assert result.completed
         assert result.report is not None and result.report.stable
         assert result.tau_no_tr >= 1.0  # last rotation instant
@@ -93,8 +98,8 @@ class TestHandoverStarvation:
                     num_writes=4, num_reads=4, max_events=300_000)
 
     def test_silent_rotation_straddling_a_broadcast_starves(self):
-        result = run_mobile_byzantine_scenario(
-            rotation_strategy="silent", **self.STRADDLE)
+        result = run_scenario(
+            "mobile-byz", rotation_strategy="silent", **self.STRADDLE)
         assert not result.completed  # the documented starvation
         # starvation is budget exhaustion, not a crash: the history holds
         # the operations that did finish, and no report is produced
@@ -102,16 +107,16 @@ class TestHandoverStarvation:
 
     @pytest.mark.parametrize("strategy", ["random-garbage", "stale"])
     def test_responsive_rotation_same_timing_completes(self, strategy):
-        result = run_mobile_byzantine_scenario(
-            rotation_strategy=strategy, **self.STRADDLE)
+        result = run_scenario(
+            "mobile-byz", rotation_strategy=strategy, **self.STRADDLE)
         assert result.completed
         assert result.report is not None and result.report.stable
 
     def test_starvation_is_deterministic(self):
-        first = run_mobile_byzantine_scenario(
-            rotation_strategy="silent", **self.STRADDLE).summarize()
-        second = run_mobile_byzantine_scenario(
-            rotation_strategy="silent", **self.STRADDLE).summarize()
+        first = run_scenario("mobile-byz", rotation_strategy="silent",
+                             **self.STRADDLE).summarize()
+        second = run_scenario("mobile-byz", rotation_strategy="silent",
+                              **self.STRADDLE).summarize()
         assert first == second
         assert not first.completed
 
@@ -186,8 +191,8 @@ class TestTimelineSerialization:
 
     def test_swsr_scenario_accepts_timeline_dict(self):
         timeline = FaultTimeline().burst(3.0, fraction=0.5)
-        result = run_swsr_scenario(seed=9, num_writes=2, num_reads=2,
-                                   fault_timeline=timeline.to_dict())
+        result = run_scenario("swsr", seed=9, num_writes=2, num_reads=2,
+                              fault_timeline=timeline.to_dict())
         assert result.completed
         # the timeline's burst pushed tau (and hence the workload) out
         assert result.tau_no_tr == 3.0

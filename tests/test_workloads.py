@@ -6,7 +6,7 @@ from repro.checkers.atomicity import check_linearizable
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_regular
 from repro.workloads.generators import (ClientDriver, ValueStream,
                                         alternating_schedule, burst_schedule)
-from repro.workloads.scenarios import run_mwmr_scenario, run_swsr_scenario
+from repro.workloads.spec import run_scenario
 
 
 class TestValueStream:
@@ -40,10 +40,10 @@ class TestValueStream:
         drawn = [stream.next() for i in range(50)]
         assert drawn == plain
 
-        first = run_swsr_scenario(seed=17, num_writes=3,
-                                  num_reads=3).summarize()
-        second = run_swsr_scenario(seed=17, num_writes=3,
-                                   num_reads=3).summarize()
+        first = run_scenario("swsr", seed=17, num_writes=3,
+                             num_reads=3).summarize()
+        second = run_scenario("swsr", seed=17, num_writes=3,
+                              num_reads=3).summarize()
         assert first == second
         assert first.history_digest == second.history_digest
 
@@ -99,7 +99,7 @@ class TestClientDriver:
 
 class TestScenarios:
     def test_swsr_scenario_reports(self):
-        result = run_swsr_scenario(num_writes=2, num_reads=2, seed=1)
+        result = run_scenario("swsr", num_writes=2, num_reads=2, seed=1)
         assert result.completed
         assert result.report is not None
         assert result.messages_sent > 0
@@ -108,29 +108,50 @@ class TestScenarios:
 
     def test_swsr_scenario_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            run_swsr_scenario(kind="bogus")
+            run_scenario("swsr", kind="bogus")
 
     def test_swsr_scenario_explicit_byzantine_map(self):
-        result = run_swsr_scenario(seed=2, num_writes=2, num_reads=2,
-                                   byzantine={"s3": "silent",
-                                              "s7": "stale"})
+        result = run_scenario("swsr", seed=2, num_writes=2, num_reads=2,
+                              byzantine={"s3": "silent",
+                                         "s7": "stale"})
         assert result.completed
         assert result.cluster.byzantine_ids == ["s3", "s7"]
 
     def test_mwmr_scenario_histories_linearize(self):
-        result = run_mwmr_scenario(m=2, seed=3, ops_per_process=1)
+        result = run_scenario("mwmr", m=2, seed=3, ops_per_process=1)
         assert result.completed
         assert check_linearizable(result.history).ok
 
     def test_scenario_workload_starts_after_corruption(self):
-        result = run_swsr_scenario(seed=4, num_writes=2, num_reads=2,
-                                   corruption_times=(5.0,))
+        result = run_scenario("swsr", seed=4, num_writes=2, num_reads=2,
+                              corruption_times=(5.0,))
         assert result.tau_no_tr == 5.0
         first_op = min(op.invoke for op in result.history)
         assert first_op > 5.0
 
     def test_scenario_deterministic_per_seed(self):
-        a = run_swsr_scenario(seed=9, num_writes=2, num_reads=2)
-        b = run_swsr_scenario(seed=9, num_writes=2, num_reads=2)
+        a = run_scenario("swsr", seed=9, num_writes=2, num_reads=2)
+        b = run_scenario("swsr", seed=9, num_writes=2, num_reads=2)
         assert a.history.format() == b.history.format()
         assert a.messages_sent == b.messages_sent
+
+    @pytest.mark.parametrize("reader_offset", [None, 0.5])
+    @pytest.mark.parametrize("transport", ["direct", "datalink"])
+    @pytest.mark.parametrize("kind, n, t", [("regular", 9, 1),
+                                            ("atomic", 17, 2)])
+    def test_one_chunk_soak_is_the_swsr_run(self, kind, n, t, transport,
+                                            reader_offset):
+        """The fact the shared SWSR drive loop rests on: scheduling the
+        whole workload as one chunk (soak with ``chunk_ops`` >= the op
+        count and no burst prelude) is the same execution as the
+        ``swsr`` family's.  Whoever changes one schedule shape breaks
+        this first."""
+        workload = dict(kind=kind, n=n, t=t, seed=6, transport=transport,
+                        num_writes=5, num_reads=6, op_gap=10.0,
+                        reader_offset=reader_offset)
+        swsr = run_scenario("swsr", **workload).summarize()
+        soak = run_scenario("soak", fault_bursts=0, chunk_ops=64,
+                            keep_history=True, **workload).summarize()
+        for fact in ("history_digest", "events_processed", "messages_sent",
+                     "sim_end", "ops"):
+            assert getattr(soak, fact) == getattr(swsr, fact), fact

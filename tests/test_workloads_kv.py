@@ -7,13 +7,13 @@ import pytest
 from repro.faults.schedule import FaultTimeline
 from repro.runner.adapters import ADAPTERS
 from repro.runner.spec import SCENARIOS, expand, smoke_specs
-from repro.workloads.scenarios import run_kv_scenario
+from repro.workloads.spec import run_scenario
 
 
 class TestRunKVScenario:
     def test_clean_run_completes_and_linearizes(self):
-        result = run_kv_scenario(shard_count=2, num_keys=3, rounds=2,
-                                 seed=0)
+        result = run_scenario("kv", shard_count=2, num_keys=3, rounds=2,
+                              seed=0)
         assert result.completed
         assert result.linearizable
         assert set(result.per_key_linearizable) == {"k0", "k1", "k2"}
@@ -23,25 +23,25 @@ class TestRunKVScenario:
     def test_deterministic_summary(self):
         kwargs = dict(shard_count=2, num_keys=4, rounds=2, seed=7,
                       corruption_times=[2.0], byzantine_count=1)
-        assert run_kv_scenario(**kwargs).summarize() == \
-            run_kv_scenario(**kwargs).summarize()
+        assert run_scenario("kv", **kwargs).summarize() == \
+            run_scenario("kv", **kwargs).summarize()
 
     def test_serial_and_pipelined_agree_on_verdicts(self):
         # dense enough that both clients share shards — the regime where
         # pipelining buys simulated-time concurrency
         kwargs = dict(shard_count=2, num_keys=8, rounds=2, seed=3)
-        serial = run_kv_scenario(pipelined=False, **kwargs)
-        pipelined = run_kv_scenario(pipelined=True, **kwargs)
+        serial = run_scenario("kv", pipelined=False, **kwargs)
+        pipelined = run_scenario("kv", pipelined=True, **kwargs)
         assert serial.completed and pipelined.completed
         assert serial.linearizable and pipelined.linearizable
         assert len(serial.history) == len(pipelined.history)
         assert pipelined.store.now < serial.store.now
 
     def test_burst_and_byzantine_envelope_stabilizes(self):
-        result = run_kv_scenario(shard_count=2, num_keys=4, rounds=2,
-                                 seed=5, corruption_times=[2.0],
-                                 corruption_fraction=0.2,
-                                 byzantine_count=1)
+        result = run_scenario("kv", shard_count=2, num_keys=4, rounds=2,
+                              seed=5, corruption_times=[2.0],
+                              corruption_fraction=0.2,
+                              byzantine_count=1)
         assert result.completed
         assert result.linearizable
         assert result.summarize().corruptions > 0
@@ -50,9 +50,9 @@ class TestRunKVScenario:
     def test_per_shard_timelines_only_hit_their_shard(self):
         timeline = FaultTimeline().burst(1.0, fraction=0.2,
                                          targets="servers")
-        result = run_kv_scenario(shard_count=2, num_keys=4, rounds=1,
-                                 seed=6,
-                                 fault_timelines={1: timeline.to_dict()})
+        result = run_scenario("kv", shard_count=2, num_keys=4, rounds=1,
+                              seed=6,
+                              fault_timelines={1: timeline.to_dict()})
         assert result.completed and result.linearizable
         assert result.tau_by_shard[1] > result.tau_by_shard[0]
 
@@ -62,14 +62,14 @@ class TestRunKVScenario:
         timeline = FaultTimeline().burst(1.0, fraction=0.2,
                                          targets="servers")
         with pytest.raises(ValueError, match="reference shards"):
-            run_kv_scenario(shard_count=2, num_keys=2, rounds=1, seed=6,
-                            fault_timelines={5: timeline.to_dict()})
+            run_scenario("kv", shard_count=2, num_keys=2, rounds=1, seed=6,
+                         fault_timelines={5: timeline.to_dict()})
 
     def test_keys_judged_against_their_own_shard_tau(self):
         """Shards are independent simulations with different anchors; a
         key must not be judged against another shard's (later) τ."""
-        result = run_kv_scenario(shard_count=2, num_keys=4, rounds=2,
-                                 seed=7, corruption_times=[2.0])
+        result = run_scenario("kv", shard_count=2, num_keys=4, rounds=2,
+                              seed=7, corruption_times=[2.0])
         assert result.completed
         assert result.linearizable
         assert len(set(result.tau_by_shard)) > 1

@@ -1,52 +1,32 @@
-"""ScenarioSpec: validation, serialization, shim equivalence."""
-
-import inspect
-import warnings
+"""ScenarioSpec: validation, serialization, registry resolution."""
 
 import pytest
 
-from repro.workloads import scenarios
 from repro.workloads.engine import ScenarioEngine
 from repro.workloads.spec import (FAMILIES, ScenarioSpec, run_scenario,
                                   scenario_families)
 
-#: smallest-footprint parameters per family, for equivalence runs.
+#: small-footprint parameters for the runs below.
 QUICK_PARAMS = {
     "swsr": dict(seed=3, num_writes=2, num_reads=2),
-    "mwmr": dict(m=2, seed=3, ops_per_process=1),
-    "partition": dict(seed=3, num_writes=2, num_reads=2),
     "kv": dict(shard_count=2, num_keys=2, rounds=1, seed=3),
-    "reshard": dict(shard_count=2, num_keys=2, rounds=1, seed=3,
-                    vnodes=4),
-    "mobile-byz": dict(seed=3, rotations=1, num_writes=2, num_reads=2),
-    "soak": dict(seed=3, num_writes=6, num_reads=6),
-}
-
-SHIMS = {
-    "swsr": scenarios.run_swsr_scenario,
-    "mwmr": scenarios.run_mwmr_scenario,
-    "partition": scenarios.run_partition_scenario,
-    "kv": scenarios.run_kv_scenario,
-    "reshard": scenarios.run_reshard_scenario,
-    "mobile-byz": scenarios.run_mobile_byzantine_scenario,
-    "soak": scenarios.run_soak_scenario,
 }
 
 
 class TestValidation:
-    def test_families_cover_every_shim(self):
-        assert set(FAMILIES) == set(SHIMS)
-        assert scenario_families() == tuple(sorted(FAMILIES))
-
     def test_unknown_family_rejected(self):
+        assert scenario_families() == tuple(sorted(FAMILIES))
         with pytest.raises(ValueError, match="unknown scenario family"):
             ScenarioSpec("not-a-family")
 
-    def test_unknown_parameter_rejected_with_vocabulary(self):
+    @pytest.mark.parametrize("family", scenario_families())
+    def test_unknown_parameter_rejected_with_vocabulary(self, family):
         with pytest.raises(TypeError) as excinfo:
-            ScenarioSpec("swsr", bogus_knob=1)
-        assert "bogus_knob" in str(excinfo.value)
-        assert "num_writes" in str(excinfo.value)   # valid vocab listed
+            ScenarioSpec(family, bogus_knob=1)
+        message = str(excinfo.value)
+        assert "bogus_knob" in message and repr(family) in message
+        vocabulary = message.split("valid parameters: ")[1].split(", ")
+        assert vocabulary == list(FAMILIES[family].defaults)
 
     @pytest.mark.parametrize("alias", ["mobile-byzantine",
                                        "mobile_byzantine", "mobile-byz"])
@@ -79,34 +59,15 @@ class TestSpecValue:
         assert tweaked.params == {"seed": 9, "num_writes": 2}
         assert base.params == {"seed": 1, "num_writes": 2}  # unchanged
 
-    def test_resolved_overlays_defaults(self):
-        spec = ScenarioSpec("swsr", seed=5)
+    @pytest.mark.parametrize("family", scenario_families())
+    def test_resolved_overlays_defaults(self, family):
+        spec = ScenarioSpec(family, seed=5)
         resolved = spec.resolved()
         assert resolved["seed"] == 5
         assert resolved["n"] == 9                       # family default
-        assert set(spec.defaults()) == set(
-            inspect.signature(FAMILIES["swsr"]).parameters)
-
-
-@pytest.mark.parametrize("family", sorted(QUICK_PARAMS))
-def test_shim_and_spec_runs_are_equivalent(family):
-    """The deprecated entry point and the spec path produce the same run."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        via_shim = SHIMS[family](**QUICK_PARAMS[family]).summarize()
-    via_spec = ScenarioSpec(family, QUICK_PARAMS[family]).run().summarize()
-    assert via_shim == via_spec
-
-
-def test_shims_emit_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="run_swsr_scenario"):
-        scenarios.run_swsr_scenario(seed=1, num_writes=1, num_reads=1)
-
-
-def test_shims_expose_impl_signature():
-    for family, shim in SHIMS.items():
-        assert shim.__wrapped__ is FAMILIES[family]
-        assert "seed" in inspect.signature(shim).parameters
+        assert spec.defaults() == dict(FAMILIES[family].defaults)
+        assert resolved == {**FAMILIES[family].defaults, "seed": 5}
+        assert spec.params == {"seed": 5}     # defaults not materialized
 
 
 def test_run_scenario_accepts_all_three_shapes():
@@ -136,9 +97,3 @@ def test_engine_run_spec_front_door():
     via_engine = ScenarioEngine.run_spec("kv", **params).summarize()
     via_spec = ScenarioSpec("kv", params).run().summarize()
     assert via_engine == via_spec
-
-
-def test_spec_path_is_warning_free():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        run_scenario("swsr", seed=1, num_writes=1, num_reads=1)
