@@ -122,14 +122,3 @@ def test_parallel_sim_speedup_and_equivalence(report):
             f"4-worker run must be >= {MIN_SPEEDUP}x the serial wall "
             f"time (got kv={speedups['kv']:.2f}x, "
             f"soak={speedups['soak']:.2f}x on {CORES} cores)")
-
-
-def test_interleave_fallback_matches_pool():
-    """The same-process round-robin must agree with the pool exactly —
-    it is the fallback on platforms without process headroom, so its
-    verdicts must be interchangeable."""
-    cell = dict(KV_CELL, num_keys=8, rounds=2)
-    pooled = run_scenario("kv", parallel=2, **cell)
-    inline = run_scenario("kv", parallel="interleave", **cell)
-    assert pooled.summarize() == inline.summarize()
-    assert pooled.per_key_linearizable == inline.per_key_linearizable

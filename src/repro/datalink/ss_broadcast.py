@@ -88,16 +88,12 @@ class DirectClientTransport(ClientTransport):
         self.process.trace.emit(self.process.scheduler.now, BROADCAST,
                                 self.process.pid, phase=phase, payload=payload)
         # one frozen SSMsg shared across all servers (n-1 allocations
-        # saved), dispatched straight to the fused per-link closures
+        # saved), sent straight through the outbox (``send`` inlined)
         process = self.process
         message = SSMsg(phase, process.pid, payload)
-        fast_out = process._fast_out
+        outbox = process.outbox
         for server in self.servers:
-            fast = fast_out.get(server)
-            if fast is not None:
-                fast(message)
-            else:
-                process.network._send_slow(process.pid, server, message)
+            outbox[server](message)
         return handle
 
     def on_network_message(self, src: str, msg: Any) -> bool:

@@ -19,8 +19,7 @@ Layering:
   completion in a worker, shipping back compact
   :class:`ShardOutcome` records;
 * :mod:`~repro.parallel.runner` — :class:`ParallelScenarioRunner`
-  (process pool / inline / ``"interleave"`` round-robin dispatch) plus
-  the family-specific merges.
+  (process pool / inline dispatch) plus the family-specific merges.
 
 Entry point for users: ``run_scenario("kv", ..., parallel=4)`` or
 ``run_scenario("soak", ..., shards=4, parallel=4)`` — see

@@ -16,9 +16,7 @@ stopping point when a budget exhausts mid-batch), the shard's τ and
 corruption count from the fault phase, and per-stage success flags.
 
 ``execute_shard_plan`` is the module-level worker entry point
-(``ProcessPoolExecutor.map``-able under fork *and* spawn);
-:meth:`ShardExecutor.advance` exposes the same execution one stage at a
-time for the in-process round-robin fallback (``parallel="interleave"``).
+(``ProcessPoolExecutor.map``-able under fork *and* spawn).
 """
 
 from __future__ import annotations
@@ -82,19 +80,13 @@ class _Recorder:
 
 
 class ShardExecutor:
-    """Stage-stepped execution of one :class:`ShardPlan`.
-
-    ``run()`` drives every stage (the worker-process entry);
-    ``advance()`` runs exactly one stage and returns whether more remain
-    (the interleave fallback round-robins this across shards).
-    """
+    """Execution of one :class:`ShardPlan`, stage by stage, in plan order."""
 
     def __init__(self, plan: ShardPlan):
         self.plan = plan
         self.outcome = ShardOutcome(shard_index=plan.shard_index,
                                     family=plan.family,
                                     stages=tuple(plan.stage_names()))
-        self._next_stage = 0
         # lazily-built simulation state (per family)
         self._cluster: Optional[Cluster] = None
         self._pipe: Optional[Pipeline] = None
@@ -178,15 +170,14 @@ class ShardExecutor:
         return shard.completed
 
     # -- driving -----------------------------------------------------------
-    def advance(self) -> bool:
-        """Run the next stage; returns ``True`` while stages remain."""
-        if self._next_stage >= len(self.outcome.stages):
-            return False
-        stage = self.outcome.stages[self._next_stage]
-        self._next_stage += 1
-        if not self.outcome.completed:
-            self.outcome.status[stage] = "skipped"
-        else:
+    def run(self) -> ShardOutcome:
+        """Run every stage (the worker-process entry); stages after a
+        failed one are marked skipped.  Returns the outcome."""
+        outcome = self.outcome
+        for stage in outcome.stages:
+            if not outcome.completed:
+                outcome.status[stage] = "skipped"
+                continue
             if self.plan.family == "soak":
                 ok = self._run_soak()
             else:
@@ -194,15 +185,9 @@ class ShardExecutor:
                     self._setup_kv()
                 ok = (self._run_kv_faults() if stage == "faults"
                       else self._run_kv_batch(stage))
-            self.outcome.status[stage] = "ok" if ok else "failed"
-            self.outcome.completed = ok
-        return self._next_stage < len(self.outcome.stages)
-
-    def run(self) -> ShardOutcome:
-        """Run every stage to completion and return the outcome."""
-        while self.advance():
-            pass
-        return self.outcome
+            outcome.status[stage] = "ok" if ok else "failed"
+            outcome.completed = ok
+        return outcome
 
 
 def execute_shard_plan(plan: ShardPlan) -> ShardOutcome:

@@ -2,11 +2,10 @@
 
 :class:`ParallelScenarioRunner` executes a list of
 :class:`~repro.parallel.plan.ShardPlan` objects — in worker processes
-(``parallel=N``), inline (``parallel=1``), or round-robin stage-stepped
-in-process (``parallel="interleave"``, the fallback for platforms without
-fork/spawn headroom) — and the merge functions reassemble the S
-:class:`~repro.parallel.executor.ShardOutcome` streams into exactly the
-result object the serial scenario path would have produced:
+(``parallel=N``) or inline, one after the other (``parallel=1``) — and
+the merge functions reassemble the S :class:`~repro.parallel.executor
+.ShardOutcome` streams into exactly the result object the serial
+scenario path would have produced:
 
 * operation records are replayed through one parent-side
   :class:`~repro.checkers.stream.ObservationStream` (plus the family's
@@ -29,39 +28,29 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..checkers.history import History
 from ..checkers.online import OnlineTauTracker, StreamingLinearizer
 from ..checkers.stream import ObservationStream
 from ..kvstore.sharding import HashRing
 from ..workloads.scenarios import ScenarioSummary, StoreScenarioResult
-from .executor import ShardExecutor, ShardOutcome, execute_shard_plan
+from .executor import ShardOutcome, execute_shard_plan
 from .plan import ShardPlan, kv_shard_plans, soak_shard_plans
 
-#: the ``parallel`` scenario parameter: worker count or the in-process
-#: round-robin fallback.
-ParallelMode = Union[int, str]
-
-
-def normalize_parallel(parallel: Optional[ParallelMode]) -> ParallelMode:
-    """Validate a scenario's ``parallel`` parameter; returns the mode.
+def normalize_parallel(parallel: Optional[int]) -> int:
+    """Validate a scenario's ``parallel`` parameter; returns the count.
 
     ``None``/``1`` mean inline sequential execution (the serial-order
-    reference the pool is compared against), ``"interleave"`` the
-    same-process round-robin, any larger int a worker-process count.
+    reference the pool is compared against), any larger int a
+    worker-process count.
     """
     if parallel is None:
         return 1
-    if parallel == "interleave":
-        return "interleave"
-    if isinstance(parallel, bool) or not isinstance(parallel, int):
+    if (isinstance(parallel, bool) or not isinstance(parallel, int)
+            or parallel < 1):
         raise ValueError(
-            f"parallel must be a positive worker count or 'interleave', "
-            f"got {parallel!r}")
-    if parallel < 1:
-        raise ValueError(f"parallel worker count must be >= 1, "
-                         f"got {parallel}")
+            f"parallel must be a positive worker count, got {parallel!r}")
     return parallel
 
 
@@ -69,25 +58,16 @@ class ParallelScenarioRunner:
     """Execute shard plans and collect their outcomes, in plan order."""
 
     def __init__(self, plans: Sequence[ShardPlan],
-                 parallel: Optional[ParallelMode] = 1):
+                 parallel: Optional[int] = 1):
         self.plans = list(plans)
         self.parallel = normalize_parallel(parallel)
 
     def run(self) -> List[ShardOutcome]:
         plans = self.plans
-        if self.parallel == "interleave":
-            # round-robin: every shard advances one stage per sweep, so
-            # S event loops interleave on one core without any pool.
-            executors = [ShardExecutor(plan) for plan in plans]
-            live = list(executors)
-            while live:
-                live = [executor for executor in live if executor.advance()]
-            return [executor.outcome for executor in executors]
-        workers = int(self.parallel)
-        if workers <= 1 or len(plans) <= 1:
+        if self.parallel == 1 or len(plans) <= 1:
             return [execute_shard_plan(plan) for plan in plans]
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(plans))) as pool:
+                max_workers=min(self.parallel, len(plans))) as pool:
             return list(pool.map(execute_shard_plan, plans))
 
 
@@ -113,7 +93,7 @@ class _MergedStoreStats:
         return self.ring.shard_for(key)
 
 
-def run_parallel_kv(parallel: Optional[ParallelMode], **params: Any):
+def run_parallel_kv(parallel: Optional[int], **params: Any):
     """The kv family's shard-parallel execution path (``params``: the
     family's resolved parameters, see :func:`kv_shard_plans`)."""
     plans, keys, ring = kv_shard_plans(**params)
@@ -269,7 +249,7 @@ class MergedScenarioResult:
         return tracker.report(tau_no_tr)
 
 
-def run_parallel_soak(shards: int, parallel: Optional[ParallelMode],
+def run_parallel_soak(shards: int, parallel: Optional[int],
                       seed: int, params: Dict[str, Any]
                       ) -> MergedScenarioResult:
     """The soak family's shard-parallel execution path.

@@ -3,20 +3,18 @@
 The sim-core rewrite (calendar-queue scheduler, fused sends, compact
 messages) was guided by exactly this measurement; the entry point keeps
 that loop closed for future PRs: point it at any scenario family, get
-the hot functions back as machine-readable JSON, compare kernels with
-``--kernel heap``.
+the hot functions back as machine-readable JSON.
 
 ::
 
     repro-profile --family swsr --param n=25 --param seed=7
     repro-profile --family kv --param seed=3 --top 30 --sort cumulative
-    repro-profile --family swsr --kernel heap --out profile.json
+    repro-profile --family swsr --out profile.json
 
 Output document::
 
     {
       "spec": {"family": "swsr", "params": {...}},
-      "kernel": "calendar",
       "elapsed_sec": 0.041,
       "events_processed": 2443,
       "events_per_sec": 59585,
@@ -70,6 +68,8 @@ def profile_spec(spec: Any, top: int = 20,
     """
     if sort not in SORT_KEYS:
         raise ValueError(f"sort must be one of {SORT_KEYS}, got {sort!r}")
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
     started = time.perf_counter()
     result = spec.run()
     elapsed = time.perf_counter() - started
@@ -96,10 +96,8 @@ def profile_spec(spec: Any, top: int = 20,
             "cumtime": round(cumtime, 6),
         })
 
-    from .sim.scheduler import DEFAULT_KERNEL
-    document: Dict[str, Any] = {
+    return {
         "spec": {"family": spec.family, "params": dict(spec.params)},
-        "kernel": DEFAULT_KERNEL,
         "sort": sort,
         "elapsed_sec": round(elapsed, 6),
         "events_processed": events,
@@ -107,7 +105,6 @@ def profile_spec(spec: Any, top: int = 20,
                            if events and elapsed > 0 else None),
         "top": entries,
     }
-    return document
 
 
 def _parse_param(text: str) -> tuple:
@@ -137,26 +134,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of entries to report (default 20)")
     parser.add_argument("--sort", choices=SORT_KEYS, default="tottime",
                         help="pstats sort key (default tottime)")
-    parser.add_argument("--kernel", choices=("calendar", "heap"),
-                        default=None,
-                        help="run on a specific scheduler kernel "
-                             "(default: the session default)")
     parser.add_argument("--out", default=None,
                         help="write the JSON document here instead of stdout")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.top < 1:
+        parser.error(f"--top must be at least 1, got {args.top}")
     from .workloads.spec import ScenarioSpec
     try:
         spec = ScenarioSpec(args.family, dict(args.param or ()))
     except (TypeError, ValueError) as exc:
         print(f"repro-profile: {exc}", file=sys.stderr)
         return 2
-    if args.kernel is not None:
-        from .sim import scheduler as _scheduler
-        _scheduler.DEFAULT_KERNEL = args.kernel
     document = profile_spec(spec, top=args.top, sort=args.sort)
     text = json.dumps(document, indent=2, sort_keys=True)
     if args.out:

@@ -211,11 +211,7 @@ class ServerProcess(Process):
         if isinstance(msg, SSMsg) and \
                 type(self.transport) is DirectServerTransport:
             if self.confirm_enabled:
-                fast = self._fast_out.get(src)
-                if fast is not None:
-                    fast(SSConfirm(msg.phase))
-                else:
-                    self.network._send_slow(self.pid, src, SSConfirm(msg.phase))
+                self.outbox[src](SSConfirm(msg.phase))
             # ``ss_deliver`` stays a real call — it is the instrumentable
             # seam of the ss-broadcast abstraction (tests wrap it).
             self.ss_deliver(src, msg.payload, msg.phase)

@@ -26,7 +26,7 @@ from ..sim.network import (AsyncDelay, DelayModel, FixedDelay, Network,
                            SyncDelay)
 from ..sim.process import OperationHandle
 from ..sim.random_source import RandomSource
-from ..sim.scheduler import build_scheduler
+from ..sim.scheduler import Scheduler
 from ..sim.trace import build_trace
 from .base import QuorumParams, RegisterClientProcess, ServerProcess
 from .bounded_seq import WsnConfig
@@ -84,7 +84,7 @@ class Cluster:
     def __init__(self, config: ClusterConfig,
                  delay_model: Optional[DelayModel] = None):
         self.config = config
-        self.scheduler = build_scheduler()
+        self.scheduler = Scheduler()
         self.trace = config.build_trace()
         self.randomness = RandomSource(config.seed)
         self.network = Network(self.scheduler, self.randomness, self.trace,

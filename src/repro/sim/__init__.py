@@ -14,8 +14,7 @@ from .network import (AsyncDelay, DelayModel, FixedDelay, Link, Network,
 from .process import (AllOf, AnyOf, Deadline, OperationHandle, Predicate,
                       Process, WaitCondition, join_all)
 from .random_source import RandomSource, derive_seed
-from .scheduler import (EventHandle, HeapScheduler, Scheduler,
-                        build_scheduler)
+from .scheduler import EventHandle, HeapScheduler, Scheduler
 from .trace import (BROADCAST, CountingTrace, DELIVER, DROP, FAULT, FullTrace,
                     NOTE, NullTrace, OP_INVOKE, OP_RESPONSE, SEND, TIMER,
                     Trace, TraceBackend, TraceEvent, build_trace)
@@ -32,6 +31,6 @@ __all__ = [
     "SchedulerError", "Scheduler", "ScriptedDelay", "SimulationError",
     "SimulationLimitReached", "SyncDelay", "TIMER", "Trace", "TraceBackend",
     "TraceEvent",
-    "UnknownProcessError", "WaitCondition", "build_scheduler", "build_trace",
+    "UnknownProcessError", "WaitCondition", "build_trace",
     "derive_seed", "join_all",
 ]

@@ -23,29 +23,39 @@ Every model implements ``sample(src, dst, msg, rng)``; the endpoint and
 message arguments let adversarial models build exact interleavings, and
 the uniform signature keeps the per-message path free of type dispatch.
 
-Fast path
+Send path
 ---------
-``send`` consults the trace backend once at construction: when message
-details are recorded (a :class:`~repro.sim.trace.FullTrace` debugging
-run), deliveries go through the labelled, cancellable scheduler path so
-the trace and the event queue stay inspectable; otherwise delivery is
-scheduled through the fused calendar-queue insert — no kwargs dict, no
-detail dict, no :class:`EventHandle`.  Both paths consume identical
-``(time, seq)`` pairs, so executions are bit-identical across backends.
+"Send ``message`` from ``src`` to ``dst``" has one definition, and it
+lives here: every sender owns an *outbox*, a mapping ``dst ->
+send(message)`` handed to the process at :meth:`Network.register`, and
+every send in the code base — :meth:`Network.send`, ``Process.send`` and
+the inlined protocol hot paths — is the one indexed call
+``outbox[dst](message)``.  A miss validates ``dst`` and files the
+general path (partitions, trace recording) bound to that link; it stays
+the entry on recording backends.  Otherwise it is replaced by the link's
+*fused* closure: when the backend records nothing per message and the
+scheduler is the calendar kernel (``type(scheduler) is Scheduler`` —
+observed, not configured), the first send over an up link compiles a
+closure capturing the link, its delay model's ``sample`` method, its RNG
+stream and the calendar's geometry, so every later send is one dict hit
+plus straight-line arithmetic — no attribute chases, no intermediate
+frames, no :class:`EventHandle`, only the delivery tuple allocated.  The
+closure self-checks ``down_votes`` (so a partition can never be raced
+past) and is dropped whenever the link's delay model is swapped.
 
-On non-counting backends the per-link work is *fused*: the first send
-over an up link compiles a bound closure capturing the link, its delay
-model's ``sample`` method, its RNG stream and the scheduler internals,
-so every later send runs one dict hit plus straight-line arithmetic —
-no attribute chases, no property calls, no intermediate method frames —
-and allocates only the delivery tuple.  The closure self-checks
-``down_votes`` (so a partition can never be raced past) and is dropped
-whenever the link's delay model is swapped.
+When message details are recorded (a :class:`~repro.sim.trace.FullTrace`
+debugging run) deliveries are labelled, cancellable scheduler events so
+trace and queue stay inspectable; otherwise they are fused
+``schedule_delivery`` entries.  All three routes consume identical
+``(time, seq)`` pairs, so executions are bit-identical across backends
+and against the :class:`~repro.sim.scheduler.HeapScheduler` oracle, which
+always takes the general path.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from heapq import heappush
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -188,6 +198,21 @@ class Link:
         return candidate
 
 
+class Outbox(dict):
+    """One sender's ``dst -> send(message)`` table (see "Send path"):
+    an entry is the link's fused closure or, until one is compiled, the
+    general path bound to the link, so callers never branch."""
+
+    def __init__(self, general: Callable[[str], Callable[[Any], None]]):
+        self._general = general
+
+    def __missing__(self, dst: str) -> Callable[[Any], None]:
+        # Memoised: on a recording backend or the oracle nothing is ever
+        # fused, so this entry carries every message, not just the first.
+        send = self[dst] = self._general(dst)
+        return send
+
+
 class Network:
     """The set of all links plus process registry and delivery machinery."""
 
@@ -208,10 +233,12 @@ class Network:
         self._rec_deliver = trace.wants(DELIVER)
         self._rec_drop = trace.wants(DROP)
         self._counting = trace.counting
-        # Fused per-link send closures (compiled lazily on first send when
-        # the backend records nothing per message; see module docstring).
-        self._fast_path = not self._rec_send and not self._counting
-        self._fast_sends: Dict[Tuple[str, str], Callable[[Any], None]] = {}
+        # Fused per-link send closures are compiled (lazily, on first
+        # send) only when the backend records nothing per message and the
+        # scheduler is the kernel they inline; see module docstring.
+        self._fast_path = (not self._rec_send and not self._counting
+                           and type(scheduler) is Scheduler)
+        self._outboxes: Dict[str, Outbox] = {}
         if not self._rec_deliver and not self._counting:
             scheduler.bind_delivery(self._deliver_fast)
         else:
@@ -220,8 +247,21 @@ class Network:
     # -- topology ---------------------------------------------------------
     def register(self, process: Process) -> Process:
         self.processes[process.pid] = process
-        process.network = self
+        process.outbox = self._outbox(process.pid)
         return process
+
+    def _outbox(self, src: str) -> Outbox:
+        outbox = self._outboxes.get(src)
+        if outbox is None:
+            outbox = self._outboxes[src] = Outbox(
+                partial(self._general_send, src))
+        return outbox
+
+    def _general_send(self, src: str, dst: str) -> Callable[[Any], None]:
+        """An outbox miss: the general path bound to link ``src -> dst``."""
+        if dst not in self.processes:
+            raise UnknownProcessError(f"no process {dst!r} registered")
+        return partial(self._send_slow, self.link(src, dst))
 
     def link(self, src: str, dst: str,
              delay_model: Optional[DelayModel] = None) -> Link:
@@ -232,10 +272,7 @@ class Network:
             if delay_model is not None:
                 existing.delay_model = delay_model
                 # the fused closure captured the old model's sample method
-                self._fast_sends.pop(key, None)
-                sender = self.processes.get(src)
-                if sender is not None:
-                    sender._fast_out.pop(dst, None)
+                self._outbox(src).pop(dst, None)
             return existing
         model = delay_model or self.default_delay
         rng = self.randomness.stream(f"link:{src}->{dst}")
@@ -288,50 +325,48 @@ class Network:
 
     # -- transport ----------------------------------------------------------
     def send(self, src: str, dst: str, message: Any) -> None:
-        fast = self._fast_sends.get((src, dst))
-        if fast is not None:
-            fast(message)
-        else:
-            self._send_slow(src, dst, message)
+        self._outbox(src)[dst](message)
 
-    def _send_slow(self, src: str, dst: str, message: Any) -> None:
-        """The general send path: validation, partitions, trace recording.
+    def _send_slow(self, link: Link, message: Any) -> None:
+        """The general send path: partitions, trace recording.
 
-        Also the fused path's compiler — an eligible ``(src, dst)`` pair
-        gets its closure installed here, so the very next send over the
-        link skips straight to it.
+        Also the fused path's compiler — an eligible link gets its
+        closure installed in the sender's outbox here, so the very next
+        send over the link skips straight to it.
         """
-        if dst not in self.processes:
-            raise UnknownProcessError(f"no process {dst!r} registered")
-        link = self.links.get((src, dst))
-        if link is None:
-            link = self.link(src, dst)
         now = self.scheduler.now
-        if not link.up:
+        if link.down_votes:
             # partitioned: the message is lost, visibly.
             link.messages_dropped += 1
             self.messages_dropped += 1
             if self._rec_drop:
-                self.trace.emit(now, DROP, src, dst=dst, msg=message)
+                self.trace.emit(now, DROP, link.src, dst=link.dst, msg=message)
             elif self._counting:
                 self.trace.tick(now, DROP)
             return
         if self._fast_path:
-            self._fast_sends[(src, dst)] = fast = self._compile_fast_send(link)
-            sender = self.processes.get(src)
-            if sender is not None:
-                # mirror into the sender's string-keyed cache so
-                # Process.send dispatches without building a key tuple
-                sender._fast_out[dst] = fast
+            fast = self._compile_fast_send(link)
+            self._outboxes[link.src][link.dst] = fast
             fast(message)
             return
+        self._enqueue(link, message, now,
+                      link.next_delivery_time(now, message))
+
+    def _enqueue(self, link: Link, message: Any, now: float,
+                 delivery_time: float, label_prefix: str = "",
+                 **detail: Any) -> None:
+        """Count ``message`` onto ``link`` and schedule its delivery:
+        a SEND record (with the caller's extra ``detail``) plus a
+        labelled, cancellable event when the backend records sends, a
+        fused ``schedule_delivery`` entry otherwise."""
+        src, dst = link.src, link.dst
         link.messages_sent += 1
         self.messages_sent += 1
-        delivery_time = link.next_delivery_time(now, message)
         if self._rec_send:
-            self.trace.emit(now, SEND, src, dst=dst, msg=message)
-            self.scheduler.schedule_at(delivery_time, self._deliver, src, dst,
-                                       message, label=f"{src}->{dst}")
+            self.trace.emit(now, SEND, src, dst=dst, msg=message, **detail)
+            self.scheduler.schedule_at(
+                delivery_time, self._deliver, src, dst, message,
+                label=f"{label_prefix}{src}->{dst}")
         else:
             if self._counting:
                 self.trace.tick(now, SEND)
@@ -367,64 +402,40 @@ class Network:
             lo = span = None
         sample = model.sample
         rand = rng.random
-        if type(sched) is Scheduler:  # calendar kernel: inline the insert
-            buckets = sched._buckets
-            invw = sched._inv_width
-            nb = sched._nb
+        buckets = sched._buckets
+        invw = sched._inv_width
+        nb = sched._nb
 
-            def fast_send(message: Any, _link: Link = link,
-                          _slow: Callable = self._send_slow) -> None:
-                if _link.down_votes:
-                    _slow(src, dst, message)
-                    return
-                _link.messages_sent += 1
-                self.messages_sent += 1
-                now = sched.now
-                if lo is not None:
-                    time = now + (lo + span * rand())
-                else:
-                    time = now + sample(src, dst, message, rng)
-                if time < _link.last_delivery:
-                    time = _link.last_delivery
-                else:
-                    _link.last_delivery = time
-                if time < now:
-                    raise SchedulerError(
-                        f"cannot schedule at {time}, current time is {now}")
-                entry = (time, next(seq), src, dst, message)
-                # inlined Scheduler._insert
-                idx = int((time - sched._base) * invw)
-                cur = sched._cur
-                if idx <= cur:
-                    heappush(buckets[cur], entry)
-                elif idx < nb:
-                    buckets[idx].append(entry)
-                else:
-                    heappush(sched._far, entry)
-                sched._live += 1
-        else:
-            insert = sched._insert
-
-            def fast_send(message: Any, _link: Link = link,
-                          _slow: Callable = self._send_slow) -> None:
-                if _link.down_votes:
-                    _slow(src, dst, message)
-                    return
-                _link.messages_sent += 1
-                self.messages_sent += 1
-                now = sched.now
-                if lo is not None:
-                    time = now + (lo + span * rand())
-                else:
-                    time = now + sample(src, dst, message, rng)
-                if time < _link.last_delivery:
-                    time = _link.last_delivery
-                else:
-                    _link.last_delivery = time
-                if time < now:
-                    raise SchedulerError(
-                        f"cannot schedule at {time}, current time is {now}")
-                insert(time, (time, next(seq), src, dst, message))
+        def fast_send(message: Any, _link: Link = link,
+                      _slow: Callable = self._send_slow) -> None:
+            if _link.down_votes:
+                _slow(_link, message)
+                return
+            _link.messages_sent += 1
+            self.messages_sent += 1
+            now = sched.now
+            if lo is not None:
+                time = now + (lo + span * rand())
+            else:
+                time = now + sample(src, dst, message, rng)
+            if time < _link.last_delivery:
+                time = _link.last_delivery
+            else:
+                _link.last_delivery = time
+            if time < now:
+                raise SchedulerError(
+                    f"cannot schedule at {time}, current time is {now}")
+            entry = (time, next(seq), src, dst, message)
+            # inlined Scheduler._insert
+            idx = int((time - sched._base) * invw)
+            cur = sched._cur
+            if idx <= cur:
+                heappush(buckets[cur], entry)
+            elif idx < nb:
+                buckets[idx].append(entry)
+            else:
+                heappush(sched._far, entry)
+            sched._live += 1
 
         return fast_send
 
@@ -444,19 +455,8 @@ class Network:
             offset = spread * (index + 1) / (len(garbage) + 1)
             delivery_time = max(now + offset, link.last_delivery)
             link.last_delivery = delivery_time
-            link.messages_sent += 1
-            self.messages_sent += 1
-            if self._rec_send:
-                self.trace.emit(now, SEND, src, dst=dst, msg=message,
-                                preload=True)
-                self.scheduler.schedule_at(delivery_time, self._deliver,
-                                           src, dst, message,
-                                           label=f"preload:{src}->{dst}")
-            else:
-                if self._counting:
-                    self.trace.tick(now, SEND)
-                self.scheduler.schedule_delivery(delivery_time, src, dst,
-                                                 message)
+            self._enqueue(link, message, now, delivery_time, "preload:",
+                          preload=True)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
         process = self.processes.get(dst)

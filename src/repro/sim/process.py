@@ -12,6 +12,13 @@ message or timer and resumes the generator when it holds.  This keeps the
 algorithm code visually close to the paper's pseudo-code (compare
 ``repro/registers/swsr_regular.py`` with Figure 2).
 
+A process sends through its :attr:`Process.outbox`, the ``dst ->
+send(message)`` mapping ``Network.register`` installs: how a message
+travels (fused closure or general path) is the network's decision, made
+in ``repro.sim.network`` and nowhere else.  A wait condition gets
+everything it needs — the hosting process, hence the clock — from
+:meth:`WaitCondition.arm`; composites only forward it.
+
 Corruptible state
 -----------------
 Transient failures may corrupt *any* local variable (Section 2.1).  Each
@@ -69,52 +76,39 @@ class Deadline(WaitCondition):
 
     def __init__(self, at: float):
         self.at = at
-        self._armed = False
+        self._scheduler: Optional[Scheduler] = None  # the clock, once armed
 
     def arm(self, process: "Process") -> None:
-        if not self._armed:
-            self._armed = True
-            scheduler = process.scheduler
+        if self._scheduler is None:
+            scheduler = self._scheduler = process.scheduler
             if self.at > scheduler.now:
                 scheduler.schedule_at(self.at, process.poll, label="deadline")
 
     def satisfied(self) -> bool:
-        return self._scheduler_now is not None and self._scheduler_now() >= self.at
-
-    # Deadline needs access to the clock; bound during arm via the process.
-    _scheduler_now: Optional[Callable[[], float]] = None
-
-    def bind_clock(self, now_fn: Callable[[], float]) -> None:
-        self._scheduler_now = now_fn
+        scheduler = self._scheduler
+        return scheduler is not None and scheduler.now >= self.at
 
 
-class AnyOf(WaitCondition):
-    """Satisfied when any child condition is satisfied."""
+class _Composite(WaitCondition):
+    """A condition over child conditions; arming it arms them all."""
 
     def __init__(self, *children: WaitCondition):
         self.children = list(children)
 
     def arm(self, process: "Process") -> None:
         for child in self.children:
-            if isinstance(child, Deadline):
-                child.bind_clock(lambda: process.scheduler.now)
             child.arm(process)
+
+
+class AnyOf(_Composite):
+    """Satisfied when any child condition is satisfied."""
 
     def satisfied(self) -> bool:
         return any(child.satisfied() for child in self.children)
 
 
-class AllOf(WaitCondition):
+class AllOf(_Composite):
     """Satisfied when every child condition is satisfied."""
-
-    def __init__(self, *children: WaitCondition):
-        self.children = list(children)
-
-    def arm(self, process: "Process") -> None:
-        for child in self.children:
-            if isinstance(child, Deadline):
-                child.bind_clock(lambda: process.scheduler.now)
-            child.arm(process)
 
     def satisfied(self) -> bool:
         return all(child.satisfied() for child in self.children)
@@ -228,11 +222,9 @@ class Process:
         self.pid = pid
         self.scheduler = scheduler
         self.trace = trace
-        self.network = None  # bound by Network.register
-        #: per-destination fused send closures, installed by the network
-        #: (string-keyed twin of ``Network._fast_sends`` — saves the
-        #: tuple build + tuple hash on every send from this process)
-        self._fast_out: Dict[str, Callable[[Any], None]] = {}
+        #: ``dst -> send(message)``, this process's side of the network;
+        #: installed by ``Network.register``, which owns what is in it.
+        self.outbox: Optional[Dict[str, Callable[[Any], None]]] = None
         self.corruptible: Dict[str, CorruptibleVar] = {}
         self._current_op: Optional[OperationHandle] = None
         self._current_gen: Optional[OpGenerator] = None
@@ -241,17 +233,8 @@ class Process:
 
     # -- messaging ------------------------------------------------------
     def send(self, dst: str, message: Any) -> None:
-        """Send ``message`` over the (FIFO, reliable) link to ``dst``.
-
-        Dispatches straight to the network's fused per-link closure when
-        one is installed (see ``Network.send``) — same semantics, one
-        frame less on the per-message hot path.
-        """
-        fast = self._fast_out.get(dst)
-        if fast is not None:
-            fast(message)
-        else:
-            self.network._send_slow(self.pid, dst, message)
+        """Send ``message`` over the (FIFO, reliable) link to ``dst``."""
+        self.outbox[dst](message)
 
     def deliver(self, src: str, message: Any) -> None:
         """Called by the network when a message arrives; do not override."""
@@ -324,8 +307,6 @@ class Process:
                                     op=handle.name, result=stop.value)
                     handle._complete(stop.value, self.scheduler.now)
                     return
-                if isinstance(condition, Deadline):
-                    condition.bind_clock(lambda: self.scheduler.now)
                 condition.arm(self)
                 self._current_cond = condition
         finally:

@@ -42,28 +42,22 @@ and ``int`` truncation both preserve order), so the pop order is exactly
 the global ``(time, seq)`` order — property-tested against the reference
 single-heap kernel in ``tests/test_sim_scheduler.py``.
 
-:class:`HeapScheduler` keeps the seed single-heap kernel alive as the
-executable reference model: :func:`build_scheduler` (used by ``Cluster``)
-selects the kernel via ``DEFAULT_KERNEL`` / the ``REPRO_SIM_KERNEL``
-environment variable, and ``tests/test_trace_backends.py`` pins one cell
-per scenario family to an identical ``history_digest`` under both.
+One kernel ships: ``Cluster`` constructs :class:`Scheduler` and nothing
+selects another at run time.  :class:`HeapScheduler` is the executable
+reference the tests compare it against — one global heap, one event per
+turn, no batching — and is never constructed by library code:
+``tests/test_sim_scheduler.py`` drives both with identical event soups and
+``tests/test_cross_kernel.py`` pins one cell per scenario family to an
+identical ``summarize()`` (hence ``history_digest``) under both.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from .errors import SchedulerError, SimulationLimitReached
-
-#: Kernel picked by :func:`build_scheduler` when none is requested.
-#: ``"calendar"`` is the production kernel; ``"heap"`` is the seed
-#: single-heap reference (kept for cross-kernel determinism tests and
-#: ``repro-profile --kernel heap`` comparisons).
-KERNELS = ("calendar", "heap")
-DEFAULT_KERNEL = os.environ.get("REPRO_SIM_KERNEL", "calendar")
 
 
 class EventHandle:
@@ -279,12 +273,10 @@ class Scheduler:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next event.  Returns False if the queue is empty."""
-        entry = self._peek_entry()
-        if entry is None:
-            return False
-        heappop(self._buckets[self._cur])
+    def _fire(self, entry: Tuple) -> None:
+        """Run one already-popped entry at its instant: what :meth:`step`
+        and the :class:`HeapScheduler` oracle do per event, and what the
+        two measured hot loops below inline."""
         self.now = entry[0]
         self.events_processed += 1
         self._live -= 1
@@ -294,6 +286,12 @@ class Scheduler:
             handle = entry[2]
             handle.fired = True
             handle.callback(*handle.args)
+
+    def step(self) -> bool:
+        """Run the next event.  Returns False if the queue is empty."""
+        if self._peek_entry() is None:
+            return False
+        self._fire(heappop(self._buckets[self._cur]))
         return True
 
     def run(self, until: Optional[float] = None,
@@ -405,12 +403,13 @@ class Scheduler:
 class HeapScheduler(Scheduler):
     """The seed single-heap kernel, kept as the executable reference model.
 
-    Everything lives on one global binary heap; semantics are identical to
-    :class:`Scheduler` (same ``(time, seq)`` order, same error contract).
-    The property tests in ``tests/test_sim_scheduler.py`` drive both
-    kernels with identical event soups and assert event-for-event
-    equality, and one cell per scenario family is pinned to an identical
-    ``history_digest`` across kernels.
+    A test oracle, not a runtime option: one global binary heap, and every
+    loop fires one event per turn through :meth:`step`, so there is
+    nothing here to get wrong but the ``(time, seq)`` order itself.
+    Order, ``until``, budget and error semantics are :class:`Scheduler`'s.
+    The network never fuses sends into this kernel, so a run on it also
+    exercises the general ``schedule_delivery`` path.  ``run`` and
+    ``run_until`` cannot be inherited: the calendar loops read buckets.
     """
 
     def __init__(self):
@@ -423,102 +422,44 @@ class HeapScheduler(Scheduler):
 
     def _peek_entry(self) -> Optional[Tuple]:
         queue = self._queue
-        while queue:
-            entry = queue[0]
-            if len(entry) == 3 and entry[2].cancelled:
-                heappop(queue)
-                continue
-            return entry
-        return None
+        while queue and len(queue[0]) == 3 and queue[0][2].cancelled:
+            heappop(queue)
+        return queue[0] if queue else None
 
     def step(self) -> bool:
-        entry = self._peek_entry()
-        if entry is None:
+        if self._peek_entry() is None:
             return False
-        heappop(self._queue)
-        self.now = entry[0]
-        self.events_processed += 1
-        self._live -= 1
-        if len(entry) == 5:
-            self._deliver_fn(entry[2], entry[3], entry[4])
-        else:
-            handle = entry[2]
-            handle.fired = True
-            handle.callback(*handle.args)
+        self._fire(heappop(self._queue))
         return True
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
-        budget = max_events
-        queue = self._queue
-        deliver = self._deliver_fn
         while True:
-            entry = self._peek_entry()
-            if entry is None:
+            tick = self.peek_time()
+            if tick is None:
                 return
-            tick = entry[0]
             if until is not None and tick > until:
                 self.now = until
                 return
-            while True:
-                if budget is not None:
-                    if budget <= 0:
-                        raise SimulationLimitReached(
-                            f"event budget exhausted at t={self.now}",
-                            self.events_processed, self.now)
-                    budget -= 1
-                heappop(queue)
-                self.now = tick
-                self.events_processed += 1
-                self._live -= 1
-                if len(entry) == 5:
-                    deliver(entry[2], entry[3], entry[4])
-                else:
-                    handle = entry[2]
-                    handle.fired = True
-                    handle.callback(*handle.args)
-                entry = None
-                while queue:
-                    head = queue[0]
-                    if len(head) == 3 and head[2].cancelled:
-                        heappop(queue)
-                        continue
-                    if head[0] == tick:
-                        entry = head
-                    break
-                if entry is None:
-                    break
+            if max_events is not None:
+                if max_events <= 0:
+                    raise SimulationLimitReached(
+                        f"event budget exhausted at t={self.now}",
+                        self.events_processed, self.now)
+                max_events -= 1
+            self.step()
 
     def run_until(self, predicate: Callable[[], bool],
                   max_events: int = 1_000_000) -> None:
         if predicate():
             return
-        budget = max_events
-        while budget > 0:
+        for _ in range(max_events):
             if not self.step():
                 raise SimulationLimitReached(
                     f"event queue drained at t={self.now} with predicate unmet",
                     self.events_processed, self.now)
-            budget -= 1
             if predicate():
                 return
         raise SimulationLimitReached(
             f"event budget exhausted at t={self.now} with predicate unmet",
             self.events_processed, self.now)
-
-
-def build_scheduler(kernel: Optional[str] = None) -> Scheduler:
-    """Construct a scheduler kernel by name.
-
-    ``None`` resolves through :data:`DEFAULT_KERNEL` (settable via the
-    ``REPRO_SIM_KERNEL`` environment variable), which is how the
-    cross-kernel determinism tests run whole scenarios on the reference
-    heap kernel without touching any call site.
-    """
-    name = kernel or DEFAULT_KERNEL
-    if name == "calendar":
-        return Scheduler()
-    if name == "heap":
-        return HeapScheduler()
-    raise SchedulerError(f"unknown scheduler kernel {name!r} "
-                         f"(expected one of {KERNELS})")

@@ -734,11 +734,10 @@ def _run_soak(p: SimpleNamespace):
     peak-memory budget (``BENCH_checkers.json``).
 
     ``shards`` > 1 runs that many *independent* sub-soaks (hash-derived
-    per-shard seeds) and merges their verdicts; ``parallel`` picks the
-    execution mode for them — a worker-process count, or
-    ``"interleave"`` for the same-process round-robin fallback.
-    ``shards=1, parallel=1`` (or ``"interleave"``) routes through the
-    same plan/executor/merge machinery and is asserted equal to the
+    per-shard seeds) and merges their verdicts; ``parallel`` is the
+    worker-process count they run on (``1``: inline, one after the
+    other).  ``shards=1, parallel=1`` routes through the same
+    plan/executor/merge machinery and is asserted equal to the
     in-process run, field for field (see ``tests/test_parallel_sim.py``).
 
     >>> from repro.workloads.spec import run_scenario
@@ -868,10 +867,10 @@ def _run_kv(p: SimpleNamespace) -> StoreScenarioResult:
     at its own shard's τ, segments collapsed at the batch barriers) — see
     :class:`StoreScenarioResult`.
 
-    ``parallel`` runs the shards in worker processes (a count) or
-    round-robin in-process (``"interleave"``) via :mod:`repro.parallel`,
-    with the merged result asserted equal to this serial path — digest,
-    verdicts and summary alike.  Requires ``pipelined=True``.
+    ``parallel`` runs the shards via :mod:`repro.parallel` (in that many
+    worker processes; inline for ``1``), with the merged result asserted
+    equal to this serial path — digest, verdicts and summary alike.
+    Requires ``pipelined=True``.
 
     Liveness caveat, inherited from the MWMR construction: a burst that
     corrupts *every* server copy of some per-key register livelocks the

@@ -72,15 +72,14 @@ def test_perf_smoke_job_arms_absolute_throughput_floors(workflow):
     assert int(envs[0]["REPRO_SCENARIO_FLOOR"]) >= 230_000
 
 
-def test_perf_smoke_job_smokes_the_profiler_on_both_kernels(workflow):
+def test_perf_smoke_job_smokes_the_profiler(workflow):
     steps = workflow["jobs"]["perf-smoke"]["steps"]
     runs = " ".join(step.get("run", "") for step in steps)
-    assert "repro-profile --family" in runs
-    assert "--kernel heap" in runs
+    assert runs.count("repro-profile --family") == 1
+    assert "['events_processed'] > 0" in runs
     uploads = [step for step in steps
                if "upload-artifact" in step.get("uses", "")]
-    assert "profile-calendar.json" in uploads[0]["with"]["path"]
-    assert "profile-heap.json" in uploads[0]["with"]["path"]
+    assert "profile.json" in uploads[0]["with"]["path"].split()
 
 
 def test_perf_smoke_job_gates_streaming_checkers(workflow):

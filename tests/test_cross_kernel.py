@@ -1,11 +1,17 @@
-"""Old-vs-new scheduler kernel determinism, end to end.
+"""Shipped kernel vs reference oracle, end to end.
 
-The calendar-queue kernel replaced the seed's single binary heap as the
-default simulation scheduler.  The rewrite's contract is byte-identical
-execution: the same ``(time, seq)`` total order, hence the same RNG draw
-sequence, the same operation history and the same ``history_digest``.
-These tests pin that contract at the scenario level — one small cell per
-scenario family, run under both kernels, full summaries compared.
+One scheduler kernel ships (the calendar queue); ``HeapScheduler`` is the
+executable reference it is compared against.  The contract is
+byte-identical execution: the same ``(time, seq)`` total order, hence the
+same RNG draw sequence, the same operation history and the same
+``history_digest``.  These tests pin that contract at the scenario level —
+one small cell per scenario family, run on both, full summaries compared.
+
+No option selects the oracle, so the tests substitute it for the
+``Scheduler`` name ``Cluster`` constructs.  Under ``trace_backend="null"``
+the calendar side sends through the fused per-link closures while the
+oracle side takes the network's general path, so the same comparison also
+pins fused against general delivery.
 
 (The scheduler-level equivalence — randomized schedule/cancel/drain soups
 against the heap reference — lives in tests/test_sim_scheduler.py.)
@@ -13,8 +19,8 @@ against the heap reference — lives in tests/test_sim_scheduler.py.)
 
 import pytest
 
-import repro.sim.scheduler as scheduler_mod
-from repro.sim.scheduler import HeapScheduler, Scheduler, build_scheduler
+import repro.registers.system as system_mod
+from repro.sim.scheduler import HeapScheduler, Scheduler
 from repro.workloads.spec import ScenarioSpec
 
 #: one quick cell per scenario family (mirrors the capture corpus cells).
@@ -29,32 +35,38 @@ FAMILY_CELLS = {
 }
 
 
-def _run_with_kernel(monkeypatch, family, params, kernel):
-    monkeypatch.setattr(scheduler_mod, "DEFAULT_KERNEL", kernel)
-    built = build_scheduler()
-    if kernel == "heap":
-        assert type(built) is HeapScheduler
-    else:
-        assert type(built) is Scheduler
-    return ScenarioSpec(family, params).run().summarize()
+def _clusters(result):
+    cluster = getattr(result, "cluster", None)
+    return [cluster] if cluster is not None else list(result.store.group)
 
 
+def _run_on(monkeypatch, family, params, kernel):
+    monkeypatch.setattr(system_mod, "Scheduler", kernel)
+    result = ScenarioSpec(family, params).run()
+    clusters = _clusters(result)
+    assert clusters
+    assert all(type(cluster.scheduler) is kernel for cluster in clusters)
+    return result.summarize()
+
+
+@pytest.mark.parametrize("backend", [None, "null"])
 @pytest.mark.parametrize("family", sorted(FAMILY_CELLS))
-def test_kernels_produce_identical_summaries(family, monkeypatch):
-    params = FAMILY_CELLS[family]
-    calendar = _run_with_kernel(monkeypatch, family, params, "calendar")
-    heap = _run_with_kernel(monkeypatch, family, params, "heap")
+def test_kernels_produce_identical_summaries(family, backend, monkeypatch):
+    params = dict(FAMILY_CELLS[family], trace_backend=backend)
+    calendar = _run_on(monkeypatch, family, params, Scheduler)
+    heap = _run_on(monkeypatch, family, params, HeapScheduler)
     assert calendar == heap
     digest = getattr(calendar, "history_digest", None)
     if digest is not None:
         assert digest == heap.history_digest
 
 
-def test_kernels_agree_on_larger_swsr_cell(monkeypatch):
+@pytest.mark.parametrize("backend", [None, "null"])
+def test_kernels_agree_on_larger_swsr_cell(backend, monkeypatch):
     """A denser cell: faults + garbage stress the fused delivery path."""
     params = dict(seed=11, n=9, t=1, num_writes=4, num_reads=4,
                   corruption_times=(2.0,), link_garbage=2,
-                  byzantine_count=1)
-    calendar = _run_with_kernel(monkeypatch, "swsr", params, "calendar")
-    heap = _run_with_kernel(monkeypatch, "swsr", params, "heap")
+                  byzantine_count=1, trace_backend=backend)
+    calendar = _run_on(monkeypatch, "swsr", params, Scheduler)
+    heap = _run_on(monkeypatch, "swsr", params, HeapScheduler)
     assert calendar == heap

@@ -1,7 +1,7 @@
 """Tests of the shard-parallel execution engine (``repro.parallel``).
 
 The load-bearing property is *serial equivalence*: for any supported
-configuration, ``parallel="interleave"`` / ``parallel=N`` must produce a
+configuration, ``parallel=1`` (inline) / ``parallel=N`` must produce a
 result whose history digest, checker verdicts and ``summarize()`` output
 equal the serial run's — including runs the event budget truncates
 mid-batch.  These assertions run unconditionally (no perf-gate env var);
@@ -35,12 +35,10 @@ def _assert_kv_equal(serial, candidate):
 
 
 class TestKVSerialEquivalence:
-    def test_interleave_and_pool_match_serial(self):
+    def test_inline_and_pool_match_serial(self):
         serial = run_scenario("kv", **KV_KWARGS)
         assert serial.completed            # the config exercises a full run
-        _assert_kv_equal(serial,
-                         run_scenario("kv", parallel="interleave",
-                                      **KV_KWARGS))
+        _assert_kv_equal(serial, run_scenario("kv", parallel=1, **KV_KWARGS))
         _assert_kv_equal(serial, run_scenario("kv", parallel=2, **KV_KWARGS))
 
     def test_budget_truncation_matches_serial(self):
@@ -53,8 +51,7 @@ class TestKVSerialEquivalence:
         serial = run_scenario("kv", **kwargs)
         assert not serial.completed
         assert len(serial.history) > kwargs["num_keys"]  # died *after* create
-        _assert_kv_equal(serial,
-                         run_scenario("kv", parallel="interleave", **kwargs))
+        _assert_kv_equal(serial, run_scenario("kv", parallel=1, **kwargs))
         _assert_kv_equal(serial, run_scenario("kv", parallel=2, **kwargs))
 
     def test_create_truncation_matches_serial(self):
@@ -62,8 +59,7 @@ class TestKVSerialEquivalence:
         serial = run_scenario("kv", **kwargs)
         assert not serial.completed
         assert len(serial.history) < kwargs["num_keys"]  # died in create
-        _assert_kv_equal(serial,
-                         run_scenario("kv", parallel="interleave", **kwargs))
+        _assert_kv_equal(serial, run_scenario("kv", parallel=1, **kwargs))
 
     def test_per_shard_timelines_match_serial(self):
         timeline = FaultTimeline().burst(1.0, fraction=0.2,
@@ -76,7 +72,7 @@ class TestKVSerialEquivalence:
         assert parallel.tau_by_shard[1] > parallel.tau_by_shard[0]
 
     def test_merged_result_supports_summary_surface(self):
-        result = run_scenario("kv", parallel="interleave", **KV_KWARGS)
+        result = run_scenario("kv", parallel=1, **KV_KWARGS)
         assert result.store.shard_count == KV_KWARGS["shard_count"]
         assert result.messages_sent > 0
         assert result.store.shard_for("k0") == \
@@ -93,20 +89,18 @@ class TestSoakSerialEquivalence:
         field the legacy in-process soak — same seed, same verdicts."""
         legacy = run_scenario("soak", **SOAK_KWARGS)
         assert legacy.completed
-        for parallel in ("interleave", 1):
-            merged = run_scenario("soak", parallel=parallel, **SOAK_KWARGS)
-            assert legacy.summarize() == merged.summarize()
-            assert legacy.inversions_after(legacy.tau_no_tr) == \
-                merged.inversions_after(merged.tau_no_tr)
-            assert legacy.extra["tracker"].exact == \
-                merged.extra["tracker"].exact
-            assert legacy.stream_report(legacy.tau_no_tr) == \
-                merged.stream_report(merged.tau_no_tr)
+        merged = run_scenario("soak", parallel=1, **SOAK_KWARGS)
+        assert legacy.summarize() == merged.summarize()
+        assert legacy.inversions_after(legacy.tau_no_tr) == \
+            merged.inversions_after(merged.tau_no_tr)
+        assert legacy.extra["tracker"].exact == \
+            merged.extra["tracker"].exact
+        assert legacy.stream_report(legacy.tau_no_tr) == \
+            merged.stream_report(merged.tau_no_tr)
 
-    def test_multi_shard_pool_matches_interleave(self):
+    def test_multi_shard_pool_matches_inline(self):
         pooled = run_scenario("soak", shards=3, parallel=2, **SOAK_KWARGS)
-        inline = run_scenario("soak", shards=3, parallel="interleave",
-                              **SOAK_KWARGS)
+        inline = run_scenario("soak", shards=3, parallel=1, **SOAK_KWARGS)
         assert pooled.summarize() == inline.summarize()
         assert pooled.completed and pooled.summarize().stable
         # three sub-soaks: triple the single-shard operation count
@@ -161,7 +155,7 @@ class TestPlansAndDispatch:
                          rounds=1, seed=6,
                          fault_timelines={5: timeline.to_dict()})
 
-    def test_executor_stage_stepping_matches_one_shot_run(self):
+    def test_executor_runs_every_stage_in_plan_order_repeatably(self):
         plans, _, _ = kv_shard_plans(
             shard_count=2, n=9, t=1, seed=4, client_count=2, num_keys=4,
             rounds=1, byzantine_count=0,
@@ -170,12 +164,9 @@ class TestPlansAndDispatch:
             fault_timelines=None, trace_backend="null",
             enforce_resilience=True, max_events=100_000)
         one_shot = execute_shard_plan(plans[0])
-        stepped = ShardExecutor(plans[0])
-        sweeps = 0
-        while stepped.advance():
-            sweeps += 1
-        assert sweeps == len(one_shot.stages) - 1
-        outcome = stepped.outcome
+        outcome = ShardExecutor(plans[0]).run()
+        assert list(outcome.status) == plans[0].stage_names()
+        assert set(outcome.status.values()) == {"ok"}
         assert outcome.status == one_shot.status
         assert outcome.post_counters == one_shot.post_counters
         assert [op.value for ops in outcome.records.values()
@@ -186,8 +177,7 @@ class TestPlansAndDispatch:
         assert normalize_parallel(None) == 1
         assert normalize_parallel(1) == 1
         assert normalize_parallel(4) == 4
-        assert normalize_parallel("interleave") == "interleave"
-        for bad in (0, -2, "threads", 2.5, True):
+        for bad in (0, -2, "threads", "interleave", 2.5, True):
             with pytest.raises(ValueError):
                 normalize_parallel(bad)
 
@@ -212,7 +202,7 @@ class TestPlansAndDispatch:
 class TestSpecIntegration:
     def test_parallel_params_are_spec_valid(self):
         spec = ScenarioSpec("kv", seed=1, shard_count=2, num_keys=2,
-                            rounds=1, parallel="interleave")
+                            rounds=1, parallel=1)
         result = spec.run()
         assert result.completed and result.linearizable
         soak = ScenarioSpec("soak", seed=1, num_writes=8, num_reads=8,
@@ -224,7 +214,7 @@ class TestSpecIntegration:
         serial = run_scenario("kv", seed=2, shard_count=2, num_keys=3,
                               rounds=1)
         parallel = run_scenario("kv", seed=2, shard_count=2, num_keys=3,
-                                rounds=1, parallel="interleave")
+                                rounds=1, parallel=1)
         assert serial.summarize() == parallel.summarize()
 
     def test_invalid_parallel_rejected(self):

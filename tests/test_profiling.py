@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-import repro.sim.scheduler as scheduler_mod
 from repro.profiling import (SORT_KEYS, _parse_param, build_parser, main,
                              profile_spec)
 from repro.workloads.spec import ScenarioSpec
@@ -18,7 +17,6 @@ class TestProfileSpec:
             "family": "swsr",
             "params": {"seed": 3, "num_writes": 2, "num_reads": 2},
         }
-        assert document["kernel"] == scheduler_mod.DEFAULT_KERNEL
         assert document["events_processed"] > 0
         assert document["events_per_sec"] > 0
         assert 0 < len(document["top"]) <= 5
@@ -37,6 +35,9 @@ class TestProfileSpec:
         spec = ScenarioSpec("swsr", seed=1, num_writes=1, num_reads=1)
         with pytest.raises(ValueError, match="sort must be one of"):
             profile_spec(spec, sort="bogus")
+        for top in (0, -1):
+            with pytest.raises(ValueError, match="top must be >= 1"):
+                profile_spec(spec, top=top)
 
     def test_cumulative_sort_orders_by_cumtime(self):
         spec = ScenarioSpec("swsr", seed=1, num_writes=1, num_reads=1)
@@ -67,8 +68,7 @@ class TestParamParsing:
 
 
 class TestMain:
-    def test_writes_json_to_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(scheduler_mod, "DEFAULT_KERNEL", "calendar")
+    def test_writes_json_to_file(self, tmp_path):
         out = tmp_path / "profile.json"
         code = main(["--family", "swsr", "--param", "seed=3",
                      "--param", "num_writes=1", "--param", "num_reads=1",
@@ -78,18 +78,14 @@ class TestMain:
         assert document["spec"]["family"] == "swsr"
         assert len(document["top"]) == 3
 
-    def test_kernel_flag_selects_heap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(scheduler_mod, "DEFAULT_KERNEL", "calendar")
-        out = tmp_path / "heap.json"
-        code = main(["--family", "swsr", "--param", "seed=3",
-                     "--param", "num_writes=1", "--param", "num_reads=1",
-                     "--kernel", "heap", "--out", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text())["kernel"] == "heap"
-
     def test_unknown_family_exits_nonzero(self, capsys):
         assert main(["--family", "not-a-family"]) == 2
         assert "repro-profile:" in capsys.readouterr().err
 
-    def test_bad_param_exits_nonzero(self):
+    def test_bad_param_exits_nonzero(self, capsys):
         assert main(["--family", "swsr", "--param", "bogus_knob=1"]) == 2
+        for top in ("0", "-1"):     # used to slice the table silently
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--family", "swsr", "--top", top])
+            assert exit_info.value.code == 2
+            assert "--top must be at least 1" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Unit tests for the FIFO reliable network and delay models."""
 
+from functools import partial
+
 import pytest
 
 from repro.sim.errors import LinkError, UnknownProcessError
@@ -233,25 +235,101 @@ def test_in_flight_messages_survive_partition():
     assert [message for _, _, message in b.received] == ["already-sent"]
 
 
-def test_fast_path_matches_recording_path():
-    """Fused (counting/null) and labelled (full) deliveries must produce
-    the same execution."""
-    from repro.sim.trace import CountingTrace, NullTrace
+class Relay(Process):
+    """Logs every delivery globally; forwards some through Process.send."""
 
-    def run(trace):
-        scheduler = Scheduler()
-        network = Network(scheduler, RandomSource(5), trace,
+    def __init__(self, pid, scheduler, trace, peers, log):
+        super().__init__(pid, scheduler, trace)
+        self.peers = peers
+        self.log = log
+
+    def on_message(self, src, message):
+        self.log.append((self.scheduler.now, src, self.pid, message))
+        if isinstance(message, int) and message % 3 == 0 and message > 0:
+            self.send(self.peers[message % len(self.peers)], message - 1)
+
+
+def _send_script(seed, steps=120):
+    """A seeded soup of sends, preloads, delay-model swaps and partition
+    cut/heal pairs (cuts overlap: a heal lands up to 12 steps later)."""
+    import random
+    rng = random.Random(seed)
+    pids = ["a", "b", "c", "d"]
+    script, heals = [], {}
+    for step in range(steps):
+        for group in heals.pop(step, ()):
+            script.append(("partition", group, True))
+        src, dst = rng.sample(pids, 2)
+        roll = rng.random()
+        if roll < 0.70:
+            script.append(("send", src, dst, rng.randrange(1, 50)))
+        elif roll < 0.80:
+            group = rng.sample(pids, rng.choice((1, 2)))
+            script.append(("partition", group, False))
+            heals.setdefault(step + rng.randrange(1, 12), []).append(group)
+        elif roll < 0.90:
+            model = rng.choice([FixedDelay(rng.uniform(0.2, 2.0)),
+                                AsyncDelay(0.1, rng.uniform(0.5, 4.0)),
+                                SyncDelay(rng.uniform(0.5, 2.0))])
+            script.append(("swap", src, dst, model))
+        else:
+            script.append(("preload", src, dst,
+                           [f"junk{step}.{k}" for k in range(rng.randrange(1, 4))]))
+    for step in sorted(heals):
+        script.extend(("partition", group, True) for group in heals[step])
+    return pids, script
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fast_path_matches_recording_path(seed):
+    """Fused closures (null trace on the shipped kernel), the general
+    path (recording traces; the oracle kernel) and every invalidation in
+    between — cuts, overlapping cuts, heals, delay-model swaps, preloads —
+    must produce one execution: same deliveries, same counters."""
+    from repro.sim.scheduler import HeapScheduler
+    from repro.sim.trace import CountingTrace, FullTrace, NullTrace
+
+    pids, script = _send_script(seed)
+
+    def run(trace, kernel):
+        scheduler = kernel()
+        network = Network(scheduler, RandomSource(seed), trace,
                           default_delay=AsyncDelay(0.1, 3.0))
-        a = network.register(Recorder("a", scheduler, trace))
-        b = network.register(Recorder("b", scheduler, trace))
-        for index in range(30):
-            network.send("a", "b", index)
-            network.send("b", "a", -index)
-        scheduler.run()
-        return (a.received, b.received, scheduler.events_processed,
-                network.messages_sent, network.messages_delivered)
+        log = []
+        procs = [network.register(Relay(pid, scheduler, trace, pids, log))
+                 for pid in pids]
 
-    full = run(Trace())
-    counting = run(CountingTrace())
-    null = run(NullTrace())
-    assert full == counting == null
+        def act(kind, *args):
+            if kind == "send":
+                network.send(*args)
+            elif kind == "partition":
+                network.set_partition(args[0], up=args[1])
+            elif kind == "swap":
+                network.link(args[0], args[1], delay_model=args[2])
+            else:
+                network.preload(*args)
+
+        # spread the script over virtual time so it interleaves with
+        # deliveries already in flight
+        for index, action in enumerate(script):
+            scheduler.schedule_at(0.25 * index, act, *action)
+        scheduler.run()
+        links = {key: (link.messages_sent, link.messages_dropped,
+                       link.last_delivery, link.down_votes)
+                 for key, link in network.links.items()}
+        # a fused closure is a plain function, the general path a partial
+        fused = any(not isinstance(send, partial)
+                    for proc in procs for send in proc.outbox.values())
+        return fused, (log, links, scheduler.events_processed,
+                       network.messages_sent, network.messages_delivered,
+                       network.messages_dropped)
+
+    fused, reference = run(NullTrace(), Scheduler)
+    assert fused                        # closures really were compiled
+    assert reference[-1] > 0            # and cuts really dropped traffic
+    for trace, kernel in ((FullTrace(), Scheduler),
+                          (CountingTrace(), Scheduler),
+                          (NullTrace(), HeapScheduler)):
+        fused, observed = run(trace, kernel)
+        assert not fused                # the general path, every send
+        assert observed == reference

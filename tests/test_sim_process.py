@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.errors import OperationError
 from repro.sim.process import (AllOf, AnyOf, Deadline, Predicate, Process,
-                               join_all)
+                               WaitCondition, join_all)
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import OP_INVOKE, OP_RESPONSE, Trace
 
@@ -111,6 +111,44 @@ def test_deadline_wakes_process():
     scheduler.run()
     assert handle.done
     assert scheduler.now == 5.0
+
+
+class _Forwarding(WaitCondition):
+    """A composite that knows nothing about its child but ``arm`` and
+    ``satisfied`` — all the wait-condition interface promises."""
+
+    def __init__(self, child):
+        self.child = child
+
+    def arm(self, process):
+        self.child.arm(process)
+
+    def satisfied(self):
+        return self.child.satisfied()
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda deadline: deadline,
+    lambda deadline: AnyOf(Predicate(lambda: False), deadline),
+    lambda deadline: AllOf(Predicate(lambda: True), deadline),
+    _Forwarding,
+    lambda deadline: _Forwarding(AnyOf(_Forwarding(deadline))),
+], ids=["bare", "anyof", "allof", "forwarding", "nested"])
+def test_deadline_gets_its_clock_from_arm(wrap):
+    """Wherever a Deadline sits, ``arm(process)`` is all it needs."""
+    process, scheduler, _ = make_process()
+    deadline = Deadline(5.0)
+    assert not deadline.satisfied()     # unarmed: no clock yet
+
+    def op():
+        yield wrap(deadline)
+        return "woke"
+
+    handle = process.start_operation("sleep", op())
+    scheduler.run(until=4.0)
+    assert not handle.done
+    scheduler.run()
+    assert handle.done and handle.response_time == 5.0
 
 
 def test_anyof_deadline_vs_predicate():

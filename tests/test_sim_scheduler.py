@@ -472,19 +472,6 @@ def test_run_until_matches_across_kernels():
     assert results[0] == results[1]
 
 
-def test_build_scheduler_selects_kernel(monkeypatch):
-    import repro.sim.scheduler as scheduler_module
-    from repro.sim.scheduler import HeapScheduler, build_scheduler
-    assert type(build_scheduler("calendar")) is Scheduler
-    assert type(build_scheduler("heap")) is HeapScheduler
-    with pytest.raises(SchedulerError):
-        build_scheduler("splay")
-    monkeypatch.setattr(scheduler_module, "DEFAULT_KERNEL", "heap")
-    assert type(build_scheduler()) is HeapScheduler
-    monkeypatch.setattr(scheduler_module, "DEFAULT_KERNEL", "calendar")
-    assert type(build_scheduler()) is Scheduler
-
-
 def test_invalid_calendar_shape_rejected():
     with pytest.raises(SchedulerError):
         Scheduler(bucket_width=0.0)
