@@ -13,6 +13,14 @@ Two layers:
 
 * **data-link layer** (footnote 3): :class:`DataPacket` / :class:`AckPacket`
   with an alternating ``bit``, exchanged over bounded-capacity raw channels.
+
+:class:`SSMsg` is built once per broadcast and the same object is handed
+to all ``n`` servers, so it is frozen: a Byzantine strategy must not be
+able to edit what the other servers will read.  :class:`SSConfirm` and
+:class:`SSReply` are built per delivery for a single receiver — nothing
+to guard, and a frozen dataclass pays one ``object.__setattr__`` per field
+on the hottest allocation of a run — so they are plain slotted classes
+that still compare, hash, print and pickle by value.
 """
 
 from __future__ import annotations
@@ -30,14 +38,14 @@ class SSMsg:
     payload: Any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SSConfirm:
     """Substrate-level confirmation that one server ss-delivered a phase."""
 
     phase: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SSReply:
     """An algorithm-level acknowledgement correlated to a broadcast phase."""
 

@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -32,12 +31,13 @@ from .messages import BOT
 class _BroadcastComplete(WaitCondition):
     """``ss_broadcast`` termination: enough substrate confirmations.
 
-    Equivalent to ``Predicate(handle.completed)`` with the bookkeeping
-    flattened into ``satisfied`` — this condition is re-evaluated on
-    every message the client receives, so each saved frame counts.
+    Equivalent to ``Predicate(handle.completed)``, but edge-triggered:
+    ``handle.confirmed`` grows only where the client records a
+    confirmation, and that code reports the one that makes it ``needed``.
     """
 
     __slots__ = ("handle",)
+    edge_triggered = True
 
     def __init__(self, handle):
         self.handle = handle
@@ -47,15 +47,29 @@ class _BroadcastComplete(WaitCondition):
         return len(handle.confirmed) >= handle.needed
 
 
+class _PhaseReplies(dict):
+    """One broadcast phase's replies, ``server -> payload`` in arrival
+    order, and how many of them the coroutine's wait asked for (0 until a
+    :class:`_RepliesCollected` is built over it): the reply that makes
+    ``len == awaited`` is the crossing."""
+
+    awaited = 0
+
+
 class _RepliesCollected(WaitCondition):
     """Replies received from ``count`` different servers (flattened
-    ``await_replies`` predicate holding the phase's reply dict directly)."""
+    ``await_replies`` predicate holding the phase's reply dict directly).
+
+    Edge-triggered: the dict grows only in ``on_message``, which reports
+    the reply that makes it ``count``.
+    """
 
     __slots__ = ("collected", "count", "phase")
+    edge_triggered = True
 
-    def __init__(self, collected: Dict[str, Any], count: int, phase: int):
+    def __init__(self, collected: _PhaseReplies, count: int, phase: int):
         self.collected = collected
-        self.count = count
+        self.count = collected.awaited = count
         self.phase = phase
 
     def satisfied(self) -> bool:
@@ -123,41 +137,37 @@ class QuorumParams:
 # ----------------------------------------------------------------------
 # quorum counting helpers
 # ----------------------------------------------------------------------
-def _count_key(value: Any) -> Any:
-    """A hashable stand-in for ``value`` in quorum counts.
-
-    Register values are application data and may be unhashable (dicts,
-    lists); equality-by-repr is the right notion for "same value" here
-    because correct servers echo exactly what the writer broadcast.
-    """
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return ("__unhashable__", type(value).__name__, repr(value))
-
-
 def value_with_quorum(values: List[Any], quorum: int,
                       exclude_bot: bool = False) -> Optional[Any]:
     """Return a value occurring at least ``quorum`` times, else ``None``.
 
-    With ``exclude_bot`` the ⊥ marker is not a candidate (the helping-value
-    predicates of lines 03/14 require ``w != ⊥``).
+    When several do, the most frequent wins, the first seen among equally
+    frequent ones.  With ``exclude_bot`` the ⊥ marker is not a candidate
+    (the helping-value predicates of lines 03/14 require ``w != ⊥``).
+
+    Register values are application data and may be unhashable (dicts,
+    lists); those are counted by type and ``repr``, the right notion of
+    "same value" here because correct servers echo exactly what the
+    writer broadcast.
     """
-    representatives = {}
-    counter = Counter()
+    counts: Dict[Any, int] = {}
+    unhashable: Dict[Any, Any] = {}     # stand-in key -> first value seen
     for value in values:
-        key = _count_key(value)
-        representatives.setdefault(key, value)
-        counter[key] += 1
-    for key, count in counter.most_common():
-        if count < quorum:
-            break
-        value = representatives[key]
-        if exclude_bot and value is BOT:
-            continue
-        return value
-    return None
+        try:
+            counts[value] = counts.get(value, 0) + 1
+        except TypeError:
+            key = ("__unhashable__", type(value).__name__, repr(value))
+            if key not in counts:
+                unhashable[key] = value
+            counts[key] = counts.get(key, 0) + 1
+    # a dict keeps the first key object it saw and its insertion order, so
+    # a strict ``>`` scan returns the first-seen value of the first-seen
+    # winner
+    winner, most = None, quorum - 1
+    for key, count in counts.items():
+        if count > most and not (exclude_bot and key is BOT):
+            winner, most = key, count
+    return unhashable.get(winner, winner)
 
 
 def first_k(replies: Dict[str, Any], k: int) -> List[Tuple[str, Any]]:
@@ -260,17 +270,20 @@ class RegisterClientProcess(Process):
     def __init__(self, pid: str, scheduler: Scheduler, trace: Trace):
         super().__init__(pid, scheduler, trace)
         self.transport: Optional[ClientTransport] = None
-        self._replies: Dict[int, Dict[str, Any]] = {}
+        self._replies: Dict[int, _PhaseReplies] = {}
 
     def attach_transport(self, transport: ClientTransport) -> None:
         self.transport = transport
 
-    def on_message(self, src: str, msg: Any) -> None:
+    def on_message(self, src: str, msg: Any) -> bool:
+        """Record a reply or confirmation; true when it is the one that
+        brings its phase's collection to the size waited for."""
         if isinstance(msg, SSReply):
             collected = self._replies.get(msg.phase)
             if collected is not None and src not in collected:
                 collected[src] = msg.payload
-            return
+                return len(collected) == collected.awaited
+            return False
         transport = self.transport
         # Inlined DirectClientTransport.on_network_message + confirm() —
         # every broadcast collects n confirmations through here.
@@ -278,19 +291,25 @@ class RegisterClientProcess(Process):
                 type(transport) is DirectClientTransport:
             handle = transport._handles.get(msg.phase)
             if handle is not None:
-                handle.confirmed.add(src)
-            return
+                confirmed = handle.confirmed
+                if src not in confirmed:
+                    confirmed.add(src)
+                    return len(confirmed) == handle.needed
+            return False
         if transport is not None and \
                 transport.on_network_message(src, msg):
-            return
+            # a transport this class does not inline counts for itself:
+            # whatever it consumed may have completed a broadcast
+            return True
         self.trace.emit(self.scheduler.now, NOTE, self.pid,
                         ignored=type(msg).__name__)
+        return False
 
     # -- coroutine helpers -------------------------------------------------
     def ss_broadcast(self, payload: Any) -> Generator[WaitCondition, None, int]:
         """The blocking ``ss_broadcast(m)`` invocation; returns the phase."""
         handle = self.transport.begin(payload)
-        self._replies[handle.phase] = {}
+        self._replies[handle.phase] = _PhaseReplies()
         if type(handle) is BroadcastHandle:
             yield _BroadcastComplete(handle)
         else:

@@ -8,6 +8,12 @@ SWMR construction's per-reader copies and by the KV store).
 as ⊥.  It is a singleton so corrupted values can never be accidentally
 equal to it unless the fuzzer deliberately injects it (which it may:
 ⊥ is a legal corrupted value).
+
+The broadcast payloads (:class:`Write`, :class:`Read`, :class:`NewHelpVal`)
+are shared by all ``n`` receiving servers and therefore frozen; the
+acknowledgements (:class:`AckWrite`, :class:`AckRead`) are built per
+delivery for one client and are plain slotted value classes — see
+``repro.datalink.packets``.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ class Write:
     value: Any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AckWrite:
     """ACK_WRITE(helping_val) — line 20."""
 
@@ -71,7 +77,7 @@ class Read:
     new_read: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AckRead:
     """ACK_READ(last_val, helping_val) — line 23."""
 

@@ -83,9 +83,8 @@ class AtomicWriterRole(_RoleBase):
         phase = yield from self.host.ss_broadcast(
             Write(self.reg_id, pair))                                # line 01M
         yield from self._await_acks(phase, started_at)               # line 02
-        rows = self._collect(phase, AckWrite, ("helping_val",))
-        helping_vals = [row[0] for row in rows]
-        self.host.retire_phase(phase)
+        helping_vals = self._column(self._take_acks(phase), AckWrite,
+                                    "helping_val")
         agreed_help = value_with_quorum(
             helping_vals, self.params.help_quorum, exclude_bot=True)
         if agreed_help is None:                                      # line 03
@@ -124,9 +123,9 @@ class AtomicReaderRole(_RoleBase):
             fuzz=lambda rng: f"corrupt#{rng.randrange(1_000_000)}")
 
     # -- helpers -----------------------------------------------------------
-    def _quorum_pair(self, rows, column: int,
+    def _quorum_pair(self, acks, field: str,
                      exclude_bot: bool) -> Optional[Tuple[int, Any]]:
-        values = [row[column] for row in rows]
+        values = self._column(acks, AckRead, field)
         agreed = value_with_quorum(values, self.params.value_quorum,
                                    exclude_bot=exclude_bot)
         if agreed is not None and is_pair(agreed) and \
@@ -140,9 +139,8 @@ class AtomicReaderRole(_RoleBase):
         phase = yield from self.host.ss_broadcast(
             Read(self.reg_id, False))                                # line N2
         yield from self._await_acks(phase, started_at)               # line N3
-        rows = self._collect(phase, AckRead, ("last_val", "helping_val"))
-        self.host.retire_phase(phase)
-        agreed = self._quorum_pair(rows, column=1, exclude_bot=True)
+        acks = self._take_acks(phase)
+        agreed = self._quorum_pair(acks, "helping_val", exclude_bot=True)
         if agreed is not None:                                       # line N4
             wsn, value = agreed                                      # line N5
             if not self.config.in_domain(self.pwsn) or \
@@ -160,10 +158,10 @@ class AtomicReaderRole(_RoleBase):
                 Read(self.reg_id, new_read))                         # line 09
             new_read = False                                         # line 10
             yield from self._await_acks(phase, started_at)           # line 11
-            rows = self._collect(phase, AckRead, ("last_val", "helping_val"))
-            self.host.retire_phase(phase)
+            acks = self._take_acks(phase)
 
-            agreed_last = self._quorum_pair(rows, column=0, exclude_bot=False)
+            agreed_last = self._quorum_pair(acks, "last_val",
+                                            exclude_bot=False)
             if agreed_last is not None:                              # line 12
                 wsn, value = agreed_last                             # line 13M1
                 if self.config.gt(wsn, self.pwsn) or \
@@ -173,7 +171,8 @@ class AtomicReaderRole(_RoleBase):
                     return value
                 return self.pv                                       # line 13M3
 
-            agreed_help = self._quorum_pair(rows, column=1, exclude_bot=True)
+            agreed_help = self._quorum_pair(acks, "helping_val",
+                                            exclude_bot=True)
             if agreed_help is not None:                              # line 14
                 wsn, value = agreed_help                             # line 15M
                 self.pwsn = wsn

@@ -119,19 +119,23 @@ class _RoleBase:
         else:
             yield self.host.await_replies(phase, self.params.ack_quorum)
 
-    def _collect(self, phase: int, cls, fields: Tuple[str, ...]) -> List[Tuple]:
-        """First ``ack_quorum`` replies; non-conforming (Byzantine garbage)
+    def _take_acks(self, phase: int) -> List[Tuple[str, Any]]:
+        """The first ``ack_quorum`` ``(server, payload)`` replies of a
+        finished wait, whose phase is retired."""
+        acks = first_k(self.host.replies(phase), self.params.ack_quorum)
+        self.host.retire_phase(phase)
+        return acks
 
-        replies contribute a unique token so they can never help a quorum.
-        """
-        taken = first_k(self.host.replies(phase), self.params.ack_quorum)
-        rows = []
-        for sender, payload in taken:
-            if isinstance(payload, cls) and payload.reg_id == self.reg_id:
-                rows.append(tuple(getattr(payload, f) for f in fields))
-            else:
-                rows.append(tuple(("garbage", sender, f) for f in fields))
-        return rows
+    def _column(self, acks: List[Tuple[str, Any]], cls,
+                field: str) -> List[Any]:
+        """``field`` of every ack, in arrival order; a non-conforming
+        (Byzantine garbage) reply contributes a token unique to its
+        sender, so it can never help a quorum."""
+        reg_id = self.reg_id
+        return [getattr(payload, field)
+                if isinstance(payload, cls) and payload.reg_id == reg_id
+                else ("garbage", sender, field)
+                for sender, payload in acks]
 
 
 class RegularWriterRole(_RoleBase):
@@ -142,9 +146,8 @@ class RegularWriterRole(_RoleBase):
         phase = yield from self.host.ss_broadcast(
             Write(self.reg_id, value))                               # line 01
         yield from self._await_acks(phase, started_at)               # line 02
-        rows = self._collect(phase, AckWrite, ("helping_val",))
-        helping_vals = [row[0] for row in rows]
-        self.host.retire_phase(phase)
+        helping_vals = self._column(self._take_acks(phase), AckWrite,
+                                    "helping_val")
         agreed_help = value_with_quorum(
             helping_vals, self.params.help_quorum, exclude_bot=True)
         if agreed_help is None:                                      # line 03
@@ -165,13 +168,12 @@ class RegularReaderRole(_RoleBase):
                 Read(self.reg_id, new_read))                         # line 09
             new_read = False                                         # line 10
             yield from self._await_acks(phase, started_at)           # line 11
-            rows = self._collect(phase, AckRead, ("last_val", "helping_val"))
-            self.host.retire_phase(phase)
-            last_vals = [row[0] for row in rows]
+            acks = self._take_acks(phase)
+            last_vals = self._column(acks, AckRead, "last_val")
             value = value_with_quorum(last_vals, self.params.value_quorum)
             if value is not None:                                    # line 12
                 return value                                         # line 13
-            helping_vals = [row[1] for row in rows]
+            helping_vals = self._column(acks, AckRead, "helping_val")
             help_value = value_with_quorum(
                 helping_vals, self.params.value_quorum, exclude_bot=True)
             if help_value is not None:                               # line 14

@@ -174,9 +174,18 @@ class Cluster:
         them never terminates (the observable symptom of a violated
         resilience assumption).
         """
-        self.scheduler.run_until(
-            lambda: all(handle.done for handle in handles),
-            max_events=max_events)
+        # completions count down through ``on_done``, so the predicate
+        # checked after every event is one integer compare
+        pending = 0
+
+        def one_done(_handle: OperationHandle) -> None:
+            nonlocal pending
+            pending -= 1
+
+        for handle in handles:
+            pending += 1
+            handle.on_done(one_done)    # fires at once if already done
+        self.scheduler.run_until(lambda: pending == 0, max_events=max_events)
 
     @property
     def now(self) -> float:

@@ -474,20 +474,24 @@ class Network:
         """Delivery with ``Process.deliver`` inlined (non-recording runs).
 
         ``deliver`` is pinned as "do not override", so expanding it here
-        (``on_message`` + ``poll``, with ``poll``'s no-coroutine early
-        exit hoisted) drops frames per message without changing
-        behaviour.
+        — ``on_message``, then its wake rule — drops frames per message
+        without changing behaviour.  A process with no coroutine pays one
+        attribute test; one blocked on an edge-triggered condition reads
+        that flag and is done, unless the arrival was a crossing.
         """
         try:
             process = self.processes[dst]
         except KeyError:  # pragma: no cover - defensive
             raise UnknownProcessError(f"process {dst!r} vanished") from None
         self.messages_delivered += 1
-        process.on_message(src, message)
+        crossed = process.on_message(src, message)
         if process._current_gen is not None:
-            # ``poll`` returns immediately while its wait condition is
-            # unsatisfied — pre-check it here (conditions are pure) and
-            # skip the frame for the common no-progress delivery.
             condition = process._current_cond
-            if condition is None or condition.satisfied():
+            if crossed or condition is None:
+                process.poll()
+            # a level condition is re-checked after every delivery;
+            # ``poll`` returns immediately while it is unsatisfied, so
+            # pre-check it here and skip the frame for the common
+            # no-progress delivery
+            elif not condition.edge_triggered and condition.satisfied():
                 process.poll()

@@ -7,10 +7,28 @@ plain :class:`Process` subclasses overriding :meth:`Process.on_message`.
 Writers and readers execute *blocking* operations ("wait until messages
 ACK_WRITE received from (n-t) different servers...").  We express those as
 generator coroutines that yield :class:`WaitCondition` objects; the hosting
-:class:`Process` re-evaluates the pending condition after every delivered
-message or timer and resumes the generator when it holds.  This keeps the
-algorithm code visually close to the paper's pseudo-code (compare
-``repro/registers/swsr_regular.py`` with Figure 2).
+:class:`Process` resumes the generator when the pending condition holds.
+This keeps the algorithm code visually close to the paper's pseudo-code
+(compare ``repro/registers/swsr_regular.py`` with Figure 2).
+
+What a delivery costs
+---------------------
+Every blocking line of Figures 2-4 is a count reaching a threshold, so the
+code that records an arrival knows whether it mattered:
+:meth:`Process.on_message` returns true on a *crossing* — the collection
+it just grew reached the size its wait asked for.  A condition whose truth
+can change through such arrivals only is *edge-triggered*
+(:attr:`WaitCondition.edge_triggered`, a property of its class: the
+registers' confirmation and reply counts, and composites made only of
+those); while one is pending, a delivery re-evaluates it only on a
+crossing, so the other ``n - 1`` arrivals of a phase cost one attribute
+test.  Every other condition is *level* and is re-evaluated after every
+delivery: a :class:`Deadline` (a delivery whose timestamp ties the deadline
+must still win on sequence number), a :class:`Predicate` (its callable may
+read anything — the datalink transports' handle variants wait through
+one), and any composite holding either.  The rule is written once, in
+:meth:`Process.deliver`; ``Network._deliver_fast`` inlines it.  Timers and
+explicit :meth:`Process.poll` calls always re-evaluate.
 
 A process sends through its :attr:`Process.outbox`, the ``dst ->
 send(message)`` mapping ``Network.register`` installs: how a message
@@ -44,6 +62,13 @@ from .trace import OP_INVOKE, OP_RESPONSE, Trace
 # ----------------------------------------------------------------------
 class WaitCondition:
     """Base class for things a client coroutine can block on."""
+
+    #: True when the condition can become true only through an arrival
+    #: that ``Process.on_message`` reports as a crossing (see "What a
+    #: delivery costs"); a level condition is re-evaluated after every
+    #: delivery.  Fixed by the class, derived from the children by a
+    #: composite — never passed in.
+    edge_triggered = False
 
     def arm(self, process: "Process") -> None:
         """Hook called when a coroutine starts waiting on this condition."""
@@ -90,10 +115,15 @@ class Deadline(WaitCondition):
 
 
 class _Composite(WaitCondition):
-    """A condition over child conditions; arming it arms them all."""
+    """A condition over child conditions; arming it arms them all.
+
+    Edge-triggered exactly when every child is: one level child makes
+    the whole wait level.
+    """
 
     def __init__(self, *children: WaitCondition):
         self.children = list(children)
+        self.edge_triggered = all(child.edge_triggered for child in children)
 
     def arm(self, process: "Process") -> None:
         for child in self.children:
@@ -159,13 +189,41 @@ class OperationHandle:
 OpGenerator = Generator[WaitCondition, None, Any]
 
 
+class _AnyRunnable(WaitCondition):
+    """:func:`join_all`'s wait: some child coroutine's condition holds.
+
+    One object for the whole join, looking at the live ``pending``
+    table.  ``satisfied`` leaves the indexes it found runnable in
+    :attr:`runnable`, so the join advances exactly the children the
+    resuming evaluation saw, without scanning them again.
+    """
+
+    def __init__(self, pending: Dict[int, WaitCondition]):
+        self.pending = pending
+        self.runnable: List[int] = []
+
+    def arm(self, process: "Process") -> None:
+        # re-armed at every yield of the join, i.e. whenever ``pending``
+        # changed: the children may be other conditions by now
+        conditions = self.pending.values()
+        for condition in conditions:
+            condition.arm(process)
+        self.edge_triggered = all(condition.edge_triggered
+                                  for condition in conditions)
+
+    def satisfied(self) -> bool:
+        self.runnable = [index for index, condition in self.pending.items()
+                         if condition.satisfied()]
+        return bool(self.runnable)
+
+
 def join_all(*generators: OpGenerator) -> OpGenerator:
     """Run several operation coroutines concurrently; return their results.
 
     Used by the SWMR construction (write the same value to every reader's
     copy, §5.1) and the MWMR scan (read all ``m`` SWMR registers, Figure 4
-    lines 01/09).  Yields :class:`AnyOf` over the children's pending
-    conditions and advances whichever child became runnable.
+    lines 01/09).  Waits until any child's pending condition holds, then
+    advances, in index order, every child that became runnable.
     """
     pending: Dict[int, WaitCondition] = {}
     live: Dict[int, OpGenerator] = {}
@@ -178,17 +236,13 @@ def join_all(*generators: OpGenerator) -> OpGenerator:
         except StopIteration as stop:
             results[index] = stop.value
 
+    wait = _AnyRunnable(pending)
     while live:
-        runnable = [i for i, cond in pending.items() if cond.satisfied()]
-        if not runnable:
-            yield AnyOf(*pending.values())
-            continue
-        for index in runnable:
-            generator = live.get(index)
-            if generator is None:
-                continue
+        if not wait.satisfied():
+            yield wait
+        for index in wait.runnable:
             try:
-                pending[index] = generator.send(None)
+                pending[index] = live[index].send(None)
             except StopIteration as stop:
                 results[index] = stop.value
                 del live[index]
@@ -237,12 +291,26 @@ class Process:
         self.outbox[dst](message)
 
     def deliver(self, src: str, message: Any) -> None:
-        """Called by the network when a message arrives; do not override."""
-        self.on_message(src, message)
-        self.poll()
+        """Called by the network when a message arrives; do not override.
 
-    def on_message(self, src: str, message: Any) -> None:
-        """Protocol reaction to a delivered message.  Override me."""
+        The one wake rule (see "What a delivery costs"): a pending
+        edge-triggered condition is re-evaluated only when ``on_message``
+        reports a crossing, anything else after every delivery.
+        """
+        crossed = self.on_message(src, message)
+        if self._current_gen is not None:
+            condition = self._current_cond
+            if crossed or condition is None or not condition.edge_triggered:
+                self.poll()
+
+    def on_message(self, src: str, message: Any) -> Optional[bool]:
+        """Protocol reaction to a delivered message.  Override me.
+
+        Return true when this arrival is a *crossing*: it grew a
+        collection an edge-triggered condition counts to exactly the size
+        that condition waits for.  Processes that only ever block on
+        level conditions have nothing to report.
+        """
 
     # -- corruptible state ---------------------------------------------
     def register_corruptible(self, name: str,
@@ -307,6 +375,13 @@ class Process:
                                     op=handle.name, result=stop.value)
                     handle._complete(stop.value, self.scheduler.now)
                     return
+                except BaseException:
+                    # a dead generator answers the next ``send`` with
+                    # StopIteration(None), which would pass for a normal
+                    # return: drop it, the operation never completes
+                    self._current_gen = None
+                    self._current_cond = None
+                    raise
                 condition.arm(self)
                 self._current_cond = condition
         finally:

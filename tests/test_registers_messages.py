@@ -37,3 +37,49 @@ def test_message_fields():
     assert Read("reg", True).new_read
     assert AckWrite("reg", BOT).helping_val is BOT
     assert AckRead("reg", 1, 2).last_val == 1
+
+
+def test_reply_side_messages_are_plain_values_with_the_frozen_contract():
+    """Built per delivery for one receiver: no frozen ``__init__``, but
+    the same field names, ``repr``, ``==``, ``hash`` and pickling."""
+    import pickle
+
+    from repro.datalink.packets import SSConfirm, SSReply
+
+    samples = [
+        (SSConfirm(3), "SSConfirm(phase=3)", (3,)),
+        (SSReply(3, "x"), "SSReply(phase=3, payload='x')", (3, "x")),
+        (AckWrite("reg", BOT), "AckWrite(reg_id='reg', helping_val=⊥)",
+         ("reg", BOT)),
+        (AckRead("reg", 1, 2),
+         "AckRead(reg_id='reg', last_val=1, helping_val=2)", ("reg", 1, 2)),
+    ]
+    for message, text, fields in samples:
+        cls = type(message)
+        assert repr(message) == text
+        assert message == cls(*fields) and hash(message) == hash(fields)
+        assert message != cls(*fields[:-1], "other")
+        assert message != fields
+        for clone in (pickle.loads(pickle.dumps(message)),
+                      copy.copy(message), copy.deepcopy(message)):
+            assert clone == message and type(clone) is cls
+        assert not hasattr(message, "__dict__")
+    assert SSReply(3, AckWrite("reg", BOT)) == SSReply(3, AckWrite("reg", BOT))
+    assert pickle.loads(pickle.dumps(AckWrite("reg", BOT))).helping_val is BOT
+
+
+def test_messages_shared_by_all_receivers_stay_frozen():
+    """One object goes to all n servers: a Byzantine strategy must not be
+    able to edit what the others will read."""
+    import dataclasses
+
+    import pytest
+
+    from repro.datalink.packets import SSMsg
+
+    for message, field in ((SSMsg(1, "w", "payload"), "payload"),
+                           (Write("reg", 5), "value"),
+                           (Read("reg", True), "new_read"),
+                           (NewHelpVal("reg", 5), "value")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(message, field, "edited")

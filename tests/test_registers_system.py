@@ -73,6 +73,24 @@ def test_run_ops_raises_on_nontermination():
         cluster.run_ops([handle], max_events=50_000)
 
 
+def test_run_ops_stops_at_the_last_completion():
+    """Completions are counted down: the run stops on the event that
+    finishes the last listed operation, whatever the listing order, and
+    never looks at ``done`` again."""
+    cluster = Cluster(ClusterConfig(n=9, t=1, seed=4))
+    writer, reader = build_swsr_regular(cluster)
+    write, read = writer.write("v"), reader.read()
+    cluster.run_ops([read, write, read])        # a repeated handle is fine
+    assert write.done and read.done
+    assert cluster.now == max(write.response_time, read.response_time)
+    # already-done handles and an empty list return at once
+    events = cluster.scheduler.events_processed
+    cluster.run_ops([write, read])
+    cluster.run_ops([])
+    cluster.run_ops(iter([write]))
+    assert cluster.scheduler.events_processed == events
+
+
 def test_now_tracks_scheduler():
     cluster = Cluster(ClusterConfig(n=9, t=1))
     assert cluster.now == 0.0

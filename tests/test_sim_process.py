@@ -303,3 +303,137 @@ def test_busy_property():
 
     process.start_operation("stuck", op())
     assert process.busy
+
+
+@pytest.mark.parametrize("backend", ["full", "null"],
+                         ids=["Process.deliver", "fused"])
+def test_raising_coroutine_never_completes(backend):
+    """The exception propagates once, and the dead generator is dropped:
+    a later delivery must not mistake it for a normal return.  ``full``
+    delivers through ``Process.deliver``, ``null`` through the fused path.
+    """
+    from repro.sim.network import FixedDelay, Network
+    from repro.sim.random_source import RandomSource
+    from repro.sim.trace import build_trace
+
+    scheduler = Scheduler()
+    trace = build_trace(backend)
+    network = Network(scheduler, RandomSource(1), trace,
+                      default_delay=FixedDelay(1.0))
+    process = network.register(Process("a", scheduler, trace))
+    network.register(Process("b", scheduler, trace))
+
+    def op():
+        yield Predicate(lambda: True)
+        raise ValueError("protocol bug")
+
+    handle = process.start_operation("boom", op())
+    with pytest.raises(ValueError, match="protocol bug"):
+        scheduler.run()
+    assert not handle.done and process.busy
+    delivered = network.messages_delivered
+    network.send("b", "a", "anything")
+    scheduler.run()
+    assert network.messages_delivered == delivered + 1
+    assert not handle.done and process.busy
+    with pytest.raises(OperationError):
+        _ = handle.result
+    if backend == "full":
+        assert trace.count(OP_INVOKE) == 1 and trace.count(OP_RESPONSE) == 0
+
+
+class _Counted(WaitCondition):
+    """An edge-triggered condition over a list the process grows."""
+
+    edge_triggered = True
+
+    def __init__(self, box, needed):
+        self.box, self.needed, self.evaluations = box, needed, 0
+
+    def satisfied(self):
+        self.evaluations += 1
+        return len(self.box) >= self.needed
+
+
+class _Collector(Process):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.box = []
+
+    def on_message(self, src, message):
+        self.box.append(message)
+        return len(self.box) == 3
+
+
+def test_deliver_wakes_an_edge_condition_only_on_a_crossing():
+    scheduler, trace = Scheduler(), Trace()
+    process = _Collector("p", scheduler, trace)
+    condition = _Counted(process.box, 3)
+
+    def op():
+        yield condition
+        return list(process.box)
+
+    handle = process.start_operation("collect", op())
+    scheduler.run()
+    assert condition.evaluations == 1          # when armed
+    process.deliver("s", 1)
+    process.deliver("s", 2)
+    assert condition.evaluations == 1 and not handle.done
+    process.deliver("s", 3)
+    assert handle.done and handle.result == [1, 2, 3]
+    assert condition.evaluations == 2
+
+
+def test_deliver_repolls_level_conditions_and_level_composites():
+    """One level child makes a composite level; level means every
+    delivery re-evaluates."""
+    scheduler, trace = Scheduler(), Trace()
+    process = _Collector("p", scheduler, trace)
+    edge = _Counted(process.box, 99)
+    mixed = AnyOf(edge, Predicate(lambda: len(process.box) >= 2))
+    assert AnyOf(edge, edge).edge_triggered
+    assert AllOf(edge, AnyOf(edge)).edge_triggered
+    assert not mixed.edge_triggered
+    assert not AllOf(edge, Deadline(5.0)).edge_triggered
+
+    def op():
+        yield mixed
+        return len(process.box)
+
+    handle = process.start_operation("level", op())
+    scheduler.run()
+    process.deliver("s", 1)
+    assert edge.evaluations == 2 and not handle.done
+    process.deliver("s", 2)
+    assert handle.done and handle.result == 2
+
+
+def test_join_all_is_edge_triggered_only_while_every_child_is():
+    scheduler, trace = Scheduler(), Trace()
+    process = _Collector("p", scheduler, trace)
+    first = _Counted(process.box, 3)
+
+    def counted():
+        yield first
+        yield Predicate(lambda: len(process.box) >= 4)
+        return "counted"
+
+    def other():
+        yield _Counted(process.box, 3)
+        return "other"
+
+    def parent():
+        return (yield from join_all(counted(), other()))
+
+    handle = process.start_operation("join", parent())
+    scheduler.run()
+    assert process._current_cond.edge_triggered
+    process.deliver("s", 1)
+    process.deliver("s", 2)
+    assert first.evaluations == 2       # join_all's own look + when armed
+    process.deliver("s", 3)             # the crossing: both children advance
+    assert not handle.done
+    assert not process._current_cond.edge_triggered
+    process.deliver("s", 4)             # no crossing, level child: re-polled
+    assert handle.done and handle.result == ["counted", "other"]
