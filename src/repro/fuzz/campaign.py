@@ -31,27 +31,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..runner.engine import run_sweep
 from ..runner.results import CellResult
 from ..runner.spec import SweepSpec
-from .gen import (DEFAULT_PROFILE, FuzzCase, FuzzProfile, generate_case,
-                  generate_kv_case, generate_reshard_case)
+from .families import (DEFAULT_FAMILY, DEFAULT_PROFILE, FuzzProfile,
+                       fuzz_family)
+from .gen import FuzzCase, generate_case
 from .harness import confirm_case, run_case
 from .replay import ReplayArtifact, current_inject_env
 from .shrink import shrink_case
-
-#: case families the campaign can run (the CLI's ``--family``).
-FAMILIES = ("swsr", "kv", "reshard")
-
-
-def _generator(family: str):
-    """The family's case generator, resolved at call time (tests
-    monkeypatch the module-level names)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown fuzz family {family!r} "
-                         f"(expected one of {FAMILIES})")
-    if family == "kv":
-        return generate_kv_case
-    if family == "reshard":
-        return generate_reshard_case
-    return generate_case
 
 
 def spec_name(campaign_seed: int, family: str) -> str:
@@ -61,23 +46,23 @@ def spec_name(campaign_seed: int, family: str) -> str:
     tests; non-default families get their own namespace so their derived
     case seeds never collide with historical pins.
     """
-    if family == "swsr":
+    if family == DEFAULT_FAMILY:
         return f"fuzz-{campaign_seed}"
     return f"fuzz-{family}-{campaign_seed}"
 
 
 def campaign_spec(campaign_seed: int, cases: int,
                   profile: FuzzProfile = DEFAULT_PROFILE,
-                  family: str = "swsr") -> SweepSpec:
+                  family: str = DEFAULT_FAMILY) -> SweepSpec:
     """The sweep spec a campaign expands to (one replicate per case).
 
     The default family's spec (name *and* base parameters) is frozen by
     the golden-seed tests — the ``family`` key joins the base only for
     non-default families, so historical case seeds stay pinned.
     """
-    _generator(family)          # validate the family name
+    fuzz_family(family)         # validate the family name
     base: Dict[str, Any] = {"profile": profile.to_dict()}
-    if family != "swsr":
+    if family != DEFAULT_FAMILY:
         base["family"] = family
     return SweepSpec(name=spec_name(campaign_seed, family),
                      scenario="fuzz", base=base,
@@ -86,11 +71,11 @@ def campaign_spec(campaign_seed: int, cases: int,
 
 def campaign_cases(campaign_seed: int, cases: int,
                    profile: FuzzProfile = DEFAULT_PROFILE,
-                   family: str = "swsr") -> List[Tuple[str, Any]]:
+                   family: str = DEFAULT_FAMILY
+                   ) -> List[Tuple[str, FuzzCase]]:
     """(cell id, generated case) pairs, without running anything."""
     spec = campaign_spec(campaign_seed, cases, profile, family=family)
-    generate = _generator(family)
-    return [(cell.cell_id, generate(cell.seed, profile))
+    return [(cell.cell_id, generate_case(cell.seed, profile, family))
             for cell in spec.cells()]
 
 
@@ -133,7 +118,7 @@ class FuzzCampaignResult:
     failures: List[CampaignFailure] = field(default_factory=list)
     workers: int = 1
     wall_seconds: float = 0.0
-    family: str = "swsr"
+    family: str = DEFAULT_FAMILY
 
     @property
     def all_ok(self) -> bool:
@@ -165,11 +150,11 @@ def _artifact_name(cell_id: str) -> str:
     return "replay-" + cell_id.replace("/", "-") + ".json"
 
 
-def _shrink_failure(cell: CellResult, profile: FuzzProfile,
-                    campaign_seed: int, shrink_budget: int,
-                    artifacts_dir: Optional[str],
-                    family: str = "swsr") -> CampaignFailure:
-    """Confirm one suspicious cell inline, shrink it, emit the artifact.
+def _shrink_failure(cell: CellResult, case: FuzzCase, campaign_seed: int,
+                    shrink_budget: int, artifacts_dir: Optional[str]
+                    ) -> CampaignFailure:
+    """Confirm one suspicious cell's (regenerated) case inline, shrink it,
+    emit the artifact.
 
     The FullTrace confirmation of the *original* case is what
     ``confirmed_signature`` reports (including any ``backend-divergence``
@@ -177,7 +162,6 @@ def _shrink_failure(cell: CellResult, profile: FuzzProfile,
     oracle, and the shrunk case gets its own FullTrace confirmation —
     again digest-cross-checked — for the artifact.
     """
-    case = _generator(family)(cell.seed, profile)
     fast = run_case(case, backend="null")
     full = confirm_case(case, fast)
     if not fast.ok and shrink_budget >= 1:
@@ -230,7 +214,7 @@ def run_campaign(campaign_seed: int, cases: int, workers: int = 1,
                  profile: FuzzProfile = DEFAULT_PROFILE,
                  artifacts_dir: Optional[str] = None,
                  shrink_budget: int = 200,
-                 family: str = "swsr") -> FuzzCampaignResult:
+                 family: str = DEFAULT_FAMILY) -> FuzzCampaignResult:
     """Run a full campaign: fan out, confirm, shrink, emit artifacts."""
     started = time.perf_counter()
     spec = campaign_spec(campaign_seed, cases, profile, family=family)
@@ -240,9 +224,9 @@ def run_campaign(campaign_seed: int, cases: int, workers: int = 1,
         if cell.ok:
             continue
         try:
-            failures.append(_shrink_failure(cell, profile, campaign_seed,
-                                            shrink_budget, artifacts_dir,
-                                            family=family))
+            case = generate_case(cell.seed, profile, family)
+            failures.append(_shrink_failure(cell, case, campaign_seed,
+                                            shrink_budget, artifacts_dir))
         except Exception as exc:  # noqa: BLE001 - cells must not kill
             # the campaign: a generator/confirmation crash in the parent
             # still yields a failure record (and the other artifacts).

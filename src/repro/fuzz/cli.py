@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from ..capture.format import CaptureError
 from .campaign import campaign_cases, run_campaign
-from .gen import DEFAULT_PROFILE
+from .families import DEFAULT_FAMILY, DEFAULT_PROFILE, FUZZ_FAMILIES
 from .replay import ReplayArtifact, replay
 
 #: the CI smoke budget: fixed seed, fixed case count, strict.
@@ -44,15 +44,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="campaign seed (every case seed is hash-"
                              "derived from it; default 0)")
     parser.add_argument("--cases", type=int, default=None, metavar="N",
-                        help="number of generated cases (default 50)")
-    parser.add_argument("--family", choices=("swsr", "kv", "reshard"),
-                        default="swsr",
-                        help="case family: single register pairs under "
-                             "fault timelines (swsr, default), sharded "
-                             "KV workloads (kv), or live resharding "
-                             "under traffic (reshard)")
+                        help="number of generated cases (default 50, "
+                             "at least 1)")
+    parser.add_argument("--family", choices=tuple(FUZZ_FAMILIES),
+                        default=DEFAULT_FAMILY,
+                        help="case family (default %(default)s): "
+                             + "; ".join(f"{name} = {entry.summary}"
+                                         for name, entry
+                                         in FUZZ_FAMILIES.items()))
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for the fast-path fan-out")
+                        help="worker processes for the fast-path fan-out "
+                             "(at least 1)")
     parser.add_argument("--smoke", action="store_true",
                         help=f"CI budget: seed {SMOKE_SEED}, "
                              f"{SMOKE_CASES} cases, strict")
@@ -108,34 +110,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.cases = SMOKE_CASES
     args.seed = 0 if args.seed is None else args.seed
     args.cases = 50 if args.cases is None else args.cases
+    # a strict campaign that ran nothing would pass vacuously.
+    for flag in ("cases", "workers"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1, got "
+                         f"{getattr(args, flag)}")
 
     if args.dry_run:
         for cell_id, case in campaign_cases(args.seed, args.cases,
                                             family=args.family):
-            if args.family == "reshard":
-                print(f"{cell_id}  seed={case.seed}  "
-                      f"shards={case.shard_count} vnodes={case.vnodes} "
-                      f"clients={case.client_count} keys={case.num_keys} "
-                      f"rounds={case.rounds} "
-                      f"byz={case.byzantine_count}:"
-                      f"{case.byzantine_strategy} "
-                      f"plan={len(case.plan_events())} "
-                      f"events={len(case.timeline)}")
-            elif args.family == "kv":
-                print(f"{cell_id}  seed={case.seed}  "
-                      f"shards={case.shard_count} n={case.n} t={case.t} "
-                      f"clients={case.client_count} keys={case.num_keys} "
-                      f"rounds={case.rounds} "
-                      f"byz={case.byzantine_count}:"
-                      f"{case.byzantine_strategy} "
-                      f"events={len(case.timeline)}")
-            else:
-                print(f"{cell_id}  seed={case.seed}  kind={case.kind} "
-                      f"n={case.n} t={case.t} {case.transport} "
-                      f"w/r={case.num_writes}/{case.num_reads} "
-                      f"byz={case.byzantine_count}:"
-                      f"{case.byzantine_strategy} "
-                      f"events={len(case.timeline)}")
+            pinned = " ".join(f"{name}={value}"
+                              for name, value in case.params.items())
+            print(f"{cell_id}  seed={case.seed}  {pinned} "
+                  f"events={len(case.timeline)}")
         if not args.quiet:
             print(f"{args.cases} cases from campaign seed {args.seed}")
         return 0

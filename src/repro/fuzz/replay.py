@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from .gen import FuzzCase, case_from_dict
+from .gen import FuzzCase
 from .harness import INJECT_ENV, CaseOutcome, confirm_case, run_case
 
 #: Capture-format header profile artifacts are written under.
@@ -81,9 +81,10 @@ class ReplayArtifact:
         footer = reader.read_footer()
         original = footer.get("original_case")
         return cls(
-            case=case_from_dict(reader.header["case"]),
+            case=FuzzCase.from_dict(reader.header["case"]),
             violations=list(footer.get("violations") or []),
-            original_case=case_from_dict(original) if original else None,
+            original_case=(FuzzCase.from_dict(original)
+                           if original else None),
             shrink=footer.get("shrink"),
             outcome=footer.get("summary"),
             campaign=reader.header.get("campaign"),

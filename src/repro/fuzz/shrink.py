@@ -7,9 +7,11 @@ under a deterministic oracle-call budget:
 
 * **event pass** — classic ddmin over the fault timeline: try dropping
   chunks of events (halving granularity), then single events;
-* **parameter pass** — per-parameter candidate ladders (fewer operations,
-  the smallest resilient topology, no static Byzantine server, default
-  reader offset, rounder event arguments), applied greedily.
+* **parameter pass** — the family's candidate ladder, read off its
+  :data:`~repro.fuzz.families.FUZZ_FAMILIES` entry (for ``swsr``: fewer
+  operations, the smallest resilient topology, no static Byzantine
+  server, default reader offset, rounder event arguments), applied
+  greedily.
 
 Everything is a pure function of the input case, so shrinking is exactly
 as reproducible as the cases themselves; outcomes are memoized on the
@@ -19,10 +21,11 @@ case's canonical JSON to keep the oracle-call count meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .gen import FuzzCase, KVFuzzCase, ReshardFuzzCase
+from .families import FUZZ_FAMILIES, HALVE
+from .gen import FuzzCase
 from .harness import CaseOutcome, run_case
 
 Oracle = Callable[[FuzzCase], CaseOutcome]
@@ -127,147 +130,24 @@ def _ddmin_events(case: FuzzCase, signature: Tuple[str, ...],
     return case.with_timeline(events)
 
 
-def _max_referenced_server(case: FuzzCase) -> int:
-    """Highest server number named by the timeline (0 when none)."""
-    from .gen import server_number
-    highest = 0
-    for event in case.timeline:
-        args = event.get("args") or {}
-        pids = list(args.get("servers") or ()) + list(args.get("group")
-                                                     or ())
-        targets = args.get("targets")
-        if isinstance(targets, (list, tuple)):   # explicit burst pid list
-            pids.extend(targets)
-        for pid in pids:
-            number = server_number(pid)
-            if number is not None:
-                highest = max(highest, number)
-    return highest
-
-
-def _kv_parameter_candidates(case: KVFuzzCase
-                             ) -> List[Tuple[str, KVFuzzCase]]:
-    """Reduction ladder for kv-family cases (fewer rounds/keys/clients).
-
-    Event-argument rounding deliberately leaves burst fractions alone:
-    pushing a fraction up livelocks the MWMR scan (the documented
-    liveness caveat), which would change the failure signature and just
-    waste oracle calls.
-    """
-    candidates: List[Tuple[str, KVFuzzCase]] = []
-
-    def propose(label: str, **changes: Any) -> None:
-        candidate = replace(case, **changes)
-        if candidate != case:
-            candidates.append((label, candidate))
-
-    for target in (1, case.rounds // 2):
-        if 1 <= target < case.rounds:
-            propose(f"rounds={target}", rounds=target)
-    for target in (1, case.num_keys // 2):
-        if 1 <= target < case.num_keys:
-            propose(f"num_keys={target}", num_keys=target)
-    if case.client_count > 1:
-        propose("client_count=1", client_count=1)
-    if case.byzantine_count > 0:
-        propose("byzantine_count=0", byzantine_count=0)
-    if case.shard_count > 1 and not any(
-            int(event.get("shard", 0)) > 0 for event in case.timeline):
-        propose("shard_count=1", shard_count=1)
-    return candidates
-
-
-def _reshard_parameter_candidates(case: ReshardFuzzCase
-                                  ) -> List[Tuple[str, ReshardFuzzCase]]:
-    """Reduction ladder for reshard-family cases.
-
-    Shares the kv ladder's shape (fewer rounds/keys/clients, no static
-    adversary); ``shard_count`` and ``vnodes`` stay fixed — both feed
-    the ring algebra the plan events were validated against, and a
-    changed ring just produces differently-placed keys (a different
-    case, not a smaller one).  The plan itself shrinks through the
-    ordinary ddmin event pass: plan and fault events share the timeline.
-    """
-    candidates: List[Tuple[str, ReshardFuzzCase]] = []
-
-    def propose(label: str, **changes: Any) -> None:
-        candidate = replace(case, **changes)
-        if candidate != case:
-            candidates.append((label, candidate))
-
-    for target in (1, case.rounds // 2):
-        if 1 <= target < case.rounds:
-            propose(f"rounds={target}", rounds=target)
-    for target in (1, case.num_keys // 2):
-        if 1 <= target < case.num_keys:
-            propose(f"num_keys={target}", num_keys=target)
-    if case.client_count > 1:
-        propose("client_count=1", client_count=1)
-    if case.byzantine_count > 0:
-        propose("byzantine_count=0", byzantine_count=0)
-    return candidates
-
-
 def _parameter_candidates(case: FuzzCase) -> List[Tuple[str, FuzzCase]]:
-    """Ordered single-parameter reductions to try (biggest wins first)."""
-    if isinstance(case, ReshardFuzzCase):
-        return _reshard_parameter_candidates(case)
-    if isinstance(case, KVFuzzCase):
-        return _kv_parameter_candidates(case)
+    """Ordered single-parameter reductions to try (biggest wins first):
+    the family's ladder, read off its
+    :data:`~repro.fuzz.families.FUZZ_FAMILIES` entry top to bottom."""
     candidates: List[Tuple[str, FuzzCase]] = []
-
-    def propose(label: str, **changes: Any) -> None:
-        candidate = replace(case, **changes)
-        if candidate != case:
-            candidates.append((label, candidate))
-
-    for target in (1, case.num_writes // 2):
-        if 1 <= target < case.num_writes:
-            propose(f"num_writes={target}", num_writes=target)
-    for target in (1, case.num_reads // 2):
-        if 1 <= target < case.num_reads:
-            propose(f"num_reads={target}", num_reads=target)
-    # topology reductions must keep every server the timeline names —
-    # a smaller cluster would just KeyError, wasting an oracle call.
-    min_n = max(8 * case.t + 1, _max_referenced_server(case))
-    if case.n > min_n:
-        propose(f"n={min_n}", n=min_n)
-    if case.t > 1:
-        # t cannot drop below the largest rotation set the timeline
-        # installs (FaultTimeline.install rejects sets larger than t).
-        largest_rotation = max(
-            (len(event.get("args", {}).get("servers") or ())
-             for event in case.timeline if event["kind"] == "byzantine"),
-            default=0)
-        target_t = max(1, largest_rotation)
-        small_n = max(8 * target_t + 1, _max_referenced_server(case))
-        if target_t < case.t and small_n <= case.n:
-            propose(f"t={target_t}", t=target_t, n=small_n,
-                    byzantine_count=min(case.byzantine_count, target_t))
-    if case.byzantine_count > 0:
-        propose("byzantine_count=0", byzantine_count=0)
-    if case.reader_offset is not None:
-        propose("reader_offset=None", reader_offset=None)
-    if case.transport != "direct":
-        propose("transport=direct", transport="direct")
-    # event-argument rounding: fractions to one coarse step, times floored.
-    rounded = []
-    changed = False
-    for event in case.timeline:
-        event = dict(event)
-        args = dict(event.get("args") or {})
-        if "fraction" in args and args["fraction"] != 1.0:
-            args["fraction"] = 1.0
-            changed = True
-        floored = float(int(event["time"]))
-        if event["time"] != floored:
-            event["time"] = floored
-            changed = True
-        event["args"] = args
-        rounded.append(event)
-    if changed:
-        candidates.append(("round event args",
-                           case.with_timeline(rounded)))
+    for step in FUZZ_FAMILIES[case.family].ladder:
+        if callable(step):
+            candidates.extend(step(case))
+            continue
+        name, target = step
+        value = case.param(name)
+        if target is HALVE:
+            targets = [half for half in (1, value // 2) if 1 <= half < value]
+        else:
+            targets = [] if value == target else [target]
+        candidates.extend(
+            (f"{name}={reduced}", case.with_params(**{name: reduced}))
+            for reduced in targets)
     return candidates
 
 

@@ -180,15 +180,13 @@ def run_fuzz_cell(params: Dict[str, Any]) -> Sections:
     """
     # lazy import: repro.fuzz.campaign imports the runner engine, which
     # imports this module — binding at call time keeps the cycle open.
-    from ..fuzz.gen import (FuzzProfile, generate_case, generate_kv_case,
-                            generate_reshard_case)
+    from ..fuzz.families import DEFAULT_FAMILY
+    from ..fuzz.gen import FuzzProfile, generate_case
     from ..fuzz.harness import run_case
 
-    profile = FuzzProfile.from_dict(params.get("profile"))
-    generate = {"kv": generate_kv_case,
-                "reshard": generate_reshard_case}.get(
-                    params.get("family"), generate_case)
-    case = generate(int(params["seed"]), profile)
+    case = generate_case(int(params["seed"]),
+                         FuzzProfile.from_dict(params.get("profile")),
+                         params.get("family", DEFAULT_FAMILY))
     outcome = run_case(case, backend="null")
     verdicts = {
         "completed": outcome.completed,

@@ -281,7 +281,14 @@ def _install_byzantine(cluster: Cluster, byzantine: Optional[Dict[str, str]],
     """Install strategies either from an explicit {server: name} map or
 
     as ``byzantine_count`` servers all running ``byzantine_strategy``.
+    More than ``t`` is legal (the bound-tightness experiments rely on
+    it); more than ``n`` — or fewer than none — is a typo.
     """
+    n = len(cluster.server_ids)
+    if not 0 <= byzantine_count <= n:
+        raise ValueError(f"byzantine_count must be within 0..n={n}, got "
+                         f"{byzantine_count}; slicing the server list with "
+                         "it would silently install a different adversary")
     if byzantine:
         for server_id, name in byzantine.items():
             cluster.make_byzantine([server_id], strategy_factory(name, cluster))
@@ -454,6 +461,10 @@ def _drive_swsr(engine: ScenarioEngine, writer, reader, start: float,
     ``engine.stream`` as they complete.  Returns whether all of them
     terminated within ``p.max_events``.
     """
+    for name in ("num_writes", "num_reads"):
+        if getattr(p, name) < 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(p, name)}; "
+                             "a negative count would silently run none")
     writer_driver = engine.driver(writer)
     reader_driver = engine.driver(reader)
     values = ValueStream()
@@ -1015,7 +1026,7 @@ def _run_reshard(p: SimpleNamespace) -> StoreScenarioResult:
 
     The default plan splits shard 0 as soon as traffic starts.  The run
     is deterministic end to end — byte-identical summaries for any
-    sweep worker count (the CI ``reshard-smoke`` job's guard).
+    sweep worker count (the CI smoke sweep's 1-vs-4-worker guard).
 
     >>> from repro.workloads.spec import run_scenario
     >>> result = run_scenario("reshard", shard_count=2, num_keys=2,

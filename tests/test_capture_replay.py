@@ -24,6 +24,7 @@ from repro.capture import (CaptureFormatError, CorruptCaptureError,
                            verify_capture)
 from repro.capture.cli import main as capture_main
 from repro.fuzz.gen import generate_case
+from repro.workloads.scenarios import INITIAL
 
 CAPTURE_DIR = os.path.join(os.path.dirname(__file__), "captures")
 
@@ -49,8 +50,10 @@ def golden_path(name: str) -> str:
 
 
 def fuzz_derived_params() -> dict:
-    """The fuzz.jsonl trace: a generated case rendered as a swsr spec."""
-    return generate_case(5).scenario_kwargs()
+    """The fuzz.jsonl trace: a generated case rendered as a swsr spec
+    (the committed header also pins ``initial``, which cases leave to
+    the family default)."""
+    return {**generate_case(5).scenario_kwargs(), "initial": INITIAL}
 
 
 def test_corpus_is_complete():

@@ -228,9 +228,9 @@ class TestRegressionCorpus:
         result = run_scenario("swsr", trace_backend="null",
                               **case.scenario_kwargs())
         assert result.completed
-        timeline = case.fault_timeline()
-        tau = max(result.tau_no_tr, timeline.last_event_time)
-        mode = "atomic" if case.kind == "atomic" else "regular"
+        tau = max(result.tau_no_tr,
+                  max(event["time"] for event in case.timeline))
+        mode = "atomic" if case.params["kind"] == "atomic" else "regular"
         offline = stabilization_report(result.history, mode=mode,
                                        initial=INITIAL, tau_no_tr=tau)
         online = result.stream_report(tau)

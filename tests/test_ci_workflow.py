@@ -19,8 +19,8 @@ def workflow():
 def test_workflow_parses_and_has_jobs(workflow):
     assert set(workflow["jobs"]) == {"lint", "test", "perf-smoke",
                                      "parallel-sim", "fuzz-smoke",
-                                     "service-smoke", "reshard-smoke",
-                                     "capture-smoke", "docs"}
+                                     "service-smoke", "capture-smoke",
+                                     "docs"}
     # "on" parses as YAML true; accept either spelling
     assert True in workflow or "on" in workflow
 
@@ -127,11 +127,12 @@ def test_parallel_sim_job_gates_speedup_and_digest_equality(workflow):
 def test_fuzz_smoke_job_gates_guards_and_uploads(workflow):
     steps = workflow["jobs"]["fuzz-smoke"]["steps"]
     runs = " ".join(step.get("run", "") for step in steps)
-    # strict fixed-seed budget (exit is non-zero on any violation) ...
-    assert "python -m repro.fuzz --smoke" in runs
-    # ... with a 1-vs-4-worker byte-identical determinism guard ...
-    assert "--workers 4" in runs and "--workers 1" in runs
-    assert "cmp" in runs
+    # strict fixed-seed budgets (exit is non-zero on any violation), each
+    # with a 1-vs-4-worker byte-identical determinism guard ...
+    assert "python -m repro.fuzz --family $family $budget --workers 4" in runs
+    assert "python -m repro.fuzz --family $family $budget --workers 1" in runs
+    assert "cmp fuzz-$family-results.json " \
+        "fuzz-$family-results-serial.json" in runs
     # ... the committed replay corpus re-executed ...
     assert "tests/replays/wsn-jump-atomic.json" in runs
     assert "REPRO_FUZZ_INJECT=burst" in runs
@@ -140,35 +141,31 @@ def test_fuzz_smoke_job_gates_guards_and_uploads(workflow):
                if "upload-artifact" in step.get("uses", "")]
     assert uploads, "fuzz artifact upload step missing"
     assert uploads[0]["if"] == "always()"
-    assert "fuzz-artifacts/" in uploads[0]["with"]["path"]
-    assert "fuzz-results.json" in uploads[0]["with"]["path"]
+    assert "fuzz-*-artifacts/" in uploads[0]["with"]["path"]
+    assert "fuzz-*-results.json" in uploads[0]["with"]["path"]
 
 
-def test_fuzz_smoke_job_covers_the_kv_family(workflow):
+def test_fuzz_smoke_job_covers_every_fuzz_family(workflow):
+    """One loop over the whole FUZZ_FAMILIES table, each arm on its
+    pinned budget (the golden fixtures pin each budget's first case)."""
+    from repro.fuzz.families import FUZZ_FAMILIES
     runs = " ".join(step.get("run", "")
                     for step in workflow["jobs"]["fuzz-smoke"]["steps"])
-    assert "--family kv" in runs
-    assert "fuzz-kv-results.json" in runs
+    assert f"for family in {' '.join(FUZZ_FAMILIES)}; do" in runs
+    assert 'swsr) budget="--smoke"' in runs
+    assert 'kv) budget="--seed 20260730 --cases 24"' in runs
+    assert 'reshard) budget="--seed 20260808 --cases 24"' in runs
 
 
-def test_reshard_smoke_job_gates_sweep_fuzz_and_uploads(workflow):
-    steps = workflow["jobs"]["reshard-smoke"]["steps"]
-    runs = " ".join(step.get("run", "") for step in steps)
-    # the strict reshard sweep with its 1-vs-4-worker byte-identity
-    # guard ...
-    assert "reshard" in runs
-    assert "run_sweep" in runs
-    assert "workers" in runs and "cmp" in runs
-    # ... the reshard fuzz arm with its own determinism guard ...
-    assert "--family reshard" in runs
-    assert "reshard-fuzz.json" in runs
-    # ... and results + shrunk replays uploaded (also on failure).
-    uploads = [step for step in steps
-               if "upload-artifact" in step.get("uses", "")]
-    assert uploads, "reshard artifact upload step missing"
-    assert uploads[0]["if"] == "always()"
-    assert "reshard-results.json" in uploads[0]["with"]["path"]
-    assert "reshard-fuzz-artifacts/" in uploads[0]["with"]["path"]
+def test_reshard_sweep_rides_the_test_jobs_smoke_sweep(workflow):
+    """The reshard sweep has no job of its own: the smoke sweep must
+    keep its reshard spec and its 1-vs-4-worker ``cmp``."""
+    from repro.runner.spec import smoke_specs
+    assert any(spec.scenario == "reshard" for spec in smoke_specs())
+    runs = " ".join(step.get("run", "")
+                    for step in workflow["jobs"]["test"]["steps"])
+    assert "python -m repro.runner --smoke --workers 4" in runs
+    assert "cmp results.json results-serial.json" in runs
 
 
 def test_service_smoke_job_gates_load_and_digests(workflow):

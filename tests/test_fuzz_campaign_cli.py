@@ -61,7 +61,7 @@ class TestCampaignDeterminism:
         import repro.fuzz.campaign as campaign_mod
         real = campaign_mod.generate_case
 
-        def exploding(seed, profile):
+        def exploding(seed, profile, family):
             raise RuntimeError("boom")
 
         # make every cell 'fail' fast so phase 2 runs, then explode there
@@ -165,6 +165,31 @@ class TestCli:
         assert artifact.case == artifact.original_case
         assert artifact.shrink == {}
         assert replay(artifact).reproduced
+
+    @pytest.mark.parametrize("argv", [
+        ["--cases", "0"], ["--cases", "-3"],
+        ["--seed", "5", "--cases", "4", "--workers", "0"],
+        ["--dry-run", "--cases", "0"],
+    ])
+    def test_vacuous_budgets_are_usage_errors(self, argv, capsys):
+        """A strict campaign over zero cases would pass having run
+        nothing — a typo'd CI budget must not."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_family_choices_and_help_come_from_the_table(self, capsys):
+        from repro.fuzz.families import FUZZ_FAMILIES
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for name, entry in FUZZ_FAMILIES.items():
+            assert f"{name} = {entry.summary}" in text
+            assert main(["--dry-run", "--family", name, "--cases", "2",
+                         "--quiet"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--family", "nope"])
 
     def test_smoke_rejects_explicit_seed_or_cases(self, capsys):
         with pytest.raises(SystemExit):

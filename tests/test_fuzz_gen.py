@@ -1,26 +1,26 @@
-"""Generator properties: reproducibility, serialization, envelope."""
+"""Generator properties of the default (swsr) family: profile, envelope.
+
+Purity, serialization and the scenario-kwargs fit are checked for every
+family at once in ``tests/test_fuzz_families.py``.
+"""
 
 import random
 
 import pytest
 
-from repro.fuzz.gen import (DEFAULT_PROFILE, ROTATION_STRATEGIES,
-                            STATIC_STRATEGIES, TOPOLOGIES, FuzzCase,
-                            FuzzProfile, generate_case)
+from repro.faults.schedule import FaultTimeline
+from repro.fuzz.families import (ROTATION_STRATEGIES, STATIC_STRATEGIES,
+                                 TOPOLOGIES)
+from repro.fuzz.gen import FuzzProfile, generate_case
 
 SEEDS = [random.Random(99).randrange(2 ** 32) for _ in range(200)]
 
 
-class TestReproducibility:
-    def test_same_seed_same_case(self):
-        for seed in SEEDS[:50]:
-            assert generate_case(seed) == generate_case(seed)
+def fault_timeline(case) -> FaultTimeline:
+    return FaultTimeline.from_dict(case.scenario_kwargs()["fault_timeline"])
 
-    def test_dict_round_trip(self):
-        for seed in SEEDS[:50]:
-            case = generate_case(seed)
-            assert FuzzCase.from_dict(case.to_dict()) == case
 
+class TestProfile:
     def test_profile_round_trip(self):
         profile = FuzzProfile(max_rotations=1, datalink_weight=0.5)
         assert FuzzProfile.from_dict(profile.to_dict()) == profile
@@ -41,24 +41,26 @@ class TestEnvelope:
 
     def test_topologies_satisfy_resilience(self, cases):
         for case in cases:
-            assert (case.n, case.t) in TOPOLOGIES
-            assert case.n >= 8 * case.t + 1
+            n, t = case.params["n"], case.params["t"]
+            assert (n, t) in TOPOLOGIES
+            assert n >= 8 * t + 1
 
     def test_workload_nonempty(self, cases):
         for case in cases:
-            assert case.num_writes >= 1 and case.num_reads >= 1
+            assert case.params["num_writes"] >= 1
+            assert case.params["num_reads"] >= 1
 
     def test_static_byzantine_within_t(self, cases):
         for case in cases:
-            assert 0 <= case.byzantine_count <= case.t
-            assert case.byzantine_strategy in STATIC_STRATEGIES
+            assert 0 <= case.params["byzantine_count"] <= case.params["t"]
+            assert case.params["byzantine_strategy"] in STATIC_STRATEGIES
 
     def test_rotations_are_responsive_and_bounded(self, cases):
         for case in cases:
             for event in case.timeline:
                 if event["kind"] != "byzantine":
                     continue
-                assert len(event["args"]["servers"]) <= case.t
+                assert len(event["args"]["servers"]) <= case.params["t"]
                 assert event["args"]["strategy"] in ROTATION_STRATEGIES
 
     def test_atomic_bursts_target_servers_only(self, cases):
@@ -68,7 +70,7 @@ class TestEnvelope:
         tests/replays/wsn-jump-atomic.json).
         """
         for case in cases:
-            if case.kind != "atomic":
+            if case.params["kind"] != "atomic":
                 continue
             for event in case.timeline:
                 if event["kind"] == "burst":
@@ -76,14 +78,14 @@ class TestEnvelope:
 
     def test_partitions_only_on_direct_transport(self, cases):
         for case in cases:
-            if case.transport == "datalink":
+            if case.params["transport"] == "datalink":
                 kinds = {event["kind"] for event in case.timeline}
                 assert "partition" not in kinds
 
     def test_transient_events_precede_workload(self, cases):
         """Assumption (b): writes start after the last transient fault."""
         for case in cases:
-            timeline = case.fault_timeline()
+            timeline = fault_timeline(case)
             start = timeline.tau_no_tr + 1.0
             for event in case.timeline:
                 if event["kind"] != "byzantine":
@@ -98,11 +100,12 @@ class TestEnvelope:
         on an empty read suffix — a vacuous verdict).
         """
         for case in cases:
-            timeline = case.fault_timeline()
+            timeline = fault_timeline(case)
             start = timeline.tau_no_tr + 1.0
-            offset = (case.reader_offset if case.reader_offset is not None
-                      else case.op_gap / 2.0)
-            last_read = start + (case.num_reads - 1) * case.op_gap + offset
+            p = case.params
+            offset = (p["reader_offset"] if p["reader_offset"] is not None
+                      else p["op_gap"] / 2.0)
+            last_read = start + (p["num_reads"] - 1) * p["op_gap"] + offset
             for event in case.timeline:
                 if event["kind"] == "byzantine":
                     # 0.05 covers the one-decimal quantization
@@ -114,10 +117,3 @@ class TestEnvelope:
         for case in cases:
             for event in case.timeline:
                 assert round(event["time"], 1) == event["time"]
-
-    def test_scenario_kwargs_are_complete(self, cases):
-        from repro.workloads.spec import ScenarioSpec
-        params = set(ScenarioSpec("swsr").defaults())
-        for case in cases[:20]:
-            kwargs = case.scenario_kwargs()
-            assert set(kwargs) <= params

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fuzz.gen import FuzzCase, FuzzProfile, generate_case
+from repro.fuzz.gen import FuzzCase, generate_case
 from repro.fuzz.harness import INJECT_ENV, confirm_case, run_case
 from repro.fuzz.shrink import shrink_case
 
@@ -24,8 +24,7 @@ def small_case(**overrides):
         ),
         max_events=2_000_000)
     base.update(overrides)
-    base["timeline"] = tuple(base["timeline"])
-    return FuzzCase(**base)
+    return FuzzCase.from_dict(base)       # the flat rendering, untagged
 
 
 class TestHarness:
@@ -83,8 +82,8 @@ class TestShrink:
         assert result.events_after == 1
         assert result.case.timeline[0]["kind"] == "burst"
         # parameter ladders fired too: minimal workload.
-        assert result.case.num_writes == 1
-        assert result.case.num_reads == 1
+        assert result.case.params["num_writes"] == 1
+        assert result.case.params["num_reads"] == 1
         assert not result.outcome.ok
 
     def test_shrinking_is_deterministic(self, monkeypatch):

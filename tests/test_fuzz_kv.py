@@ -1,54 +1,44 @@
-"""Tests of the kv fuzz family: generator, harness, campaign, shrink."""
+"""Tests of the kv fuzz family: envelope, harness, campaign.
+
+Purity, serialization, fast-path verdicts and shrink-to-replay are
+checked for every family at once in ``tests/test_fuzz_families.py``.
+"""
 
 import json
 
 import pytest
 
 from repro.fuzz.campaign import campaign_cases, campaign_spec, run_campaign
-from repro.fuzz.gen import (KV_MAX_BURST_FRACTION, FuzzCase, KVFuzzCase,
-                            case_from_dict, generate_case, generate_kv_case)
+from repro.fuzz.families import KV_MAX_BURST_FRACTION
+from repro.fuzz.gen import generate_case
 from repro.fuzz.harness import INJECT_ENV, confirm_case, run_case
-from repro.fuzz.shrink import shrink_case
 from repro.runner.adapters import run_fuzz_cell
 from repro.runner.spec import derive_seed
 
 
+def kv_case(seed):
+    return generate_case(seed, family="kv")
+
+
 class TestGenerator:
-    def test_pure_function_of_seed(self):
-        for seed in range(10):
-            assert generate_kv_case(seed) == generate_kv_case(seed)
-
-    def test_round_trips_through_json(self):
-        case = generate_kv_case(42)
-        data = json.loads(json.dumps(case.to_dict()))
-        assert data["family"] == "kv"
-        assert case_from_dict(data) == case
-
-    def test_case_from_dict_dispatches_both_families(self):
-        assert isinstance(case_from_dict(generate_case(1).to_dict()),
-                          FuzzCase)
-        assert isinstance(case_from_dict(generate_kv_case(1).to_dict()),
-                          KVFuzzCase)
+    def test_rendering_carries_the_family_tag(self):
+        assert kv_case(42).to_dict()["family"] == "kv"
 
     def test_envelope_stays_inside_the_guarantees(self):
         for seed in range(30):
-            case = generate_kv_case(seed)
-            assert case.n >= 8 * case.t + 1
-            assert case.byzantine_count <= case.t
+            case = kv_case(seed)
+            p = case.params
+            assert p["n"] >= 8 * p["t"] + 1
+            assert p["byzantine_count"] <= p["t"]
             for event in case.timeline:
-                assert 0 <= event["shard"] < case.shard_count
+                assert 0 <= event["shard"] < p["shard_count"]
                 if event["kind"] == "burst":
                     assert event["args"]["targets"] == "servers"
                     assert event["args"]["fraction"] <= \
                         KV_MAX_BURST_FRACTION
 
-    def test_generated_cases_pass_on_the_fast_path(self):
-        for seed in range(12):
-            outcome = run_case(generate_kv_case(seed), backend="null")
-            assert outcome.ok, (seed, outcome.violations)
-
     def test_scenario_kwargs_group_events_per_shard(self):
-        case = generate_kv_case(2)
+        case = kv_case(2)
         kwargs = case.scenario_kwargs()
         flattened = [event
                      for events in kwargs["fault_timelines"].values()
@@ -59,14 +49,14 @@ class TestGenerator:
 
 class TestHarness:
     def test_backend_agreement_digest_cross_check(self):
-        case = generate_kv_case(3)
+        case = kv_case(3)
         fast = run_case(case, backend="null")
         full = confirm_case(case, fast)
         assert full.ok
         assert fast.history_digest == full.history_digest
 
     def test_injected_violation_flags_kv_cases(self, monkeypatch):
-        case = generate_kv_case(5)
+        case = kv_case(5)
         if not any(event["kind"] == "burst" for event in case.timeline):
             pytest.skip("sampled case has no burst event")
         monkeypatch.setenv(INJECT_ENV, "burst")
@@ -94,10 +84,10 @@ class TestCampaign:
         assert [cell.seed for cell in spec.cells()] != \
             [cell.seed for cell in default.cells()]
 
-    def test_campaign_cases_generate_kv_cases(self):
+    def test_campaign_cases_are_kv_cases(self):
         pairs = campaign_cases(7, 3, family="kv")
         assert len(pairs) == 3
-        assert all(isinstance(case, KVFuzzCase) for _, case in pairs)
+        assert all(case.family == "kv" for _, case in pairs)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -117,21 +107,3 @@ class TestCampaign:
         assert verdicts["ok"]
         assert counters["shards"] >= 1
         assert digest
-
-
-class TestShrink:
-    def test_injected_kv_failure_shrinks(self, monkeypatch):
-        monkeypatch.setenv(INJECT_ENV, "burst")
-        case = next(generate_kv_case(seed) for seed in range(50)
-                    if any(event["kind"] == "burst"
-                           for event in generate_kv_case(seed).timeline))
-        failing = run_case(case, backend="null")
-        assert not failing.ok
-        result = shrink_case(case, known_failure=failing)
-        assert result.events_after <= result.events_before
-        # the shrunk case still fails the same way and is minimal-ish:
-        # only burst events can carry the injected signature
-        shrunk = run_case(result.case, backend="null")
-        assert "injected:burst" in shrunk.signature
-        assert all(event["kind"] == "burst"
-                   for event in result.case.timeline)

@@ -28,7 +28,8 @@ def test_corpus_is_nonempty():
                          ids=[os.path.basename(p) for p in ARTIFACTS])
 def test_artifact_parses_and_is_self_contained(path):
     artifact = ReplayArtifact.load(path)
-    assert artifact.case.num_reads >= 1
+    assert artifact.case.family == "swsr"     # the corpus is untagged
+    assert artifact.case.params["num_reads"] >= 1
     assert artifact.signature, "artifact without recorded violations"
     assert artifact.shrink is not None
     assert artifact.original_case is not None

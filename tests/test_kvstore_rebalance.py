@@ -190,36 +190,34 @@ class TestReshardScenario:
 
 
 class TestReshardFuzzFamily:
-    def test_generator_is_pure_and_round_trips(self):
-        from repro.fuzz import ReshardFuzzCase, generate_reshard_case
-        from repro.fuzz.gen import case_from_dict
-        for seed in (0, 1, 7, 20260808):
-            case = generate_reshard_case(seed)
-            assert case == generate_reshard_case(seed)
-            assert isinstance(case, ReshardFuzzCase)
-            clone = case_from_dict(json.loads(json.dumps(case.to_dict())))
-            assert clone == case
+    """The reshard arm's plan envelope and ring-preserving ladder (purity,
+    round-trips and shrink-to-replay: ``tests/test_fuzz_families.py``)."""
 
     def test_generated_plans_are_statically_feasible(self):
         from repro.faults.schedule import RESHARD_KINDS
-        from repro.fuzz.gen import generate_reshard_case
+        from repro.fuzz.gen import generate_case
+        from repro.workloads.scenarios import _reshard_plan
         for seed in range(16):
-            case = generate_reshard_case(seed)
-            plan = case.plan_events()
-            assert plan, "every reshard case carries a plan"
-            times = [event["time"] for event in plan]
+            case = generate_case(seed, family="reshard")
+            assert case.family == "reshard"
+            # the flat timeline folds back into the plan, in order
+            plan = case.scenario_kwargs()["reshard_plan"]
+            assert plan["events"] == [
+                event for event in case.timeline
+                if event["kind"] in RESHARD_KINDS]
+            assert plan["events"], "every reshard case carries a plan"
+            times = [event["time"] for event in plan["events"]]
             assert times == sorted(times) and len(set(times)) == len(times)
-            assert all(event["kind"] in RESHARD_KINDS for event in plan)
             # the scenario's own static validation must accept it
-            kwargs = case.scenario_kwargs()
-            from repro.workloads.scenarios import _reshard_plan
-            _reshard_plan(kwargs["reshard_plan"], case.shard_count)
+            _reshard_plan(plan, case.params["shard_count"])
 
     def test_shrink_ladder_keeps_the_ring_shape(self):
-        from repro.fuzz.gen import generate_reshard_case
+        from repro.fuzz.gen import generate_case
         from repro.fuzz.shrink import _parameter_candidates
-        case = generate_reshard_case(42)
-        for label, candidate in _parameter_candidates(case):
-            assert candidate.shard_count == case.shard_count, label
-            assert candidate.vnodes == case.vnodes, label
+        case = generate_case(42, family="reshard")
+        candidates = _parameter_candidates(case)
+        assert candidates
+        for label, candidate in candidates:
+            for fixed in ("shard_count", "vnodes"):
+                assert candidate.params[fixed] == case.params[fixed], label
             assert candidate.timeline == case.timeline, label

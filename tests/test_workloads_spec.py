@@ -42,6 +42,36 @@ class TestValidation:
             ScenarioSpec(7)
 
 
+class TestCountsAreRangeChecked:
+    """``byzantine_count=99`` on n=9 used to slice all nine servers into
+    the Byzantine set, and ``-1`` — like a negative op count — was read
+    as zero: each under a verdict that looked earned.  The shared steps
+    reject them, so every family built on those steps does."""
+
+    @pytest.mark.parametrize("family", sorted(
+        name for name, entry in FAMILIES.items()
+        if "byzantine_count" in entry.defaults))
+    @pytest.mark.parametrize("count", [99, 10, -1])
+    def test_byzantine_count_outside_0_to_n(self, family, count):
+        with pytest.raises(ValueError, match=r"byzantine_count.*0\.\.n=9"):
+            run_scenario(family, byzantine_count=count)
+
+    def test_more_than_t_up_to_n_stays_legal(self):
+        # the bound-tightness experiments put more than t servers under
+        # the adversary on purpose.
+        result = run_scenario("swsr", byzantine_count=9, num_writes=1,
+                              num_reads=1, max_events=20_000)
+        assert len(result.cluster.byzantine_ids) == 9
+
+    @pytest.mark.parametrize("family", sorted(
+        name for name, entry in FAMILIES.items()
+        if "num_writes" in entry.defaults))
+    @pytest.mark.parametrize("name", ["num_writes", "num_reads"])
+    def test_negative_op_counts(self, family, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            run_scenario(family, **{name: -1})
+
+
 class TestSpecValue:
     def test_equality_and_round_trip(self):
         spec = ScenarioSpec("swsr", seed=1, num_writes=2)
