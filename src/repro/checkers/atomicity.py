@@ -192,6 +192,7 @@ def check_linearizable(history: History, initial: Any = None,
         return None
 
     witness = dfs(frozenset(range(n)), initial, [])
+    del dfs  # it reaches itself via its closure cell: a cycle holding ``seen``
     if witness is None:
         return LinearizabilityResult(False, None, explored)
     return LinearizabilityResult(True, [ops[i] for i in witness], explored)

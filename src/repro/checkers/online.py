@@ -816,6 +816,7 @@ class StreamingLinearizer(OnlineChecker):
                     dfs(remaining - {i}, op.value)
 
         dfs(frozenset(range(len(ops))), entry)
+        del dfs  # it reaches itself via its closure cell: a cycle holding ``seen``
         return finals
 
     # -- results -----------------------------------------------------------

@@ -5,6 +5,8 @@
   (:mod:`~repro.datalink.alternating_bit`),
 * the ss-broadcast abstraction with two interchangeable transports
   (:mod:`~repro.datalink.ss_broadcast`).
+
+Packets and acks in transit are non-cancellable scheduler calls.
 """
 
 from .alternating_bit import AlternatingBitReceiver, AlternatingBitSender

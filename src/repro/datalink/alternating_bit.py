@@ -19,6 +19,11 @@ within one bit phase.
 :class:`AlternatingBitSender` additionally queues messages so a stream can
 be pushed through one at a time, preserving the FIFO *order delivery*
 property of ss-broadcast.
+
+A channel hands every arrival, garbage of any type included, straight to
+:meth:`AlternatingBitReceiver.on_packet` (forward) or
+:meth:`AlternatingBitSender.on_ack` (reverse); each drops what is not its
+packet class.
 """
 
 from __future__ import annotations
@@ -69,11 +74,11 @@ class AlternatingBitSender:
         if self._current is None:
             self._start_next()
 
-    def on_ack(self, ack: AckPacket) -> None:
-        """Feed an acknowledgement packet arriving on the reverse channel."""
-        if self._current is None:
-            return  # stale or garbage ack outside any send: ignore
-        if ack.bit != self._bit or getattr(ack, "tag", 0) != self._tag:
+    def on_ack(self, ack: Any) -> None:
+        """Feed whatever arrives on the reverse channel."""
+        if self._current is None or not isinstance(ack, AckPacket):
+            return  # garbage, or a stale ack outside any send: ignore
+        if ack.bit != self._bit or ack.tag != self._tag:
             return  # ack of another bit phase or message: stale, ignore
         self._acks_for_bit += 1
         if self._acks_for_bit >= self.cap + 1:
@@ -115,11 +120,16 @@ class AlternatingBitSender:
     def _transmit(self) -> None:
         if self._current is None:
             return
-        body = self._current[0]
-        self.link.send(DataPacket(self._bit, body, self._tag))
-        self._cancel_timer()
-        self._timer = self.scheduler.schedule(
-            self.retry_interval, self._transmit, label="ab-retry")
+        self.link.send(DataPacket(self._bit, self._current[0], self._tag))
+        # re-arm the retry timer: ``_cancel_timer`` and ``schedule``
+        # inlined, as this runs once per transmitted packet
+        timer = self._timer
+        if timer is not None:
+            timer.cancel()
+        scheduler = self.scheduler
+        self._timer = scheduler.schedule_at(
+            scheduler.now + self.retry_interval, self._transmit,
+            label="ab-retry")
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -140,8 +150,11 @@ class AlternatingBitReceiver:
         self.prev: Optional[tuple] = None
         self.deliveries = 0
 
-    def on_packet(self, packet: DataPacket) -> None:
-        tag = getattr(packet, "tag", 0)
+    def on_packet(self, packet: Any) -> None:
+        """Feed whatever arrives on the forward channel."""
+        if not isinstance(packet, DataPacket):
+            return  # non-packet garbage on the raw channel: dropped
+        tag = packet.tag
         self.ack_link.send(AckPacket(packet.bit, tag))
         if packet.bit == 1 and self.prev == (0, tag):
             self.deliveries += 1

@@ -10,12 +10,16 @@ create packets after the last transient failure.
 scheduler.  It is deliberately *not* a :class:`repro.sim.network.Link`:
 the reliable FIFO links of the basic model are what the ss-broadcast
 abstraction *provides on top of* these weaker channels.
+
+A packet in transit is one non-cancellable scheduler call, ``(time, seq,
+BoundedCapacityLink._arrive, link, packet)``; a :class:`FixedDelay` is read
+as a constant, the way the network's fused sends inline the uniform draw.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable, List
+from typing import Any, Callable, Iterable
 
 from ..sim.network import DelayModel, FixedDelay
 from ..sim.scheduler import Scheduler
@@ -26,7 +30,8 @@ class BoundedCapacityLink:
 
     Packets offered while ``cap`` packets are already in flight are dropped
     (counted in :attr:`dropped`).  Use :meth:`preload` to model arbitrary
-    initial channel content.
+    initial channel content.  ``deliver(packet)`` receives every arrival,
+    garbage included; telling packets from garbage is the receiver's job.
     """
 
     def __init__(self, scheduler: Scheduler, src: str, dst: str, cap: int,
@@ -55,24 +60,30 @@ class BoundedCapacityLink:
             self.dropped += 1
             return False
         self.in_flight += 1
-        delay = self.delay_model.sample(self.src, self.dst, packet, self.rng)
-        delivery_time = max(self.scheduler.now + delay, self._last_delivery)
-        self._last_delivery = delivery_time
-        self.scheduler.schedule_at(delivery_time, self._arrive, packet,
-                                   label=f"dl:{self.src}->{self.dst}")
+        model = self.delay_model
+        delay = (model.delay if type(model) is FixedDelay
+                 else model.sample(self.src, self.dst, packet, self.rng))
+        scheduler = self.scheduler
+        delivery_time = scheduler.now + delay
+        if delivery_time < self._last_delivery:    # FIFO
+            delivery_time = self._last_delivery
+        else:
+            self._last_delivery = delivery_time
+        scheduler.schedule_call(delivery_time, BoundedCapacityLink._arrive,
+                                self, packet)
         return True
 
     def preload(self, packets: Iterable[Any]) -> int:
         """Fill the channel with arbitrary initial content (up to ``cap``).
 
-        Returns how many packets were actually placed.
+        Returns how many packets were placed (at most ``cap``).  Each counts
+        in :attr:`offered`, like traffic; none counts as :attr:`dropped`.
         """
         placed = 0
         for packet in packets:
             if self.in_flight >= self.cap:
                 break
             self.send(packet)
-            # send() counted it as offered; undo the double count of drops
             placed += 1
         return placed
 

@@ -16,11 +16,13 @@ Two layers:
 
 :class:`SSMsg` is built once per broadcast and the same object is handed
 to all ``n`` servers, so it is frozen: a Byzantine strategy must not be
-able to edit what the other servers will read.  :class:`SSConfirm` and
-:class:`SSReply` are built per delivery for a single receiver — nothing
-to guard, and a frozen dataclass pays one ``object.__setattr__`` per field
-on the hottest allocation of a run — so they are plain slotted classes
-that still compare, hash, print and pickle by value.
+able to edit what the other servers will read.  :class:`SSConfirm`,
+:class:`SSReply`, :class:`DataPacket` and :class:`AckPacket` are built
+per transmission for a single receiver — nothing to guard, and a frozen
+dataclass pays one ``object.__setattr__`` per field on the hottest
+allocations of a run (a datalink cell builds tens of thousands of
+packets) — so they are plain slotted classes that still compare, hash,
+print and pickle by value.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class SSReply:
     payload: Any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataPacket:
     """Alternating-bit data packet ``(bit, m)`` of the footnote-3 protocol.
 
@@ -68,7 +70,7 @@ class DataPacket:
     tag: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AckPacket:
     """Alternating-bit acknowledgement ``(bit, ack)``, echoing the tag."""
 

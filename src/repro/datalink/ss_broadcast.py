@@ -18,7 +18,9 @@ Two interchangeable client-side transports:
   (``repro.datalink.alternating_bit``).  A broadcast completes when the
   data-link handshake finished towards ``n - t`` servers; handshake
   completion implies the receiver delivered, giving the same guarantee from
-  weaker channels.
+  weaker channels.  Each channel hands its arrivals straight to a bound
+  method of the half it feeds, and the client is polled only when a send
+  completes — an ack by itself cannot end a wait.
 
 Both carry a substrate *phase token* used to correlate algorithm-level
 acknowledgements with the broadcast they answer (DESIGN.md §2.5).
@@ -27,7 +29,7 @@ acknowledgements with the broadcast they answer (DESIGN.md §2.5).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..sim.network import DelayModel, FixedDelay
 from ..sim.process import Process
@@ -36,7 +38,7 @@ from ..sim.scheduler import Scheduler
 from ..sim.trace import BROADCAST
 from .alternating_bit import AlternatingBitReceiver, AlternatingBitSender
 from .bounded_link import BoundedCapacityLink
-from .packets import AckPacket, DataPacket, SSConfirm, SSMsg
+from .packets import SSConfirm, SSMsg
 
 
 class BroadcastHandle:
@@ -151,42 +153,31 @@ class DataLinkClientTransport(ClientTransport):
         for server_id, server in server_processes.items():
             fwd_rng = randomness.stream(f"dl:{process.pid}->{server_id}")
             rev_rng = randomness.stream(f"dl:{server_id}->{process.pid}")
-            sender_holder: List[AlternatingBitSender] = []
 
-            def make_receiver_deliver(server=server, client_id=process.pid):
-                def deliver(body: Any) -> None:
-                    # body is (phase, payload); garbage bodies from preloaded
-                    # channel content may have any shape -> Validity allows
-                    # delivering them; guard the unpack.
-                    if isinstance(body, tuple) and len(body) == 2:
-                        server.ss_deliver(client_id, body[1], body[0])
-                return deliver
+            def deliver(body: Any, server=server,
+                        client_id=process.pid) -> None:
+                # body is (phase, payload); garbage bodies from preloaded
+                # channel content may have any shape -> Validity allows
+                # delivering them; guard the unpack.
+                if isinstance(body, tuple) and len(body) == 2:
+                    server.ss_deliver(client_id, body[1], body[0])
 
+            # each channel calls its receiver's bound method; the reverse
+            # channel is wired once the sender it feeds exists
             reverse = BoundedCapacityLink(
-                scheduler, server_id, process.pid, cap,
-                deliver=lambda pkt, holder=sender_holder: self._on_ack(holder, pkt),
+                scheduler, server_id, process.pid, cap, deliver=None,
                 delay_model=delay, rng=rev_rng)
-            receiver = AlternatingBitReceiver(reverse, make_receiver_deliver())
+            receiver = AlternatingBitReceiver(reverse, deliver)
             forward = BoundedCapacityLink(
                 scheduler, process.pid, server_id, cap,
-                deliver=lambda pkt, recv=receiver: self._on_data(recv, pkt),
-                delay_model=delay, rng=fwd_rng)
+                deliver=receiver.on_packet, delay_model=delay, rng=fwd_rng)
             sender = AlternatingBitSender(scheduler, forward, retry_interval)
-            sender_holder.append(sender)
+            # no poll per ack: only a completed send can end a wait, and
+            # its ``confirm`` callback (``begin``) polls
+            reverse.deliver = sender.on_ack
             self.senders[server_id] = sender
             self.forward_links[server_id] = forward
             self.reverse_links[server_id] = reverse
-
-    @staticmethod
-    def _on_data(receiver: AlternatingBitReceiver, packet: Any) -> None:
-        if isinstance(packet, DataPacket):
-            receiver.on_packet(packet)
-        # non-DataPacket garbage on the raw channel is silently dropped
-
-    def _on_ack(self, holder: List[AlternatingBitSender], packet: Any) -> None:
-        if holder and isinstance(packet, AckPacket):
-            holder[0].on_ack(packet)
-            self.process.poll()
 
     def begin(self, payload: Any) -> BroadcastHandle:
         phase = next(self._phases)

@@ -37,19 +37,25 @@ the entry on recording backends.  Otherwise it is replaced by the link's
 scheduler is the calendar kernel (``type(scheduler) is Scheduler`` —
 observed, not configured), the first send over an up link compiles a
 closure capturing the link, its delay model's ``sample`` method, its RNG
-stream and the calendar's geometry, so every later send is one dict hit
-plus straight-line arithmetic — no attribute chases, no intermediate
-frames, no :class:`EventHandle`, only the delivery tuple allocated.  The
-closure self-checks ``down_votes`` (so a partition can never be raced
-past) and is dropped whenever the link's delay model is swapped.
+stream, the destination's receiver and the calendar's geometry, so every
+later send is one dict hit plus straight-line arithmetic — no attribute
+chases, no intermediate frames, no :class:`EventHandle`, only the
+delivery tuple allocated.  The closure self-checks ``down_votes`` (so a
+partition can never be raced past) and is dropped whenever the link's
+delay model is swapped.
 
-When message details are recorded (a :class:`~repro.sim.trace.FullTrace`
-debugging run) deliveries are labelled, cancellable scheduler events so
-trace and queue stay inspectable; otherwise they are fused
-``schedule_delivery`` entries.  All three routes consume identical
-``(time, seq)`` pairs, so executions are bit-identical across backends
-and against the :class:`~repro.sim.scheduler.HeapScheduler` oracle, which
-always takes the general path.
+Delivery path
+-------------
+Every route files the same non-cancellable scheduler entry, ``(time,
+seq, receiver, src, message)``, fired as ``receiver(src, message)``.  A
+destination's *receiver*, fixed when it registers, is its bound
+``Process.deliver`` (the one copy of the wake rule) or, when the backend
+records or counts deliveries, a wrapper that records and then calls it.
+:attr:`Network.messages_delivered` sums what ``Process.deliver`` counted.
+Fused and general sends consume identical ``(time, seq)`` pairs, so
+executions are bit-identical across backends and against the
+:class:`~repro.sim.scheduler.HeapScheduler` oracle, which always takes
+the general path.
 """
 
 from __future__ import annotations
@@ -225,7 +231,6 @@ class Network:
         self.processes: Dict[str, Process] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         self.messages_sent = 0
-        self.messages_delivered = 0
         self.messages_dropped = 0
         # Cache the backend's appetite once: these decide, per message,
         # between the recording path and the fused constant-cost path.
@@ -239,16 +244,23 @@ class Network:
         self._fast_path = (not self._rec_send and not self._counting
                            and type(scheduler) is Scheduler)
         self._outboxes: Dict[str, Outbox] = {}
-        if not self._rec_deliver and not self._counting:
-            scheduler.bind_delivery(self._deliver_fast)
-        else:
-            scheduler.bind_delivery(self._deliver)
+        #: pid -> what a delivery to it calls (see "Delivery path")
+        self._receivers: Dict[str, Callable[[str, Any], None]] = {}
 
     # -- topology ---------------------------------------------------------
     def register(self, process: Process) -> Process:
         self.processes[process.pid] = process
+        self._receivers[process.pid] = (
+            partial(self._record_delivery, process)
+            if self._rec_deliver or self._counting else process.deliver)
         process.outbox = self._outbox(process.pid)
         return process
+
+    @property
+    def messages_delivered(self) -> int:
+        """Messages delivered so far, on every route and backend."""
+        return sum(process.messages_received
+                   for process in self.processes.values())
 
     def _outbox(self, src: str) -> Outbox:
         outbox = self._outboxes.get(src)
@@ -353,32 +365,28 @@ class Network:
                       link.next_delivery_time(now, message))
 
     def _enqueue(self, link: Link, message: Any, now: float,
-                 delivery_time: float, label_prefix: str = "",
-                 **detail: Any) -> None:
-        """Count ``message`` onto ``link`` and schedule its delivery:
-        a SEND record (with the caller's extra ``detail``) plus a
-        labelled, cancellable event when the backend records sends, a
-        fused ``schedule_delivery`` entry otherwise."""
+                 delivery_time: float, **detail: Any) -> None:
+        """Count ``message`` onto ``link``, account for the SEND (a record
+        with the caller's extra ``detail`` when the backend wants one) and
+        file its delivery to the destination's receiver."""
         src, dst = link.src, link.dst
         link.messages_sent += 1
         self.messages_sent += 1
         if self._rec_send:
             self.trace.emit(now, SEND, src, dst=dst, msg=message, **detail)
-            self.scheduler.schedule_at(
-                delivery_time, self._deliver, src, dst, message,
-                label=f"{label_prefix}{src}->{dst}")
-        else:
-            if self._counting:
-                self.trace.tick(now, SEND)
-            self.scheduler.schedule_delivery(delivery_time, src, dst, message)
+        elif self._counting:
+            self.trace.tick(now, SEND)
+        self.scheduler.schedule_call(delivery_time, self._receivers[dst],
+                                     src, message)
 
     def _compile_fast_send(self, link: Link) -> Callable[[Any], None]:
         """Compile the per-link fused send closure.
 
         Everything immutable is captured at compile time (endpoints, the
-        delay model's bound ``sample``, the link RNG, the scheduler's
-        calendar geometry); mutable scheduler state (clock, cursor, base,
-        overflow heap) is read through the scheduler each call.  The
+        delay model's bound ``sample``, the link RNG, the destination's
+        receiver, the scheduler's calendar geometry); mutable scheduler
+        state (clock, cursor, base, overflow heap) is read through the
+        scheduler each call.  The
         closure performs exactly the slow path's effects for an up link —
         same counters, same FIFO clamp, same ``(time, seq)`` consumption —
         and bails back to :meth:`_send_slow` whenever the link has down
@@ -402,6 +410,7 @@ class Network:
             lo = span = None
         sample = model.sample
         rand = rng.random
+        receiver = self._receivers[dst]
         buckets = sched._buckets
         invw = sched._inv_width
         nb = sched._nb
@@ -425,7 +434,7 @@ class Network:
             if time < now:
                 raise SchedulerError(
                     f"cannot schedule at {time}, current time is {now}")
-            entry = (time, next(seq), src, dst, message)
+            entry = (time, next(seq), receiver, src, message)
             # inlined Scheduler._insert
             idx = int((time - sched._base) * invw)
             cur = sched._cur
@@ -455,43 +464,14 @@ class Network:
             offset = spread * (index + 1) / (len(garbage) + 1)
             delivery_time = max(now + offset, link.last_delivery)
             link.last_delivery = delivery_time
-            self._enqueue(link, message, now, delivery_time, "preload:",
-                          preload=True)
+            self._enqueue(link, message, now, delivery_time, preload=True)
 
-    def _deliver(self, src: str, dst: str, message: Any) -> None:
-        process = self.processes.get(dst)
-        if process is None:  # pragma: no cover - defensive
-            raise UnknownProcessError(f"process {dst!r} vanished")
-        self.messages_delivered += 1
+    def _record_delivery(self, process: Process, src: str,
+                         message: Any) -> None:
+        """The receiver of ``process`` on a recording or counting backend."""
+        now = self.scheduler.now
         if self._rec_deliver:
-            self.trace.emit(self.scheduler.now, DELIVER, dst, src=src,
-                            msg=message)
-        elif self._counting:
-            self.trace.tick(self.scheduler.now, DELIVER)
+            self.trace.emit(now, DELIVER, process.pid, src=src, msg=message)
+        else:
+            self.trace.tick(now, DELIVER)
         process.deliver(src, message)
-
-    def _deliver_fast(self, src: str, dst: str, message: Any) -> None:
-        """Delivery with ``Process.deliver`` inlined (non-recording runs).
-
-        ``deliver`` is pinned as "do not override", so expanding it here
-        — ``on_message``, then its wake rule — drops frames per message
-        without changing behaviour.  A process with no coroutine pays one
-        attribute test; one blocked on an edge-triggered condition reads
-        that flag and is done, unless the arrival was a crossing.
-        """
-        try:
-            process = self.processes[dst]
-        except KeyError:  # pragma: no cover - defensive
-            raise UnknownProcessError(f"process {dst!r} vanished") from None
-        self.messages_delivered += 1
-        crossed = process.on_message(src, message)
-        if process._current_gen is not None:
-            condition = process._current_cond
-            if crossed or condition is None:
-                process.poll()
-            # a level condition is re-checked after every delivery;
-            # ``poll`` returns immediately while it is unsatisfied, so
-            # pre-check it here and skip the frame for the common
-            # no-progress delivery
-            elif not condition.edge_triggered and condition.satisfied():
-                process.poll()

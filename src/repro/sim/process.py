@@ -27,8 +27,9 @@ delivery: a :class:`Deadline` (a delivery whose timestamp ties the deadline
 must still win on sequence number), a :class:`Predicate` (its callable may
 read anything — the datalink transports' handle variants wait through
 one), and any composite holding either.  The rule is written once, in
-:meth:`Process.deliver`; ``Network._deliver_fast`` inlines it.  Timers and
-explicit :meth:`Process.poll` calls always re-evaluate.
+:meth:`Process.deliver`, which every network delivery calls (directly, or
+through a recording wrapper).  Timers and explicit :meth:`Process.poll`
+calls always re-evaluate.
 
 A process sends through its :attr:`Process.outbox`, the ``dst ->
 send(message)`` mapping ``Network.register`` installs: how a message
@@ -279,6 +280,8 @@ class Process:
         #: ``dst -> send(message)``, this process's side of the network;
         #: installed by ``Network.register``, which owns what is in it.
         self.outbox: Optional[Dict[str, Callable[[Any], None]]] = None
+        #: deliveries so far (``Network.messages_delivered`` sums these)
+        self.messages_received = 0
         self.corruptible: Dict[str, CorruptibleVar] = {}
         self._current_op: Optional[OperationHandle] = None
         self._current_gen: Optional[OpGenerator] = None
@@ -297,10 +300,15 @@ class Process:
         edge-triggered condition is re-evaluated only when ``on_message``
         reports a crossing, anything else after every delivery.
         """
+        self.messages_received += 1
         crossed = self.on_message(src, message)
         if self._current_gen is not None:
             condition = self._current_cond
-            if crossed or condition is None or not condition.edge_triggered:
+            if crossed or condition is None:
+                self.poll()
+            # a level condition: pre-check it, so the common no-progress
+            # delivery skips the ``poll`` frame
+            elif not condition.edge_triggered and condition.satisfied():
                 self.poll()
 
     def on_message(self, src: str, message: Any) -> Optional[bool]:

@@ -13,17 +13,19 @@ atomically at its scheduled instant.
 Two kinds of queue entry share the structure (plain tuples, so ordering
 comparisons run at C speed and never look past the unique ``seq``):
 
-* ``(time, seq, handle)`` — a generic, cancellable event carrying an
-  :class:`EventHandle` (timers, fault injections, drivers);
-* ``(time, seq, src, dst, message)`` — a fused message-delivery event.
-  The network registers its delivery callback once via
-  :meth:`Scheduler.bind_delivery`; per-message scheduling then allocates
-  nothing but the tuple itself.  Deliveries are not cancellable — exactly
-  the property that makes the fast path safe.
+* ``(time, seq, handle)`` — a cancellable event carrying an
+  :class:`EventHandle`, filed by :meth:`Scheduler.schedule_at` (timers,
+  fault injections, operation kicks, drivers);
+* ``(time, seq, fn, a, b)`` — a non-cancellable call ``fn(a, b)``, filed
+  by :meth:`Scheduler.schedule_call`: every network delivery
+  (``receiver(src, message)``) and every footnote-3 packet or ack arrival
+  (``BoundedCapacityLink._arrive(link, packet)``).  The tuple is the
+  whole event — no handle, no label, no argument tuple to unpack.
 
-Both kinds consume sequence numbers from the same counter, so the
-``(time, seq)`` total order — and therefore every simulated execution —
-is identical whichever path scheduled an event.
+Timers keep handles because they get cancelled, and a cancelled entry is
+dropped unfired, never counted in ``events_processed``.  Both kinds draw
+``seq`` from one counter, so the ``(time, seq)`` total order — hence every
+execution — does not depend on which form an event took.
 
 Calendar queue
 --------------
@@ -114,7 +116,6 @@ class Scheduler:
         self.events_processed: int = 0
         #: not-yet-fired, not-cancelled entries (kept O(1)-queryable).
         self._live = 0
-        self._deliver_fn: Optional[Callable[[str, str, Any], None]] = None
         # calendar state: buckets[_cur] is the active bucket and is always
         # in heap order; buckets past _cur are plain appended lists;
         # entries at or beyond the horizon wait in the _far overflow heap.
@@ -147,31 +148,20 @@ class Scheduler:
         self._insert(time, (time, next(self._seq), handle))
         return handle
 
-    def bind_delivery(self, deliver: Callable[[str, str, Any], None]) -> None:
-        """Register the message-delivery callback used by the fused path.
+    def schedule_call(self, time: float, fn: Callable[[Any, Any], Any],
+                      a: Any, b: Any) -> None:
+        """Schedule the non-cancellable call ``fn(a, b)`` at ``time``.
 
-        Called once by the network; :meth:`schedule_delivery` events route
-        through it.
-        """
-        self._deliver_fn = deliver
-
-    def schedule_delivery(self, time: float, src: str, dst: str,
-                          message: Any) -> None:
-        """Fast path: schedule a non-cancellable message delivery.
-
-        Skips :class:`EventHandle` allocation entirely — the queue entry is
-        the event.  Requires :meth:`bind_delivery` to have been called.
-        Delivery times come from delay models that never go backwards, so
-        the past-check is an assertion of substrate correctness, same as in
+        The queue entry is the event: no :class:`EventHandle` is
+        allocated and nothing can cancel it, so use it only for events
+        that always fire (message, packet and ack arrivals).  The
+        past-check is an assertion of substrate correctness, as in
         :meth:`schedule_at`.
         """
         if time < self.now:
             raise SchedulerError(
                 f"cannot schedule at {time}, current time is {self.now}")
-        if self._deliver_fn is None:
-            raise SchedulerError("no delivery callback bound "
-                                 "(Scheduler.bind_delivery)")
-        self._insert(time, (time, next(self._seq), src, dst, message))
+        self._insert(time, (time, next(self._seq), fn, a, b))
 
     def _insert(self, time: float, entry: Tuple) -> None:
         """File one entry by quantized time.
@@ -281,7 +271,7 @@ class Scheduler:
         self.events_processed += 1
         self._live -= 1
         if len(entry) == 5:
-            self._deliver_fn(entry[2], entry[3], entry[4])
+            entry[2](entry[3], entry[4])
         else:
             handle = entry[2]
             handle.fired = True
@@ -323,7 +313,6 @@ class Scheduler:
             # in the active bucket (same-tick children join it on insert),
             # so the whole run pops here without re-peeking the calendar.
             bucket = buckets[self._cur]
-            deliver = self._deliver_fn
             while True:
                 if budget is not None:
                     if budget <= 0:
@@ -336,7 +325,7 @@ class Scheduler:
                 self.events_processed += 1
                 self._live -= 1
                 if len(entry) == 5:
-                    deliver(entry[2], entry[3], entry[4])
+                    entry[2](entry[3], entry[4])
                 else:
                     handle = entry[2]
                     handle.fired = True
@@ -364,7 +353,6 @@ class Scheduler:
             return
         budget = max_events
         buckets = self._buckets
-        deliver = self._deliver_fn
         while budget > 0:
             # inline pop of the next live entry (the per-event hot loop of
             # every scenario run — one function call saved per event pays
@@ -387,7 +375,7 @@ class Scheduler:
             self.events_processed += 1
             self._live -= 1
             if len(entry) == 5:
-                deliver(entry[2], entry[3], entry[4])
+                entry[2](entry[3], entry[4])
             else:
                 handle = entry[2]
                 handle.fired = True
@@ -408,7 +396,7 @@ class HeapScheduler(Scheduler):
     nothing here to get wrong but the ``(time, seq)`` order itself.
     Order, ``until``, budget and error semantics are :class:`Scheduler`'s.
     The network never fuses sends into this kernel, so a run on it also
-    exercises the general ``schedule_delivery`` path.  ``run`` and
+    exercises the network's general send path.  ``run`` and
     ``run_until`` cannot be inherited: the calendar loops read buckets.
     """
 

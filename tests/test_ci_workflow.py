@@ -76,11 +76,13 @@ def test_perf_smoke_job_smokes_the_profiler(workflow):
     steps = workflow["jobs"]["perf-smoke"]["steps"]
     runs = " ".join(step.get("run", "") for step in steps)
     # one single-cluster cell, one sharded (kv: the MWMR scan, and the
-    # profiler's per-shard event sum) — each must report events
-    assert runs.count("repro-profile --family") == 2
+    # profiler's per-shard event sum), one over the footnote-3 data link
+    # (packets and acks as scheduler calls) — each must report events
+    assert runs.count("repro-profile --family") == 3
     assert "repro-profile --family swsr" in runs
     assert "repro-profile --family kv --param" in runs and "rounds=1" in runs
-    assert runs.count("['events_processed'] > 0") == 2
+    assert "--param transport=datalink" in runs
+    assert runs.count("['events_processed'] > 0") == 3
     uploads = [step for step in steps
                if "upload-artifact" in step.get("uses", "")]
     assert "profile.json" in uploads[0]["with"]["path"].split()

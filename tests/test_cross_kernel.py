@@ -70,3 +70,23 @@ def test_kernels_agree_on_larger_swsr_cell(backend, monkeypatch):
     calendar = _run_on(monkeypatch, "swsr", params, Scheduler)
     heap = _run_on(monkeypatch, "swsr", params, HeapScheduler)
     assert calendar == heap
+
+
+#: the footnote-3 transport: packets and acks are call entries filed by
+#: ``BoundedCapacityLink``, retries cancellable timers, replies network mail
+DATALINK_CELLS = {
+    "async": dict(seed=3, kind="atomic", n=9, t=1, num_writes=2,
+                  num_reads=2, transport="datalink"),
+    "sync": dict(seed=3, n=10, t=3, synchronous=True, num_writes=2,
+                 num_reads=2, transport="datalink"),
+}
+
+
+@pytest.mark.parametrize("backend", [None, "null"])
+@pytest.mark.parametrize("cell", sorted(DATALINK_CELLS))
+def test_kernels_agree_on_datalink_cells(cell, backend, monkeypatch):
+    params = dict(DATALINK_CELLS[cell], trace_backend=backend)
+    calendar = _run_on(monkeypatch, "swsr", params, Scheduler)
+    heap = _run_on(monkeypatch, "swsr", params, HeapScheduler)
+    assert calendar == heap
+    assert calendar.completed and calendar.events_processed > 1000

@@ -1,31 +1,29 @@
 """Unit tests for the footnote-3 alternating-bit stabilizing data link."""
 
+import pytest
+
 from repro.datalink.alternating_bit import (AlternatingBitReceiver,
                                             AlternatingBitSender)
 from repro.datalink.bounded_link import BoundedCapacityLink
 from repro.datalink.packets import AckPacket, DataPacket
 from repro.sim.network import FixedDelay
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import HeapScheduler, Scheduler
 
 
-def make_pair(cap=2, delay=0.05, retry=0.2):
-    """A sender/receiver pair wired over bounded forward/ack channels."""
-    scheduler = Scheduler()
+def make_pair(cap=2, delay=0.05, retry=0.2, scheduler=None):
+    """A sender/receiver pair wired over bounded forward/ack channels,
+    each channel calling its receiver's bound method (as the datalink
+    transport wires them)."""
+    scheduler = scheduler or Scheduler()
     delivered = []
-    sender_box = []
-    ack_link = BoundedCapacityLink(
-        scheduler, "b", "a", cap,
-        deliver=lambda packet: sender_box[0].on_ack(packet)
-        if isinstance(packet, AckPacket) else None,
-        delay_model=FixedDelay(delay))
+    ack_link = BoundedCapacityLink(scheduler, "b", "a", cap, deliver=None,
+                                   delay_model=FixedDelay(delay))
     receiver = AlternatingBitReceiver(ack_link, delivered.append)
-    forward = BoundedCapacityLink(
-        scheduler, "a", "b", cap,
-        deliver=lambda packet: receiver.on_packet(packet)
-        if isinstance(packet, DataPacket) else None,
-        delay_model=FixedDelay(delay))
+    forward = BoundedCapacityLink(scheduler, "a", "b", cap,
+                                  deliver=receiver.on_packet,
+                                  delay_model=FixedDelay(delay))
     sender = AlternatingBitSender(scheduler, forward, retry_interval=retry)
-    sender_box.append(sender)
+    ack_link.deliver = sender.on_ack
     return scheduler, sender, receiver, forward, ack_link, delivered
 
 
@@ -119,3 +117,38 @@ def test_retransmission_overcomes_channel_loss():
     sender.enqueue("tough")
     scheduler.run(until=500.0)
     assert delivered == ["tough"]
+
+
+@pytest.mark.parametrize("kernel", [Scheduler, HeapScheduler])
+def test_preloaded_garbage_of_any_shape_flushes_within_one_bit_phase(kernel):
+    """Arbitrary initial content on both channels — objects that are not
+    packets, a data packet with a tag no message uses, the other half's
+    packet class — is consumed before the first bit phase ends: it never
+    counts as an ack, is never ss-delivered, and the real message goes
+    through exactly once on the non-cancellable arrival path."""
+    scheduler, sender, receiver, forward, ack_link, delivered = make_pair(
+        cap=4, scheduler=kernel())
+    garbage_forward = ["junk", None, DataPacket(0, "ghost", tag=9),
+                       AckPacket(0, tag=1)]
+    garbage_reverse = [("junk",), DataPacket(1, "stray", tag=1),
+                       AckPacket(1, tag=9), 42]
+    assert forward.preload(garbage_forward) == 4
+    assert ack_link.preload(garbage_reverse) == 4
+    arrivals = []
+    for link in (forward, ack_link):
+        def logged(packet, _inner=link.deliver):
+            arrivals.append((scheduler.now, packet, sender._bit))
+            _inner(packet)
+        link.deliver = logged
+    done = []
+    sender.enqueue("real", on_complete=lambda: done.append(scheduler.now))
+    scheduler.run(until=100.0)
+    assert delivered == ["real"] and len(done) == 1 and sender.idle
+    garbage = [(time, bit) for time, packet, bit in arrivals
+               if any(packet is junk
+                      for junk in garbage_forward + garbage_reverse)]
+    assert len(garbage) == 8
+    # every garbage arrival lands while the first message is still in its
+    # bit-0 phase: flushed within one bit phase
+    assert all(bit == 0 for _, bit in garbage)
+    assert max(time for time, _ in garbage) < done[0]

@@ -59,6 +59,37 @@ def test_preload_fills_up_to_capacity():
     assert received == ["g1", "g2"]
 
 
+def test_preload_past_capacity_places_exactly_cap_and_drops_nothing():
+    scheduler, link, received = make_link(cap=3)
+    placed = link.preload(f"g{index}" for index in range(7))
+    assert placed == 3 == link.in_flight
+    # every placed packet was offered through send(); none was dropped
+    assert (link.offered, link.dropped) == (3, 0)
+    assert link.preload(["more"]) == 0 and link.offered == 3
+    scheduler.run()
+    assert received == ["g0", "g1", "g2"]
+
+
+def test_arrivals_are_call_entries_in_fifo_order():
+    """Packets are non-cancellable scheduler calls: each takes one
+    ``(time, seq)`` pair and one event, and a later packet with a shorter
+    delay still arrives after an earlier one (the FIFO clamp)."""
+    from repro.sim.network import ScriptedDelay
+    scheduler = Scheduler()
+    received = []
+    delays = iter([2.0, 0.5, 3.0])
+    link = BoundedCapacityLink(
+        scheduler, "a", "b", 5,
+        deliver=lambda packet: received.append((scheduler.now, packet)),
+        delay_model=ScriptedDelay(lambda *_args: next(delays)))
+    for packet in ("p0", "p1", "p2"):
+        link.send(packet)
+    assert scheduler.pending_count() == 3
+    scheduler.run()
+    assert received == [(2.0, "p0"), (2.0, "p1"), (3.0, "p2")]
+    assert scheduler.events_processed == 3
+
+
 def test_counters():
     scheduler, link, received = make_link(cap=1)
     link.send("a")

@@ -140,3 +140,28 @@ def test_validity_initial_link_garbage_may_deliver():
     assert handle.done
     cluster.run()
     assert all("real" in items for items in log.deliveries.values())
+
+
+def _golden_cells():
+    import json
+    import os
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "datalink_cells.json")
+    with open(path) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("backend", ["full", "counting", "null"])
+@pytest.mark.parametrize("cell", ["async", "sync"])
+def test_datalink_cells_match_their_golden_summaries(cell, backend):
+    """Two small datalink cells, pinned as generated before packets and
+    acks moved to non-cancellable scheduler calls: every packet still
+    takes one ``(time, seq)`` pair, so nothing observable may move."""
+    from repro.api import run_scenario
+    golden = _golden_cells()[cell]
+    result = run_scenario("swsr", **dict(golden["params"],
+                                         trace_backend=backend))
+    summary = result.summarize().to_dict()
+    assert summary["events_processed"] == \
+        golden["summary"]["events_processed"]
+    assert summary == golden["summary"]

@@ -40,15 +40,19 @@ def test_message_fields():
 
 
 def test_reply_side_messages_are_plain_values_with_the_frozen_contract():
-    """Built per delivery for one receiver: no frozen ``__init__``, but
-    the same field names, ``repr``, ``==``, ``hash`` and pickling."""
+    """Built per delivery (or, for the footnote-3 packets, per
+    transmission) for one receiver: no frozen ``__init__``, but the same
+    field names, ``repr``, ``==``, ``hash`` and pickling."""
     import pickle
 
-    from repro.datalink.packets import SSConfirm, SSReply
+    from repro.datalink.packets import AckPacket, DataPacket, SSConfirm, SSReply
 
     samples = [
         (SSConfirm(3), "SSConfirm(phase=3)", (3,)),
         (SSReply(3, "x"), "SSReply(phase=3, payload='x')", (3, "x")),
+        (DataPacket(1, (4, "x"), 5), "DataPacket(bit=1, body=(4, 'x'), tag=5)",
+         (1, (4, "x"), 5)),
+        (AckPacket(0, 5), "AckPacket(bit=0, tag=5)", (0, 5)),
         (AckWrite("reg", BOT), "AckWrite(reg_id='reg', helping_val=⊥)",
          ("reg", BOT)),
         (AckRead("reg", 1, 2),
@@ -65,6 +69,10 @@ def test_reply_side_messages_are_plain_values_with_the_frozen_contract():
             assert clone == message and type(clone) is cls
         assert not hasattr(message, "__dict__")
     assert SSReply(3, AckWrite("reg", BOT)) == SSReply(3, AckWrite("reg", BOT))
+    # the tag defaults to 0, as the frozen packets' did
+    assert DataPacket(0, "m") == DataPacket(0, "m", 0)
+    assert AckPacket(1) == AckPacket(1, 0) != AckPacket(1, 1)
+    assert {DataPacket(0, "m"), DataPacket(0, "m", 0)} == {DataPacket(0, "m")}
     assert pickle.loads(pickle.dumps(AckWrite("reg", BOT))).helping_val is BOT
 
 

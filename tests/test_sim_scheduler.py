@@ -178,34 +178,43 @@ def test_empty_run_returns_immediately():
 
 
 # ----------------------------------------------------------------------
-# fused delivery events and O(1) pending bookkeeping
+# non-cancellable call events and O(1) pending bookkeeping
 # ----------------------------------------------------------------------
-def test_schedule_delivery_requires_bound_callback():
+def test_schedule_call_needs_no_bound_callback():
+    """Every call entry carries its own ``fn(a, b)``: two receivers share
+    one queue, nothing is registered first, and no handle comes back."""
     sched = Scheduler()
-    with pytest.raises(SchedulerError):
-        sched.schedule_delivery(1.0, "a", "b", "msg")
+    fired = []
+    assert sched.schedule_call(
+        1.0, lambda a, b: fired.append(("one", a, b)), "x", 1) is None
+    sched.schedule_call(1.0, lambda a, b: fired.append(("two", a, b)),
+                        "y", 2)
+    sched.run()
+    assert fired == [("one", "x", 1), ("two", "y", 2)]
+    assert sched.events_processed == 2
 
 
 def test_fused_and_generic_events_share_total_order():
     sched = Scheduler()
     fired = []
-    sched.bind_delivery(lambda src, dst, msg: fired.append(("dlv", src, dst,
-                                                            msg)))
+
+    def deliver(src, msg):
+        fired.append(("dlv", src, msg))
+
     # same virtual time: insertion order (seq) must decide
     sched.schedule_at(1.0, lambda: fired.append(("cb", 1)))
-    sched.schedule_delivery(1.0, "a", "b", "m1")
+    sched.schedule_call(1.0, deliver, "a", "m1")
     sched.schedule_at(1.0, lambda: fired.append(("cb", 2)))
-    sched.schedule_delivery(0.5, "a", "b", "m0")
+    sched.schedule_call(0.5, deliver, "a", "m0")
     sched.run()
-    assert fired == [("dlv", "a", "b", "m0"), ("cb", 1),
-                     ("dlv", "a", "b", "m1"), ("cb", 2)]
+    assert fired == [("dlv", "a", "m0"), ("cb", 1),
+                     ("dlv", "a", "m1"), ("cb", 2)]
     assert sched.events_processed == 4
 
 
 def test_fused_deliveries_count_as_pending():
     sched = Scheduler()
-    sched.bind_delivery(lambda src, dst, msg: None)
-    sched.schedule_delivery(1.0, "a", "b", "m")
+    sched.schedule_call(1.0, lambda src, msg: None, "a", "m")
     sched.schedule(2.0, lambda: None)
     assert sched.pending_count() == 2
     sched.run()
@@ -231,13 +240,12 @@ def test_cancel_after_fire_is_a_noop():
     assert sched.pending_count() == 0
 
 
-def test_schedule_delivery_rejects_past():
+def test_schedule_call_rejects_past():
     sched = Scheduler()
-    sched.bind_delivery(lambda src, dst, msg: None)
     sched.schedule(1.0, lambda: None)
     sched.run()
     with pytest.raises(SchedulerError):
-        sched.schedule_delivery(0.5, "a", "b", "m")
+        sched.schedule_call(0.5, lambda src, msg: None, "a", "m")
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +255,8 @@ def _build_soup(sched, log, rng_seed):
     """Load a randomized event soup onto ``sched``, logging every firing.
 
     The soup exercises everything the batched drain could get wrong:
-    long runs of equal timestamps, fused deliveries interleaved with
-    generic handles, callbacks that schedule more events *at the current
+    long runs of equal timestamps, call entries interleaved with
+    cancellable handles, callbacks that schedule more events *at the current
     tick* (they must join the run in seq order), callbacks that cancel
     not-yet-fired handles, and pre-cancelled entries sitting at the heap
     head.  Identical seeds build identical soups, so two schedulers can
@@ -256,8 +264,10 @@ def _build_soup(sched, log, rng_seed):
     """
     import random
     rng = random.Random(rng_seed)
-    sched.bind_delivery(lambda src, dst, msg: log.append(
-        ("dlv", sched.now, src, dst, msg)))
+
+    def deliver(src, msg):
+        log.append(("dlv", sched.now, src, msg))
+
     # a handful of coarse ticks so same-time runs are long
     ticks = sorted(rng.choice([1.0, 1.0, 2.0, 3.0]) for _ in range(40))
     cancellable = []
@@ -276,7 +286,7 @@ def _build_soup(sched, log, rng_seed):
     for index, tick in enumerate(ticks):
         kind = rng.random()
         if kind < 0.4:
-            sched.schedule_delivery(tick, "a", "b", f"m{index}")
+            sched.schedule_call(tick, deliver, "a", f"m{index}")
         elif kind < 0.8:
             sched.schedule_at(tick, spawn, f"e{index}", 0)
         else:
@@ -361,8 +371,10 @@ def _build_far_soup(sched, log, rng_seed):
     """
     import random
     rng = random.Random(rng_seed)
-    sched.bind_delivery(lambda src, dst, msg: log.append(
-        ("dlv", sched.now, src, dst, msg)))
+
+    def deliver(src, msg):
+        log.append(("dlv", sched.now, src, msg))
+
     cancellable = []
 
     def spawn(tag, depth):
@@ -386,7 +398,7 @@ def _build_far_soup(sched, log, rng_seed):
                            400.0, 1000.0, 5000.0])
         kind = rng.random()
         if kind < 0.4:
-            sched.schedule_delivery(time, "a", "b", f"m{index}")
+            sched.schedule_call(time, deliver, "a", f"m{index}")
         elif kind < 0.8:
             sched.schedule_at(time, spawn, f"e{index}", 0)
         else:

@@ -1,8 +1,9 @@
 """The shipped wake rule vs the re-poll-always oracle.
 
 A delivery re-evaluates a pending *edge-triggered* wait condition only
-when ``on_message`` reports a crossing (``Process.deliver``, inlined by
-``Network._deliver_fast``).  The rule it replaced — re-evaluate after
+when ``on_message`` reports a crossing (``Process.deliver``, the one
+place the rule is written: every network route delivers through it).
+The rule it replaced — re-evaluate after
 every delivery — is what every condition still gets when it is *level*,
 so forcing every condition class to level is an executable reference for
 the shipped rule, the way ``HeapScheduler`` is for the calendar kernel.
@@ -12,17 +13,21 @@ No option selects it: the tests patch the class attribute.
   conditions (synchronous deadlines, datalink handles) and a moving
   adversary, full summaries compared under the fused and the general
   delivery path;
-* counts: what the rule saves, in ``satisfied()`` calls, which repeat
-  exactly for a seed on any machine;
+* counts: what the rule saves, in ``satisfied()`` calls, and what the
+  datalink transport saves in polls, which repeat exactly for a seed on
+  any machine;
 * unit level: the arrivals that could lose or fake a wake.
 """
+
+from functools import partial
 
 import pytest
 
 from repro.api import run_scenario
-from repro.datalink.packets import SSConfirm, SSReply
+from repro.datalink.packets import AckPacket, SSConfirm, SSReply
+from repro.datalink.ss_broadcast import DataLinkClientTransport
 from repro.registers.system import Cluster, ClusterConfig
-from repro.sim.process import WaitCondition
+from repro.sim.process import Process, WaitCondition
 
 from test_cross_kernel import FAMILY_CELLS
 
@@ -88,8 +93,8 @@ def test_edge_and_level_rules_produce_identical_summaries(cell, backend,
 
 #: ``satisfied()`` calls on the cell below at the parent of the change
 #: that introduced the rule, per trace backend.  ``counting`` delivers
-#: through ``Process.deliver``: its bound fails if the rule lives only in
-#: the fused path.
+#: through a recording receiver, ``null`` straight into
+#: ``Process.deliver``: the bound holds on both routes.
 REPOLL_ALWAYS_EVALUATIONS = {"null": 216_037, "counting": 203_437}
 
 
@@ -116,6 +121,57 @@ def test_forcing_level_restores_a_poll_per_delivery(monkeypatch):
     assert calls[0] > 2 * shipped
 
 
+#: ``Process.poll`` calls on the ``swsr-datalink`` cell, on either
+#: backend, at the parent of the change that stopped polling the client
+#: after every ack arrival; 720 of them were those ack polls.
+DATALINK_POLLS_WITH_ACK_POLLS = 802
+
+
+def _poll_after_every_ack(monkeypatch):
+    """The oracle: wrap each reverse channel to poll the client after an
+    ack arrives, as the transport used to."""
+    init = DataLinkClientTransport.__init__
+
+    def init_then_wrap(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for link in self.reverse_links.values():
+            def deliver(packet, _on_ack=link.deliver, _transport=self):
+                _on_ack(packet)
+                if isinstance(packet, AckPacket):
+                    _transport.process.poll()
+            link.deliver = deliver
+    monkeypatch.setattr(DataLinkClientTransport, "__init__", init_then_wrap)
+
+
+@pytest.mark.parametrize("backend", [None, "null"])
+def test_datalink_polls_fall_by_exactly_the_ack_count(backend, monkeypatch):
+    """An ack never ends a wait by itself — a completed send does, and
+    its confirmation polls — so the poll per ack was pure cost."""
+    family, params = CELLS["swsr-datalink"]
+    params = dict(params, trace_backend=backend)
+    polls = [0]
+    inner = Process.poll
+
+    def counted(self):
+        polls[0] += 1
+        inner(self)
+    monkeypatch.setattr(Process, "poll", counted)
+    runs = []
+    for oracle in (False, True):
+        with monkeypatch.context() as patch:
+            if oracle:
+                _poll_after_every_ack(patch)
+            polls[0] = 0
+            result = run_scenario(family, **params)
+            acks = sum(link.delivered for client in result.cluster.clients
+                       for link in client.transport.reverse_links.values())
+            runs.append((result.summarize(), polls[0], acks))
+    (shipped, shipped_polls, acks), (oracle, oracle_polls, oracle_acks) = runs
+    assert shipped == oracle and acks == oracle_acks == 720
+    assert oracle_polls == DATALINK_POLLS_WITH_ACK_POLLS
+    assert shipped_polls == oracle_polls - acks
+
+
 # -- the arrivals that could lose or fake a wake ---------------------------
 
 N, T = 9, 1
@@ -124,11 +180,16 @@ QUORUM = N - T
 
 class _Harness:
     """One client blocked in a hand-driven operation; messages are handed
-    to it directly, through ``Process.deliver`` or the fused delivery."""
+    to it directly through ``Process.deliver``, or sent over the network's
+    fused path and delivered by the scheduler."""
 
     def __init__(self, fused, monkeypatch):
         self.cluster = Cluster(ClusterConfig(n=N, t=T, trace_backend="null"))
         self.client = self.cluster.make_client("c")
+        # the client's broadcasts are dropped: no server ever answers, so
+        # the only mail it gets is what the test hands over
+        for server in self.cluster.server_ids:
+            self.cluster.network.set_link_up("c", server, up=False)
         self.fused = fused
         self.stages = []
         self.polls = 0
@@ -141,7 +202,7 @@ class _Harness:
 
     def start(self, generator):
         handle = self.client.start_operation("op", generator)
-        self.client.poll()      # the kick, without running the servers
+        self.cluster.scheduler.run()    # the kick; the broadcast is lost
         self.polls = 0
         return handle
 
@@ -149,7 +210,10 @@ class _Harness:
         """Hand over ``message``; return whether the client was polled."""
         before = self.polls
         if self.fused:
-            self.cluster.network._deliver_fast(server, "c", message)
+            self.cluster.network.send(server, "c", message)
+            assert not isinstance(self.cluster.server(server).outbox["c"],
+                                  partial)
+            self.cluster.scheduler.run()
         else:
             self.client.deliver(server, message)
         return self.polls > before
