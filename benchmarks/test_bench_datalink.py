@@ -15,7 +15,7 @@ from repro.workloads.spec import run_scenario
 
 def _packets_per_broadcast(cap: int, broadcasts: int = 3) -> float:
     cluster = Cluster(ClusterConfig(n=9, t=1, seed=700, transport="datalink",
-                                    datalink_cap=cap, record_kinds=set()))
+                                    datalink_cap=cap, trace_backend="null"))
     client = cluster.make_client("w")
     for index in range(broadcasts):
         handle = client.start_operation(

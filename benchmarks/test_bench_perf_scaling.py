@@ -20,7 +20,7 @@ from repro.sim.network import AsyncDelay, Network
 from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import build_trace
+from repro.sim.trace import BACKENDS, build_trace
 from repro.workloads.spec import run_scenario
 
 ARTIFACT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -166,13 +166,13 @@ def test_p1d_simcore_throughput_vs_trace_backend(report):
     """
     rates = {}
     events = 0
-    for backend in ("full", "counting", "null"):
+    for backend in BACKENDS:
         rates[backend], events = _best_of(3, _message_storm, backend)
 
     # end-to-end scenario throughput rides along for context: protocol
     # work (quorums, coroutines) dilutes the substrate win here.
     scenario_rates = {}
-    for backend in ("full", "null"):
+    for backend in BACKENDS:
         def scenario_rate(backend=backend):
             started = time.perf_counter()
             result = run_scenario("swsr", kind="regular", n=25, t=3, seed=7,
@@ -187,10 +187,10 @@ def test_p1d_simcore_throughput_vs_trace_backend(report):
 
     table = Table("P1d  simulation-core throughput (events/sec)",
                   ["workload", "backend", "events/sec", "vs full"])
-    for backend in ("full", "counting", "null"):
+    for backend in BACKENDS:
         table.row("message storm", backend, int(rates[backend]),
                   f"{rates[backend] / rates['full']:.2f}x")
-    for backend in ("full", "null"):
+    for backend in BACKENDS:
         table.row("SWSR n=25 scenario", backend,
                   int(scenario_rates[backend]),
                   f"{scenario_rates[backend] / scenario_rates['full']:.2f}x")
@@ -236,7 +236,7 @@ def test_p1e_backends_agree_on_execution(report):
     """
     digests = {}
     messages = {}
-    for backend in ("full", "counting", "null"):
+    for backend in BACKENDS:
         result = run_scenario("swsr", kind="atomic", n=9, t=1, seed=77,
                               num_writes=4, num_reads=4,
                               corruption_times=[2.0],

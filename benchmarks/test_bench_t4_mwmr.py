@@ -52,7 +52,7 @@ def test_t4b_seq_exhaustion_renewal(benchmark, report):
 
     def run_exhaustion():
         cluster = Cluster(ClusterConfig(n=9, t=1, seed=401,
-                                        record_kinds=set()))
+                                        trace_backend="null"))
         register = build_mwmr(cluster, 2, seq_bound=4)
         for index in range(6):
             cluster.run_ops([register.write("p1", f"v{index}")],
@@ -74,7 +74,7 @@ def test_t4b_seq_exhaustion_renewal(benchmark, report):
 def test_t4c_corrupted_epoch_antichain(benchmark, report):
     def run_antichain():
         cluster = Cluster(ClusterConfig(n=9, t=1, seed=402,
-                                        record_kinds=set()))
+                                        trace_backend="null"))
         register = build_mwmr(cluster, 3)
         cluster.run_ops([register.write("p1", "before")],
                         max_events=4_000_000)

@@ -39,6 +39,18 @@ def _parse_param(text: str) -> tuple:
     return key, value
 
 
+def _line_count(text: str) -> int:
+    # ``lines[-0:]`` is the whole file and ``lines[1:]`` all but one line
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _emit(payload: Dict[str, Any], quiet: bool) -> None:
     if not quiet:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -147,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     tail = sub.add_parser("tail", help="print the last lines of a "
                                        "JSON-lines file")
     tail.add_argument("file")
-    tail.add_argument("-n", "--lines", type=int, default=10)
+    tail.add_argument("-n", "--lines", type=_line_count, default=10,
+                      help="how many lines (default 10, at least 1)")
     tail.set_defaults(func=cmd_tail)
     return parser
 

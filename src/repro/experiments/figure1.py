@@ -103,7 +103,7 @@ class Figure1Result:
 
 def run_figure1(kind: str = "regular", seed: int = 0) -> Figure1Result:
     """Run the Figure-1 schedule against a regular or atomic register."""
-    config = ClusterConfig(n=17, t=2, seed=seed, record_kinds=set())
+    config = ClusterConfig(n=17, t=2, seed=seed, trace_backend="null")
     cluster = Cluster(config, delay_model=ScriptedDelay(_figure1_chooser))
     if kind == "regular":
         writer, reader = build_swsr_regular(cluster, initial="v_init")

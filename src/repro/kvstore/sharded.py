@@ -4,7 +4,8 @@
 shared server pool.  :class:`ShardedKVStore` scales that out the way a
 production deployment would: ``S`` independent :class:`~repro.registers
 .system.Cluster` pools (one per shard, each with its own scheduler,
-trace, randomness and network), a consistent-hash ring placing each key
+trace — recording nothing unless ``trace_backend="full"`` — randomness
+and network), a consistent-hash ring placing each key
 on exactly one shard, and hash-derived per-shard seeds so the pools'
 random streams are independent.
 
@@ -46,16 +47,16 @@ class ShardedKVStore:
     Construction knobs mirror :class:`~repro.kvstore.store
     .StabilizingKVStore` — ``n``/``t`` size *each* shard's pool, and any
     extra :class:`~repro.registers.system.ClusterConfig` keyword applies
-    to every shard.  ``trace_backend`` defaults to ``"null"`` (the fast
-    path): a service-layer store is throughput-bound, and recording can
-    be switched back on per instance for debugging.
+    to every shard.  ``trace_backend`` defaults to ``"null"`` (record
+    nothing, fused sends): a service-layer store is throughput-bound, and
+    ``"full"`` switches recording back on per instance for debugging.
     """
 
     def __init__(self, shard_count: int = 4, n: int = 9, t: int = 1,
                  seed: int = 0, client_count: int = 2,
                  seq_bound: int = DEFAULT_SEQ_BOUND,
                  wsn_config: Optional[WsnConfig] = None,
-                 trace_backend: Optional[str] = "null",
+                 trace_backend: str = "null",
                  vnodes: int = 64, client_prefix: str = "c",
                  **config_kwargs: Any):
         if shard_count < 1:

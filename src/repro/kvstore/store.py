@@ -123,6 +123,6 @@ class StabilizingKVStore:
 def build_kv_store(n: int = 9, t: int = 1, seed: int = 0,
                    client_count: int = 2, **config_kwargs) -> StabilizingKVStore:
     """One-liner constructor: cluster + store."""
-    cluster = Cluster(ClusterConfig(n=n, t=t, seed=seed, record_kinds=set(),
+    cluster = Cluster(ClusterConfig(n=n, t=t, seed=seed, trace_backend="null",
                                     **config_kwargs))
     return StabilizingKVStore(cluster, client_count=client_count)

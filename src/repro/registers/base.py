@@ -24,7 +24,7 @@ from ..datalink.ss_broadcast import (BroadcastHandle, ClientTransport,
                                      DirectServerTransport)
 from ..sim.process import Predicate, Process, WaitCondition
 from ..sim.scheduler import Scheduler
-from ..sim.trace import NOTE, Trace
+from ..sim.trace import NOTE, TraceBackend
 from .messages import BOT
 
 
@@ -203,7 +203,7 @@ class ServerProcess(Process):
     at runtime.
     """
 
-    def __init__(self, pid: str, scheduler: Scheduler, trace: Trace):
+    def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend):
         super().__init__(pid, scheduler, trace)
         self.automatons: Dict[str, ServerAutomaton] = {}
         self.strategy = None
@@ -267,7 +267,7 @@ class RegisterClientProcess(Process):
     *later* broadcasts, and a correct server sends exactly one.
     """
 
-    def __init__(self, pid: str, scheduler: Scheduler, trace: Trace):
+    def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend):
         super().__init__(pid, scheduler, trace)
         self.transport: Optional[ClientTransport] = None
         self._replies: Dict[int, _PhaseReplies] = {}

@@ -24,7 +24,7 @@ from typing import Any, Generator, Optional, Tuple
 
 from ..sim.process import WaitCondition
 from ..sim.scheduler import Scheduler
-from ..sim.trace import Trace
+from ..sim.trace import TraceBackend
 from .base import (QuorumParams, RegisterClientProcess, ServerAutomaton,
                    ServerProcess, value_with_quorum)
 from .bounded_seq import WsnConfig
@@ -184,7 +184,7 @@ class AtomicReaderRole(_RoleBase):
 class AtomicWriter(RegisterClientProcess):
     """Stand-alone writer process for the practically atomic register."""
 
-    def __init__(self, pid: str, scheduler: Scheduler, trace: Trace,
+    def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend,
                  reg_id: str, params: QuorumParams,
                  config: Optional[WsnConfig] = None):
         super().__init__(pid, scheduler, trace)
@@ -201,7 +201,7 @@ class AtomicWriter(RegisterClientProcess):
 class AtomicReader(RegisterClientProcess):
     """Stand-alone reader process for the practically atomic register."""
 
-    def __init__(self, pid: str, scheduler: Scheduler, trace: Trace,
+    def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend,
                  reg_id: str, params: QuorumParams,
                  config: Optional[WsnConfig] = None, initial: Any = None):
         super().__init__(pid, scheduler, trace)

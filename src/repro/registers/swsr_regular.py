@@ -24,7 +24,7 @@ from typing import Any, Generator, List, Optional, Tuple
 from ..datalink.packets import SSReply
 from ..sim.process import AnyOf, Deadline, Predicate, WaitCondition
 from ..sim.scheduler import Scheduler
-from ..sim.trace import Trace
+from ..sim.trace import TraceBackend
 from .base import (QuorumParams, RegisterClientProcess, ServerAutomaton,
                    ServerProcess, first_k, value_with_quorum)
 from .messages import BOT, AckRead, AckWrite, NewHelpVal, Read, Write
@@ -184,7 +184,7 @@ class RegularReaderRole(_RoleBase):
 class RegularWriter(RegisterClientProcess):
     """Stand-alone writer process ``p_w`` hosting one writer role."""
 
-    def __init__(self, pid: str, scheduler: Scheduler, trace: Trace,
+    def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend,
                  reg_id: str, params: QuorumParams):
         super().__init__(pid, scheduler, trace)
         self.role = RegularWriterRole(self, reg_id, params)
@@ -200,7 +200,7 @@ class RegularWriter(RegisterClientProcess):
 class RegularReader(RegisterClientProcess):
     """Stand-alone reader process ``p_r`` hosting one reader role."""
 
-    def __init__(self, pid: str, scheduler: Scheduler, trace: Trace,
+    def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend,
                  reg_id: str, params: QuorumParams):
         super().__init__(pid, scheduler, trace)
         self.role = RegularReaderRole(self, reg_id, params)

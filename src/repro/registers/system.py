@@ -2,8 +2,11 @@
 
 A :class:`Cluster` owns the scheduler, trace, randomness, network and the
 ``n`` server processes of the paper's client/server architecture, plus the
-(n, t) quorum arithmetic.  Register factories then attach clients and
-server automatons:
+(n, t) quorum arithmetic.  The trace records every event by default
+(``ClusterConfig.trace_backend="full"``, what unit tests inspect);
+``"null"`` records nothing and puts every send on the network's fused
+path, which is what the scenario families and the KV layers run on.
+Register factories then attach clients and server automatons:
 
 >>> cluster = Cluster(ClusterConfig(n=9, t=1, seed=7))
 >>> writer, reader = build_swsr_regular(cluster)
@@ -59,18 +62,9 @@ class ClusterConfig:
     #: refuse (n, t) outside the paper's resilience bound unless disabled
     #: (the bound-tightness experiments disable it deliberately).
     enforce_resilience: bool = True
-    #: trace kinds to record; None records everything (tests), an empty set
-    #: records nothing but still counts (benches).
-    record_kinds: Optional[set] = None
-    #: trace backend: "full" (record events, honouring ``record_kinds``),
-    #: "counting" (per-kind counters only) or "null" (retain nothing —
-    #: the fast path).  None keeps the historical behaviour: "full",
-    #: filtered by ``record_kinds``.
-    trace_backend: Optional[str] = None
-
-    def build_trace(self):
-        return build_trace(self.trace_backend or "full",
-                           record_kinds=self.record_kinds)
+    #: trace backend: "full" (record every event) or "null" (record
+    #: nothing — the fused send path).
+    trace_backend: str = "full"
 
     def delay_model(self) -> DelayModel:
         if self.synchronous:
@@ -85,7 +79,7 @@ class Cluster:
                  delay_model: Optional[DelayModel] = None):
         self.config = config
         self.scheduler = Scheduler()
-        self.trace = config.build_trace()
+        self.trace = build_trace(config.trace_backend)
         self.randomness = RandomSource(config.seed)
         self.network = Network(self.scheduler, self.randomness, self.trace,
                                default_delay=delay_model or config.delay_model())

@@ -35,11 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the built-in CI smoke sweep "
                              "(SWSR + MWMR + Figure 1)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes (default 1 = inline)")
+                        help="worker processes (default 1 = inline; at "
+                             "least 1)")
     parser.add_argument("--out", metavar="PATH",
                         help="write the canonical sweep JSON here")
     parser.add_argument("--max-cells", type=int, default=None, metavar="N",
-                        help="truncate the expansion after N cells")
+                        help="truncate the expansion after N cells (at "
+                             "least 1)")
     parser.add_argument("--table", action="store_true",
                         help="print the per-cell claims matrix")
     parser.add_argument("--strict", action="store_true",
@@ -61,7 +63,14 @@ def _load_specs(args: argparse.Namespace) -> List[SweepSpec]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # a negative budget would slice cells off the end, a zero one would
+    # make --strict pass on nothing.
+    for flag, value in (("workers", args.workers),
+                        ("max-cells", args.max_cells)):
+        if value is not None and value < 1:
+            parser.error(f"--{flag} must be at least 1, got {value}")
     try:
         specs = _load_specs(args)
     except (OSError, ValueError, KeyError) as exc:

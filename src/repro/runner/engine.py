@@ -111,13 +111,18 @@ def run_sweep(specs: Union[SweepSpec, Iterable[SweepSpec]],
               max_cells: Optional[int] = None) -> SweepResult:
     """Expand ``specs`` and run every cell, fanning out over processes.
 
-    ``workers <= 1`` runs inline (no pool, easiest to debug); ``workers >
+    ``workers == 1`` runs inline (no pool, easiest to debug); ``workers >
     1`` uses a ``ProcessPoolExecutor``.  Either way the result list is
     sorted by cell id, so downstream output does not depend on the
     execution schedule.  ``max_cells`` truncates the expansion (smoke/CI
     budget guard); truncation is visible in the returned spec list count
-    vs cell count, and the CLI reports it.
+    vs cell count, and the CLI reports it.  Either count below 1 raises
+    :class:`ValueError`.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if max_cells is not None and max_cells < 1:
+        raise ValueError(f"max_cells must be at least 1, got {max_cells}")
     if isinstance(specs, SweepSpec):
         specs = [specs]
     specs = list(specs)
@@ -125,7 +130,7 @@ def run_sweep(specs: Union[SweepSpec, Iterable[SweepSpec]],
     if max_cells is not None:
         cells = cells[:max_cells]
     started = time.perf_counter()
-    if workers <= 1 or len(cells) <= 1:
+    if workers == 1 or len(cells) <= 1:
         results = [execute_cell(cell) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=min(workers,

@@ -15,12 +15,12 @@ from .process import (AllOf, AnyOf, Deadline, OperationHandle, Predicate,
                       Process, WaitCondition, join_all)
 from .random_source import RandomSource, derive_seed
 from .scheduler import EventHandle, HeapScheduler, Scheduler
-from .trace import (BROADCAST, CountingTrace, DELIVER, DROP, FAULT, FullTrace,
-                    NOTE, NullTrace, OP_INVOKE, OP_RESPONSE, SEND, TIMER,
-                    Trace, TraceBackend, TraceEvent, build_trace)
+from .trace import (BROADCAST, DELIVER, DROP, FAULT, FullTrace, NOTE,
+                    NullTrace, OP_INVOKE, OP_RESPONSE, SEND, TIMER,
+                    TraceBackend, TraceEvent, build_trace)
 
 __all__ = [
-    "AllOf", "AnyOf", "AsyncDelay", "BROADCAST", "CountingTrace", "DELIVER",
+    "AllOf", "AnyOf", "AsyncDelay", "BROADCAST", "DELIVER",
     "DROP", "Deadline",
     "DelayModel", "EventHandle", "FAULT", "FixedDelay", "FullTrace", "Link",
     "LinkError",
@@ -29,7 +29,7 @@ __all__ = [
     "OperationError",
     "OperationHandle", "Predicate", "Process", "RandomSource", "SEND",
     "SchedulerError", "Scheduler", "ScriptedDelay", "SimulationError",
-    "SimulationLimitReached", "SyncDelay", "TIMER", "Trace", "TraceBackend",
+    "SimulationLimitReached", "SyncDelay", "TIMER", "TraceBackend",
     "TraceEvent",
     "UnknownProcessError", "WaitCondition", "build_trace",
     "derive_seed", "join_all",

@@ -32,9 +32,9 @@ every send in the code base — :meth:`Network.send`, ``Process.send`` and
 the inlined protocol hot paths — is the one indexed call
 ``outbox[dst](message)``.  A miss validates ``dst`` and files the
 general path (partitions, trace recording) bound to that link; it stays
-the entry on recording backends.  Otherwise it is replaced by the link's
-*fused* closure: when the backend records nothing per message and the
-scheduler is the calendar kernel (``type(scheduler) is Scheduler`` —
+the entry on a recording backend.  Otherwise it is replaced by the link's
+*fused* closure: when the backend records nothing and the scheduler is
+the calendar kernel (``type(scheduler) is Scheduler`` —
 observed, not configured), the first send over an up link compiles a
 closure capturing the link, its delay model's ``sample`` method, its RNG
 stream, the destination's receiver and the calendar's geometry, so every
@@ -42,7 +42,9 @@ later send is one dict hit plus straight-line arithmetic — no attribute
 chases, no intermediate frames, no :class:`EventHandle`, only the
 delivery tuple allocated.  The closure self-checks ``down_votes`` (so a
 partition can never be raced past) and is dropped whenever the link's
-delay model is swapped.
+delay model is swapped.  The general path thus carries only a
+:class:`~repro.sim.trace.FullTrace` run's sends, sends over partitioned
+links and the :class:`~repro.sim.scheduler.HeapScheduler` oracle.
 
 Delivery path
 -------------
@@ -50,12 +52,10 @@ Every route files the same non-cancellable scheduler entry, ``(time,
 seq, receiver, src, message)``, fired as ``receiver(src, message)``.  A
 destination's *receiver*, fixed when it registers, is its bound
 ``Process.deliver`` (the one copy of the wake rule) or, when the backend
-records or counts deliveries, a wrapper that records and then calls it.
+records, a wrapper that records the delivery and then calls it.
 :attr:`Network.messages_delivered` sums what ``Process.deliver`` counted.
 Fused and general sends consume identical ``(time, seq)`` pairs, so
-executions are bit-identical across backends and against the
-:class:`~repro.sim.scheduler.HeapScheduler` oracle, which always takes
-the general path.
+executions are bit-identical across backends and against the oracle.
 """
 
 from __future__ import annotations
@@ -232,17 +232,12 @@ class Network:
         self.links: Dict[Tuple[str, str], Link] = {}
         self.messages_sent = 0
         self.messages_dropped = 0
-        # Cache the backend's appetite once: these decide, per message,
-        # between the recording path and the fused constant-cost path.
-        self._rec_send = trace.wants(SEND)
-        self._rec_deliver = trace.wants(DELIVER)
-        self._rec_drop = trace.wants(DROP)
-        self._counting = trace.counting
+        #: whether sends, deliveries and drops are recorded
+        self._records = trace.records
         # Fused per-link send closures are compiled (lazily, on first
-        # send) only when the backend records nothing per message and the
-        # scheduler is the kernel they inline; see module docstring.
-        self._fast_path = (not self._rec_send and not self._counting
-                           and type(scheduler) is Scheduler)
+        # send) only when the backend records nothing and the scheduler
+        # is the kernel they inline; see module docstring.
+        self._fast_path = not self._records and type(scheduler) is Scheduler
         self._outboxes: Dict[str, Outbox] = {}
         #: pid -> what a delivery to it calls (see "Delivery path")
         self._receivers: Dict[str, Callable[[str, Any], None]] = {}
@@ -252,7 +247,7 @@ class Network:
         self.processes[process.pid] = process
         self._receivers[process.pid] = (
             partial(self._record_delivery, process)
-            if self._rec_deliver or self._counting else process.deliver)
+            if self._records else process.deliver)
         process.outbox = self._outbox(process.pid)
         return process
 
@@ -351,10 +346,8 @@ class Network:
             # partitioned: the message is lost, visibly.
             link.messages_dropped += 1
             self.messages_dropped += 1
-            if self._rec_drop:
+            if self._records:
                 self.trace.emit(now, DROP, link.src, dst=link.dst, msg=message)
-            elif self._counting:
-                self.trace.tick(now, DROP)
             return
         if self._fast_path:
             fast = self._compile_fast_send(link)
@@ -366,16 +359,14 @@ class Network:
 
     def _enqueue(self, link: Link, message: Any, now: float,
                  delivery_time: float, **detail: Any) -> None:
-        """Count ``message`` onto ``link``, account for the SEND (a record
-        with the caller's extra ``detail`` when the backend wants one) and
-        file its delivery to the destination's receiver."""
+        """Count ``message`` onto ``link``, record the SEND (with the
+        caller's extra ``detail``) on a recording backend and file its
+        delivery to the destination's receiver."""
         src, dst = link.src, link.dst
         link.messages_sent += 1
         self.messages_sent += 1
-        if self._rec_send:
+        if self._records:
             self.trace.emit(now, SEND, src, dst=dst, msg=message, **detail)
-        elif self._counting:
-            self.trace.tick(now, SEND)
         self.scheduler.schedule_call(delivery_time, self._receivers[dst],
                                      src, message)
 
@@ -468,10 +459,7 @@ class Network:
 
     def _record_delivery(self, process: Process, src: str,
                          message: Any) -> None:
-        """The receiver of ``process`` on a recording or counting backend."""
-        now = self.scheduler.now
-        if self._rec_deliver:
-            self.trace.emit(now, DELIVER, process.pid, src=src, msg=message)
-        else:
-            self.trace.tick(now, DELIVER)
+        """The receiver of ``process`` on a recording backend."""
+        self.trace.emit(self.scheduler.now, DELIVER, process.pid, src=src,
+                        msg=message)
         process.deliver(src, message)

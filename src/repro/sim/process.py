@@ -55,7 +55,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional)
 
 from .errors import OperationError
 from .scheduler import Scheduler
-from .trace import OP_INVOKE, OP_RESPONSE, Trace
+from .trace import OP_INVOKE, OP_RESPONSE, TraceBackend
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +273,7 @@ class Process:
     blocking operations with :meth:`start_operation`.
     """
 
-    def __init__(self, pid: str, scheduler: Scheduler, trace: Trace):
+    def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend):
         self.pid = pid
         self.scheduler = scheduler
         self.trace = trace

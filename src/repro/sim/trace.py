@@ -1,30 +1,23 @@
-"""Structured execution traces with pluggable backends.
+"""Structured execution traces: a trace records or it does not.
 
-Every interesting occurrence in a run — message send/delivery, operation
-invocation/response, fault injection, timer expiry — is *emitted* to a
-trace backend.  How much of it is retained is the backend's choice:
+Every interesting occurrence in a run — message send/delivery/drop,
+operation invocation/response, fault injection, broadcast — is *emitted*
+to a trace backend.  There are two:
 
-* :class:`FullTrace` — records :class:`TraceEvent` objects (optionally
-  filtered by kind) *and* counts every kind; the debugging backend.
-* :class:`CountingTrace` — per-kind counters only, no event objects; what
-  benches use when they need message statistics but not the log.
-* :class:`NullTrace` — retains nothing; the fastest possible substrate for
-  throughput-bound sweeps.
+* :class:`FullTrace` — records every event as a :class:`TraceEvent`; the
+  debugging backend, and what the query API (``count``, ``of_kind``,
+  ``where``, ...) reads.
+* :class:`NullTrace` — records nothing; the default of every scenario
+  family and of the KV layers, and what lets the network fuse its sends.
 
-The consistency checkers in ``repro.checkers`` consume operation events
-from a :class:`FullTrace`; everything that feeds verdicts and summaries
-(operation histories, message counters) lives outside the trace, so runs
-under the three backends produce identical results — see
-``tests/test_trace_backends.py``.
-
-Hot-path protocol
------------------
-``emit(time, kind, process, **detail)`` allocates a kwargs dict at the
-call site, which is fine on cold paths (operations, faults) but not per
-message.  Hot emitters (the network) consult :meth:`TraceBackend.wants`
-once and then call either ``emit`` (details wanted) or the constant-cost
-:meth:`TraceBackend.tick` (count + running max timestamp, no allocation).
-Backends with :attr:`TraceBackend.counting` false need neither.
+``trace_backend`` names one of them (:data:`BACKENDS`) wherever a run is
+configured.  Nothing that feeds verdicts and summaries reads the trace —
+operation histories, message counters (``Network.messages_sent``, the
+per-link counters) and the observation stream all live outside it — so
+runs under either backend produce identical executions (see
+``tests/test_trace_backends.py``).  Hot emitters (the network) test
+:attr:`TraceBackend.records` once and skip the trace entirely when it is
+false.
 """
 
 from __future__ import annotations
@@ -63,52 +56,26 @@ class TraceEvent:
 class TraceBackend:
     """The trace protocol: what a simulation substrate emits into.
 
-    Subclasses decide retention.  The query API is uniform so checkers and
-    tests can run against any backend (non-recording backends simply
-    return empty results).
+    The query API reads the recorded events, so it is uniform across
+    backends (:class:`NullTrace` simply answers with empty results).
     """
 
-    #: whether :meth:`tick` maintains information (False lets hot paths
-    #: skip the call entirely).
-    counting: bool = True
+    #: whether :meth:`emit` keeps the event (hot paths skip the call
+    #: entirely when false).
+    records: bool = True
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        self._max_time = 0.0
-
-    # -- emission ------------------------------------------------------
-    def wants(self, kind: str) -> bool:
-        """Would :meth:`emit` retain the detail of a ``kind`` event?
-
-        Hot paths cache this per kind and route to :meth:`tick` when it is
-        false, skipping all per-event allocation.
-        """
-        return False
 
     def emit(self, time: float, kind: str, process: str,
              **detail: Any) -> None:
-        """Record (or at least account for) one event."""
+        """Record one event."""
         raise NotImplementedError
-
-    def tick(self, time: float, kind: str) -> None:
-        """Constant-cost accounting for an event whose detail is unwanted."""
-        if time > self._max_time:
-            self._max_time = time
 
     # -- queries -------------------------------------------------------
     def count(self, kind: str) -> int:
-        """Total number of events of ``kind`` (counted even if unrecorded)."""
-        return 0
-
-    def last_time(self) -> float:
-        """Virtual time of the last event this backend *observed*.
-
-        Counting backends observe every emission (recorded or not).  For
-        :class:`NullTrace` the network's fused path bypasses the trace
-        entirely, so only cold-path events (operations, faults) register
-        here — use ``scheduler.now`` for durations on that backend.
-        """
-        return self._max_time
+        """Number of recorded events of ``kind``."""
+        return sum(1 for event in self.events if event.kind == kind)
 
     def of_kind(self, kind: str) -> Iterator[TraceEvent]:
         return (event for event in self.events if event.kind == kind)
@@ -135,102 +102,32 @@ class TraceBackend:
 
 
 class NullTrace(TraceBackend):
-    """Retains nothing: the fast path for throughput-bound sweeps.
+    """Records nothing: the fast path for every throughput-bound run."""
 
-    ``emit`` still tracks the running max timestamp of the cold-path
-    events that reach it; hot paths see ``counting`` false and skip even
-    :meth:`tick`, so message events never register — ``last_time()`` on
-    this backend is not a run duration (use ``scheduler.now``).
-    """
-
-    counting = False
+    records = False
 
     def emit(self, time: float, kind: str, process: str,
              **detail: Any) -> None:
-        if time > self._max_time:
-            self._max_time = time
-
-
-class CountingTrace(TraceBackend):
-    """Per-kind counters without event objects.
-
-    Equivalent statistics to :class:`FullTrace` at a fraction of the
-    allocation cost; the backend behind ``record_kinds=set()`` call sites.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.counts: Dict[str, int] = {}
-
-    def emit(self, time: float, kind: str, process: str,
-             **detail: Any) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if time > self._max_time:
-            self._max_time = time
-
-    def tick(self, time: float, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if time > self._max_time:
-            self._max_time = time
-
-    def count(self, kind: str) -> int:
-        return self.counts.get(kind, 0)
+        pass
 
 
 class FullTrace(TraceBackend):
-    """An append-only log of :class:`TraceEvent` records.
-
-    Recording can be filtered by kind to keep long debugging runs cheap:
-    ``FullTrace(record_kinds={OP_INVOKE, OP_RESPONSE, FAULT})`` drops
-    per-message events while still counting them.  ``last_time()`` reports
-    the last *emitted* event's time even when filtering drops it.
-    """
-
-    def __init__(self, record_kinds: Optional[set] = None):
-        super().__init__()
-        self.counts: Dict[str, int] = {}
-        self._record_kinds = record_kinds
-
-    def wants(self, kind: str) -> bool:
-        return self._record_kinds is None or kind in self._record_kinds
+    """An append-only log of :class:`TraceEvent` records."""
 
     def emit(self, time: float, kind: str, process: str,
              **detail: Any) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if time > self._max_time:
-            self._max_time = time
-        if self._record_kinds is None or kind in self._record_kinds:
-            self.events.append(TraceEvent(time, kind, process, detail))
+        self.events.append(TraceEvent(time, kind, process, detail))
 
-    def tick(self, time: float, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if time > self._max_time:
-            self._max_time = time
-
-    def count(self, kind: str) -> int:
-        return self.counts.get(kind, 0)
-
-
-#: Backwards-compatible alias: the original ``Trace`` recorded events with
-#: optional kind filtering, which is exactly :class:`FullTrace`.
-Trace = FullTrace
 
 #: Named backend registry (``ClusterConfig.trace_backend`` / scenario
 #: ``trace_backend=`` parameters resolve through this).
-BACKENDS = ("full", "counting", "null")
+BACKENDS = ("full", "null")
 
 
-def build_trace(backend: str = "full",
-                record_kinds: Optional[set] = None) -> TraceBackend:
-    """Construct a trace backend by name.
-
-    ``record_kinds`` only applies to the ``full`` backend (the others
-    retain no events by construction).
-    """
+def build_trace(backend: str = "full") -> TraceBackend:
+    """Construct a trace backend by name."""
     if backend == "full":
-        return FullTrace(record_kinds=record_kinds)
-    if backend == "counting":
-        return CountingTrace()
+        return FullTrace()
     if backend == "null":
         return NullTrace()
     raise ValueError(f"unknown trace backend {backend!r} "

@@ -392,15 +392,11 @@ class _SwsrRig:
     def __init__(self, p: SimpleNamespace, seed: Optional[int] = None,
                  synchronous: bool = False,
                  wsn_config: Optional[WsnConfig] = None):
-        trace_backend = p.trace_backend
-        if trace_backend is None:
-            trace_backend = ("full" if getattr(p, "record_trace", False)
-                             else "counting")
         self.cluster = cluster = Cluster(ClusterConfig(
             n=p.n, t=p.t, seed=p.seed if seed is None else seed,
             synchronous=synchronous, transport=p.transport,
             enforce_resilience=p.enforce_resilience,
-            trace_backend=trace_backend))
+            trace_backend=p.trace_backend))
         if p.kind == "regular":
             self.writer, self.reader = build_swsr_regular(
                 cluster, initial=p.initial)
@@ -623,8 +619,9 @@ def _run_swsr(p: SimpleNamespace) -> ScenarioResult:
     * ``corruption_times``: transient bursts; the last one is τ_no_tr.
       All server and client protocol variables are corrupted (fraction-
       sampled) and, if ``link_garbage > 0``, garbage lands on every link.
-    * ``trace_backend``: "full" / "counting" / "null"; default derives
-      from ``record_trace`` ("full" when true, else "counting").
+    * ``trace_backend``: "null" (default, shared by every family: record
+      nothing, fused sends) or "full" (record every event in
+      ``result.cluster.trace``).
     * ``fault_timeline``: a declarative :class:`~repro.faults.FaultTimeline`
       (or its dict form) installed on top of the scalar fault knobs.
     * writes start after τ_no_tr (the paper's assumption (b)); reads are
@@ -1167,7 +1164,10 @@ class Family:
 
 # Parameter groups, written once and overlaid per family (a later entry
 # overrides an earlier one, so a family restates only what differs).
-_POOL = dict(n=9, t=1, seed=0, enforce_resilience=True)
+#: ``trace_backend`` is here, once: every family records nothing unless a
+#: run asks for ``"full"``, so every default run takes the fused sends.
+_POOL = dict(n=9, t=1, seed=0, enforce_resilience=True,
+             trace_backend="null")
 _CLUSTER = _POOL | dict(transport="direct")
 _STATIC_BYZANTINE = dict(byzantine_count=0,
                          byzantine_strategy="random-garbage")
@@ -1175,18 +1175,16 @@ _BURSTS = dict(corruption_times=(), corruption_fraction=1.0)
 _SWSR_WORKLOAD = dict(kind="regular", num_writes=6, num_reads=6,
                       op_gap=10.0, reader_offset=None, initial=INITIAL,
                       max_events=2_000_000)
-_TRACE = dict(record_trace=False, trace_backend=None)
 _ROTATION = dict(rotations=3, rotation_gap=None, rotation_size=None,
                  rotation_strategy="random-garbage")
 _STORE = _BURSTS | dict(shard_count=2, client_count=2, num_keys=4, rounds=2,
                         vnodes=64, corruption_fraction=0.2,
-                        fault_timelines=None, trace_backend="null",
-                        max_events=6_000_000)
+                        fault_timelines=None, max_events=6_000_000)
 
 #: canonical family name -> registry entry.
 FAMILIES: Dict[str, Family] = {
     "swsr": Family(
-        _CLUSTER | _SWSR_WORKLOAD | _TRACE | _BURSTS | _STATIC_BYZANTINE
+        _CLUSTER | _SWSR_WORKLOAD | _BURSTS | _STATIC_BYZANTINE
         | dict(synchronous=False, link_garbage=0, byzantine=None,
                wsn_modulus=None, fault_timeline=None),
         _run_swsr),
@@ -1194,11 +1192,10 @@ FAMILIES: Dict[str, Family] = {
         _CLUSTER | _BURSTS | _STATIC_BYZANTINE
         | dict(m=3, ops_per_process=2, op_gap=40.0, stagger=7.0,
                corruption_fraction=0.3, seq_bound=2 ** 64, k=None,
-               max_events=6_000_000, concurrent=False,
-               trace_backend="counting"),
+               max_events=6_000_000, concurrent=False),
         _run_mwmr),
     "partition": Family(
-        _CLUSTER | _SWSR_WORKLOAD | _TRACE | _BURSTS | _STATIC_BYZANTINE
+        _CLUSTER | _SWSR_WORKLOAD | _BURSTS | _STATIC_BYZANTINE
         | dict(partition_count=None, partition_start=None,
                partition_duration=None),
         _run_partition),
@@ -1211,16 +1208,15 @@ FAMILIES: Dict[str, Family] = {
         | dict(vnodes=16, reshard_plan=None, strict=False),
         _run_reshard),
     "mobile-byz": Family(
-        _CLUSTER | _SWSR_WORKLOAD | _TRACE | _BURSTS | _ROTATION
+        _CLUSTER | _SWSR_WORKLOAD | _BURSTS | _ROTATION
         | dict(num_writes=8, num_reads=8),
         _run_mobile_byz),
     "soak": Family(
         _CLUSTER | _SWSR_WORKLOAD | _STATIC_BYZANTINE | _ROTATION
         | dict(num_writes=500, num_reads=500, op_gap=4.0, fault_bursts=3,
                fault_period=5.0, corruption_fraction=0.3, rotations=0,
-               max_events=100_000_000, trace_backend="null",
-               keep_history=False, write_window=64, read_window=64,
-               max_records=64, candidate_cap=4096, chunk_ops=256,
-               shards=1, parallel=None),
+               max_events=100_000_000, keep_history=False, write_window=64,
+               read_window=64, max_records=64, candidate_cap=4096,
+               chunk_ops=256, shards=1, parallel=None),
         _run_soak),
 }

@@ -218,6 +218,17 @@ class TestCaptureCLI:
         tail = capsys.readouterr().out.strip()
         assert json.loads(tail)["record"] == "footer"
 
+    @pytest.mark.parametrize("lines", ["0", "-1"])
+    def test_tail_line_counts_below_one_are_usage_errors(self, lines,
+                                                          capsys):
+        """``-n 0`` used to print the whole file and ``-n -1`` all but
+        its first line, both with exit 0."""
+        with pytest.raises(SystemExit) as exit_info:
+            capture_main(["tail", golden_path("swsr"), "-n", lines])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--lines" in captured.err and captured.out == ""
+
     def test_replay_exits_nonzero_on_truncation(self, tmp_path, capsys):
         lines = _lines(golden_path("swsr"))
         bad = tmp_path / "trunc.jsonl"

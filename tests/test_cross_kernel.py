@@ -9,9 +9,10 @@ one small cell per scenario family, run on both, full summaries compared.
 
 No option selects the oracle, so the tests substitute it for the
 ``Scheduler`` name ``Cluster`` constructs.  Under ``trace_backend="null"``
-the calendar side sends through the fused per-link closures while the
-oracle side takes the network's general path, so the same comparison also
-pins fused against general delivery.
+(every family's default) the calendar side sends through the fused
+per-link closures while the oracle side takes the network's general path,
+so the same comparison also pins fused against general delivery; under
+``"full"`` both sides take the general path with a recording receiver.
 
 (The scheduler-level equivalence — randomized schedule/cancel/drain soups
 against the heap reference — lives in tests/test_sim_scheduler.py.)
@@ -49,7 +50,7 @@ def _run_on(monkeypatch, family, params, kernel):
     return result.summarize()
 
 
-@pytest.mark.parametrize("backend", [None, "null"])
+@pytest.mark.parametrize("backend", ["full", "null"])
 @pytest.mark.parametrize("family", sorted(FAMILY_CELLS))
 def test_kernels_produce_identical_summaries(family, backend, monkeypatch):
     params = dict(FAMILY_CELLS[family], trace_backend=backend)
@@ -61,7 +62,7 @@ def test_kernels_produce_identical_summaries(family, backend, monkeypatch):
         assert digest == heap.history_digest
 
 
-@pytest.mark.parametrize("backend", [None, "null"])
+@pytest.mark.parametrize("backend", ["full", "null"])
 def test_kernels_agree_on_larger_swsr_cell(backend, monkeypatch):
     """A denser cell: faults + garbage stress the fused delivery path."""
     params = dict(seed=11, n=9, t=1, num_writes=4, num_reads=4,
@@ -82,7 +83,7 @@ DATALINK_CELLS = {
 }
 
 
-@pytest.mark.parametrize("backend", [None, "null"])
+@pytest.mark.parametrize("backend", ["full", "null"])
 @pytest.mark.parametrize("cell", sorted(DATALINK_CELLS))
 def test_kernels_agree_on_datalink_cells(cell, backend, monkeypatch):
     params = dict(DATALINK_CELLS[cell], trace_backend=backend)

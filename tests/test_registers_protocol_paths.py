@@ -18,7 +18,7 @@ from repro.registers.swsr_atomic import AtomicReaderRole, AtomicWriterRole
 from repro.registers.swsr_regular import (RegularReaderRole,
                                           RegularWriterRole)
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
+from repro.sim.trace import FullTrace
 
 
 class FakeTransport:
@@ -52,7 +52,7 @@ class Harness:
 
     def __init__(self):
         self.scheduler = Scheduler()
-        self.trace = Trace()
+        self.trace = FullTrace()
         self.client = RegisterClientProcess("c", self.scheduler, self.trace)
         self.transport = FakeTransport()
         self.client.attach_transport(self.transport)

@@ -92,3 +92,18 @@ def test_max_cells_truncation(spec_file, capsys):
     assert main(["--spec", spec_file, "--dry-run", "--max-cells", "1"]) == 0
     out = capsys.readouterr().out
     assert "1 cells" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--smoke", "--dry-run", "--max-cells", "-1"], "--max-cells"),
+    (["--smoke", "--max-cells", "0", "--strict"], "--max-cells"),
+    (["--smoke", "--dry-run", "--workers", "0"], "--workers"),
+    (["--smoke", "--workers", "-2", "--strict"], "--workers"),
+])
+def test_counts_below_one_are_usage_errors(argv, flag, capsys):
+    """``cells[:-1]`` would silently drop the last cell and a zero budget
+    would let ``--strict`` pass on nothing: both are typos, exit 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err

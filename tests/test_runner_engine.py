@@ -124,6 +124,14 @@ class TestFailurePaths:
         reloaded = CellResult.from_dict(sweep.cells[0].to_dict())
         assert reloaded.error is not None
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(workers=0), "workers"), (dict(workers=-1), "workers"),
+        (dict(max_cells=0), "max_cells"), (dict(max_cells=-1), "max_cells"),
+    ])
+    def test_counts_below_one_are_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            run_sweep(_tiny_spec(), **{"workers": 1, **kwargs})
+
 
 class TestAggregation:
     def test_aggregate_counts_by_scenario(self):

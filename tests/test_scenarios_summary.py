@@ -68,7 +68,7 @@ class TestCorruptionSchedules:
     def test_two_bursts_both_fire_at_their_times(self):
         result = run_scenario(
             "swsr", n=9, t=1, seed=5, num_writes=3, num_reads=3,
-            corruption_times=(2.0, 5.0), record_trace=True)
+            corruption_times=(2.0, 5.0), trace_backend="full")
         fault_times = sorted({event.time for event
                               in result.cluster.trace.of_kind(FAULT)})
         assert fault_times == [2.0, 5.0]
@@ -81,7 +81,7 @@ class TestCorruptionSchedules:
         result = run_scenario(
             "swsr", n=9, t=1, seed=5, num_writes=3, num_reads=3,
             corruption_times=(2.0, 5.0), corruption_fraction=(1.0, 0.0),
-            record_trace=True)
+            trace_backend="full")
         events = list(result.cluster.trace.of_kind(FAULT))
         assert events, "first burst must corrupt state"
         assert {event.time for event in events} == {2.0}
@@ -90,7 +90,7 @@ class TestCorruptionSchedules:
         result = run_scenario(
             "swsr", n=9, t=1, seed=5, num_writes=3, num_reads=3,
             corruption_times=(2.0, 5.0), corruption_fraction=(0.0, 1.0),
-            record_trace=True)
+            trace_backend="full")
         assert {event.time for event
                 in result.cluster.trace.of_kind(FAULT)} == {5.0}
 
@@ -109,6 +109,6 @@ class TestCorruptionSchedules:
         result = run_scenario(
             "swsr", n=9, t=1, seed=5, num_writes=3, num_reads=3,
             corruption_times=(2.0, 5.0), corruption_fraction=1.0,
-            record_trace=True)
+            trace_backend="full")
         assert {event.time for event
                 in result.cluster.trace.of_kind(FAULT)} == {2.0, 5.0}

@@ -10,7 +10,7 @@ from repro.sim.network import (AsyncDelay, FixedDelay, Network, ScriptedDelay,
 from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
+from repro.sim.trace import FullTrace, NullTrace
 
 
 class Recorder(Process):
@@ -26,7 +26,7 @@ class Recorder(Process):
 
 def make_network(delay=None, seed=0):
     scheduler = Scheduler()
-    trace = Trace()
+    trace = FullTrace()
     network = Network(scheduler, RandomSource(seed), trace,
                       default_delay=delay or FixedDelay(1.0))
     a = network.register(Recorder("a", scheduler, trace))
@@ -208,7 +208,7 @@ def test_overlapping_partitions_do_not_heal_each_other():
     # regression: link down-votes are counted, so a link covered by two
     # partitions stays down until *both* have healed.
     scheduler = Scheduler()
-    trace = Trace()
+    trace = FullTrace()
     network = Network(scheduler, RandomSource(0), trace,
                       default_delay=FixedDelay(1.0))
     a = network.register(Recorder("a", scheduler, trace))
@@ -283,11 +283,10 @@ def _send_script(seed, steps=120):
 @pytest.mark.parametrize("seed", range(6))
 def test_fast_path_matches_recording_path(seed):
     """Fused closures (null trace on the shipped kernel), the general
-    path (recording traces; the oracle kernel) and every invalidation in
+    path (the full trace; the oracle kernel) and every invalidation in
     between — cuts, overlapping cuts, heals, delay-model swaps, preloads —
     must produce one execution: same deliveries, same counters."""
     from repro.sim.scheduler import HeapScheduler
-    from repro.sim.trace import CountingTrace, FullTrace, NullTrace
 
     pids, script = _send_script(seed)
 
@@ -328,7 +327,6 @@ def test_fast_path_matches_recording_path(seed):
     assert fused                        # closures really were compiled
     assert reference[-1] > 0            # and cuts really dropped traffic
     for trace, kernel in ((FullTrace(), Scheduler),
-                          (CountingTrace(), Scheduler),
                           (NullTrace(), HeapScheduler)):
         fused, observed = run(trace, kernel)
         assert not fused                # the general path, every send

@@ -6,12 +6,12 @@ from repro.sim.errors import OperationError
 from repro.sim.process import (AllOf, AnyOf, Deadline, Predicate, Process,
                                WaitCondition, join_all)
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import OP_INVOKE, OP_RESPONSE, Trace
+from repro.sim.trace import OP_INVOKE, OP_RESPONSE, FullTrace
 
 
 def make_process(pid="p"):
     scheduler = Scheduler()
-    trace = Trace()
+    trace = FullTrace()
     return Process(pid, scheduler, trace), scheduler, trace
 
 
@@ -366,7 +366,7 @@ class _Collector(Process):
 
 
 def test_deliver_wakes_an_edge_condition_only_on_a_crossing():
-    scheduler, trace = Scheduler(), Trace()
+    scheduler, trace = Scheduler(), FullTrace()
     process = _Collector("p", scheduler, trace)
     condition = _Counted(process.box, 3)
 
@@ -388,7 +388,7 @@ def test_deliver_wakes_an_edge_condition_only_on_a_crossing():
 def test_deliver_repolls_level_conditions_and_level_composites():
     """One level child makes a composite level; level means every
     delivery re-evaluates."""
-    scheduler, trace = Scheduler(), Trace()
+    scheduler, trace = Scheduler(), FullTrace()
     process = _Collector("p", scheduler, trace)
     edge = _Counted(process.box, 99)
     mixed = AnyOf(edge, Predicate(lambda: len(process.box) >= 2))
@@ -410,7 +410,7 @@ def test_deliver_repolls_level_conditions_and_level_composites():
 
 
 def test_join_all_is_edge_triggered_only_while_every_child_is():
-    scheduler, trace = Scheduler(), Trace()
+    scheduler, trace = Scheduler(), FullTrace()
     process = _Collector("p", scheduler, trace)
     first = _Counted(process.box, 3)
 

@@ -1,11 +1,10 @@
 """Unit tests for execution traces."""
 
-from repro.sim.trace import (DELIVER, FAULT, OP_INVOKE, SEND, Trace,
-                             TraceEvent)
+from repro.sim.trace import DELIVER, FAULT, SEND, FullTrace, TraceEvent
 
 
 def test_emit_records_event():
-    trace = Trace()
+    trace = FullTrace()
     trace.emit(1.0, SEND, "w", dst="s1")
     assert len(trace) == 1
     event = trace.events[0]
@@ -15,7 +14,7 @@ def test_emit_records_event():
 
 
 def test_count_tracks_all_kinds():
-    trace = Trace()
+    trace = FullTrace()
     trace.emit(1.0, SEND, "w")
     trace.emit(2.0, SEND, "w")
     trace.emit(3.0, DELIVER, "s1")
@@ -24,24 +23,8 @@ def test_count_tracks_all_kinds():
     assert trace.count(FAULT) == 0
 
 
-def test_filtered_trace_counts_but_does_not_record():
-    trace = Trace(record_kinds={OP_INVOKE})
-    trace.emit(1.0, SEND, "w")
-    trace.emit(2.0, OP_INVOKE, "w", op="write")
-    assert trace.count(SEND) == 1
-    assert len(trace) == 1
-    assert trace.events[0].kind == OP_INVOKE
-
-
-def test_empty_record_set_drops_everything():
-    trace = Trace(record_kinds=set())
-    trace.emit(1.0, SEND, "w")
-    assert len(trace) == 0
-    assert trace.count(SEND) == 1
-
-
 def test_of_kind_and_by_process_queries():
-    trace = Trace()
+    trace = FullTrace()
     trace.emit(1.0, SEND, "w")
     trace.emit(2.0, DELIVER, "s1")
     trace.emit(3.0, SEND, "r")
@@ -50,7 +33,7 @@ def test_of_kind_and_by_process_queries():
 
 
 def test_where_predicate():
-    trace = Trace()
+    trace = FullTrace()
     trace.emit(1.0, SEND, "w")
     trace.emit(5.0, SEND, "w")
     late = trace.where(lambda event: event.time > 2.0)
@@ -58,15 +41,8 @@ def test_where_predicate():
     assert late[0].time == 5.0
 
 
-def test_last_time():
-    trace = Trace()
-    assert trace.last_time() == 0.0
-    trace.emit(7.5, SEND, "w")
-    assert trace.last_time() == 7.5
-
-
 def test_format_limits_output():
-    trace = Trace()
+    trace = FullTrace()
     for index in range(5):
         trace.emit(float(index), SEND, "w")
     rendered = trace.format(limit=2)
@@ -80,7 +56,7 @@ def test_event_repr_is_readable():
 
 
 def test_iteration():
-    trace = Trace()
+    trace = FullTrace()
     trace.emit(1.0, SEND, "w")
     trace.emit(2.0, SEND, "w")
     assert [event.time for event in trace] == [1.0, 2.0]

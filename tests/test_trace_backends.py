@@ -1,22 +1,22 @@
 """Trace backends must be observers, never participants.
 
-The tentpole property of the pluggable-backend refactor: running the same
-seeded scenario under :class:`NullTrace`, :class:`CountingTrace` and
+Running the same seeded scenario under :class:`NullTrace` and
 :class:`FullTrace` yields identical executions — same operation history,
 same final read values, same message and event counts.  The backends (and
-the fused vs. labelled delivery paths they select) may only change what
-is *retained*, never what *happens*.
+the fused vs. general send paths they select) may only change what is
+*recorded*, never what *happens*.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.trace import (CountingTrace, DELIVER, FullTrace, NullTrace,
-                             SEND, build_trace)
-from repro.workloads.spec import run_scenario
+from repro.sim.trace import BACKENDS, SEND, FullTrace, NullTrace, build_trace
+from repro.workloads.spec import run_scenario, scenario_families
 
-BACKENDS = ("full", "counting", "null")
+from test_cross_kernel import FAMILY_CELLS
 
 RELAXED = settings(max_examples=8, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -63,41 +63,32 @@ class TestBackendsAreObservers:
 
 class TestBackendBehaviour:
     def test_build_trace_resolves_names(self):
+        assert BACKENDS == ("full", "null")
         assert isinstance(build_trace("full"), FullTrace)
-        assert isinstance(build_trace("counting"), CountingTrace)
         assert isinstance(build_trace("null"), NullTrace)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"'verbose'.*\('full', 'null'\)"):
             build_trace("verbose")
 
     def test_null_trace_retains_nothing(self):
         trace = NullTrace()
         trace.emit(1.0, SEND, "w", dst="s1")
-        trace.tick(3.0, DELIVER)
         assert len(trace) == 0
         assert trace.count(SEND) == 0
         assert list(trace) == []
-        assert trace.last_time() == 3.0
-        assert not trace.wants(SEND)
-        assert not trace.counting
+        assert not trace.records
+        assert FullTrace.records
 
-    def test_counting_trace_counts_without_recording(self):
-        trace = CountingTrace()
-        trace.emit(1.0, SEND, "w", dst="s1")
-        trace.tick(2.0, SEND)
-        trace.tick(2.5, DELIVER)
-        assert trace.count(SEND) == 2
-        assert trace.count(DELIVER) == 1
-        assert len(trace) == 0
-        assert trace.last_time() == 2.5
-        assert not trace.wants(SEND)
 
-    def test_full_trace_filtered_last_time_tracks_emissions(self):
-        # the satellite fix: last_time() reflects the last *emitted*
-        # event even when record_kinds drops it from the log.
-        trace = FullTrace(record_kinds={DELIVER})
-        trace.emit(4.0, SEND, "w", dst="s1")
-        assert len(trace) == 0
-        assert trace.last_time() == 4.0
-        trace.tick(9.0, SEND)
-        assert trace.last_time() == 9.0
-        assert trace.count(SEND) == 2
+@pytest.mark.parametrize("family", scenario_families())
+def test_every_family_runs_fused_by_default(family):
+    """A default run records nothing, so each link's first send compiles
+    its fused closure: no outbox entry is left on the general path (a
+    ``functools.partial``) when the run ends."""
+    result = run_scenario(family, **FAMILY_CELLS[family])
+    clusters = ([result.cluster] if hasattr(result, "cluster")
+                else list(result.store.group))
+    sends = [send for cluster in clusters
+             for process in cluster.network.processes.values()
+             for send in process.outbox.values()]
+    assert all(isinstance(cluster.trace, NullTrace) for cluster in clusters)
+    assert sends and not any(isinstance(send, partial) for send in sends)

@@ -77,7 +77,7 @@ def count_evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("backend", [None, "null"])
+@pytest.mark.parametrize("backend", ["full", "null"])
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_edge_and_level_rules_produce_identical_summaries(cell, backend,
                                                           monkeypatch):
@@ -92,10 +92,10 @@ def test_edge_and_level_rules_produce_identical_summaries(cell, backend,
 
 
 #: ``satisfied()`` calls on the cell below at the parent of the change
-#: that introduced the rule, per trace backend.  ``counting`` delivers
+#: that introduced the rule, per trace backend.  ``full`` delivers
 #: through a recording receiver, ``null`` straight into
 #: ``Process.deliver``: the bound holds on both routes.
-REPOLL_ALWAYS_EVALUATIONS = {"null": 216_037, "counting": 203_437}
+REPOLL_ALWAYS_EVALUATIONS = {"null": 216_037, "full": 203_437}
 
 
 @pytest.mark.parametrize("backend", sorted(REPOLL_ALWAYS_EVALUATIONS))
@@ -143,7 +143,7 @@ def _poll_after_every_ack(monkeypatch):
     monkeypatch.setattr(DataLinkClientTransport, "__init__", init_then_wrap)
 
 
-@pytest.mark.parametrize("backend", [None, "null"])
+@pytest.mark.parametrize("backend", ["full", "null"])
 def test_datalink_polls_fall_by_exactly_the_ack_count(backend, monkeypatch):
     """An ack never ends a wait by itself — a completed send does, and
     its confirmation polls — so the poll per ack was pure cost."""

@@ -1,7 +1,10 @@
 """ScenarioSpec: validation, serialization, registry resolution."""
 
+from functools import partial
+
 import pytest
 
+from repro.registers.system import ClusterConfig
 from repro.workloads.engine import ScenarioEngine
 from repro.workloads.spec import (FAMILIES, ScenarioSpec, run_scenario,
                                   scenario_families)
@@ -40,6 +43,28 @@ class TestValidation:
     def test_non_string_family_rejected(self):
         with pytest.raises(TypeError):
             ScenarioSpec(7)
+
+    #: trace knobs that went with the counting backend: each one must
+    #: fail loudly, never be accepted and ignored.
+    REMOVED_TRACE_KNOBS = [
+        *[pytest.param(partial(run_scenario, family, record_trace=True),
+                       TypeError, ("record_trace", "valid parameters: n, t"),
+                       id=f"{family}-record_trace")
+          for family in ("swsr", "partition", "mobile-byz")],
+        *[pytest.param(partial(run_scenario, family,
+                               trace_backend="counting"),
+                       ValueError, ("'counting'", "('full', 'null')"),
+                       id=f"{family}-counting")
+          for family in scenario_families()],
+        pytest.param(partial(ClusterConfig, record_kinds=set()), TypeError,
+                     ("record_kinds",), id="ClusterConfig-record_kinds"),
+    ]
+
+    @pytest.mark.parametrize("call, error, fragments", REMOVED_TRACE_KNOBS)
+    def test_removed_trace_knobs_fail_loudly(self, call, error, fragments):
+        with pytest.raises(error) as excinfo:
+            call()
+        assert all(fragment in str(excinfo.value) for fragment in fragments)
 
 
 class TestCountsAreRangeChecked:
