@@ -12,7 +12,8 @@ two clients through puts/gets while the deployment suffers, in order:
 Run:  python examples/self_healing_kv_store.py
 """
 
-from repro.faults.byzantine import MobileByzantineController, strategy_factory
+from repro.faults.byzantine import strategy_factory
+from repro.faults.schedule import FaultTimeline
 from repro.faults.transient import TransientFaultInjector
 from repro.kvstore.store import build_kv_store
 
@@ -38,10 +39,9 @@ def main() -> None:
 
     # --- phase 3: the compromise moves (mobile Byzantine) ---------------
     injector = TransientFaultInjector.for_cluster(cluster)
-    MobileByzantineController(
-        cluster, injector, strategy_factory("random-garbage", cluster),
-        rotation=[["s7"], ["s2"]],
-        times=[cluster.now + 5.0, cluster.now + 10.0])
+    FaultTimeline().rotation(
+        [cluster.now + 5.0, cluster.now + 10.0], [["s7"], ["s2"]],
+        "random-garbage").install(cluster, injector)
     cluster.run(until=cluster.now + 12.0)
     print(f"[t={cluster.now:7.2f}] Byzantine set rotated s4->s7->s2 "
           f"(currently {cluster.byzantine_ids})")

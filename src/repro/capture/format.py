@@ -13,10 +13,10 @@ the same spec yields the identical bytes):
   simulated-time stamp ``t`` that is monotone *per lane* (per register
   for operations, per injector for faults, the service clock for
   frames), and a ``kind`` drawn from a small vocabulary — ``op``
-  (completed operations), ``fault`` (injector bursts / link garbage and
-  fault-timeline firings), ``reshard`` (ring mutations), ``frame``
-  (service request/response pairs in execution order) and ``drain``
-  (service drain-window transitions);
+  (completed operations), ``fault`` (fault-timeline firings; bursts and
+  link garbage carry their effect counts), ``reshard`` (ring
+  mutations), ``frame`` (service request/response pairs in execution
+  order) and ``drain`` (service drain-window transitions);
 * the last line is the **footer** (``"record": "footer"``) sealing the
   log: the event count, an incremental SHA-256 over the raw bytes of
   every preceding line, the stream's ``history_digest`` and enough

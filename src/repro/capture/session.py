@@ -2,10 +2,9 @@
 
 The lower layers expose *registries*, not capture knowledge: the
 observation stream offers every newly constructed stream to
-:func:`~repro.checkers.stream.register_stream_tap` factories, the fault
-injector and timeline announce firings through
-:func:`~repro.faults.transient.register_fault_tap` /
-:func:`~repro.faults.schedule.register_timeline_tap`, and the rebalancer
+:func:`~repro.checkers.stream.register_stream_tap` factories, every
+fault timeline announces each firing through
+:func:`~repro.faults.schedule.register_fault_tap`, and the rebalancer
 reports ring mutations through
 :func:`~repro.kvstore.rebalance.register_reshard_tap`.  This module
 registers one tap of each kind at import; the taps forward to whichever
@@ -35,8 +34,7 @@ from ..checkers.online import (OnlineChecker, OnlineTauTracker,
 from ..checkers.regularity import NO_INITIAL
 from ..checkers.stream import register_stream_tap
 from ..checkers.history import Operation
-from ..faults.schedule import register_timeline_tap
-from ..faults.transient import register_fault_tap
+from ..faults.schedule import register_fault_tap
 from ..kvstore.rebalance import register_reshard_tap
 from .format import CaptureSink, encode_value, jsonable_params
 from .metrics import MetricsEmitter
@@ -230,15 +228,9 @@ def _stream_tap(stream):
     return _ACTIVE[-1].claim_stream(stream)
 
 
-def _fault_tap(t, label, fault, detail):
+def _fault_tap(t, lane, kind, detail):
     if _ACTIVE:
-        _ACTIVE[-1].record_fault(t, label, fault, dict(detail))
-
-
-def _timeline_tap(t, label, event):
-    if _ACTIVE:
-        args = jsonable_params(dict(event.args))
-        _ACTIVE[-1].record_fault(t, label, event.kind, args)
+        _ACTIVE[-1].record_fault(t, lane, kind, jsonable_params(detail))
 
 
 def _reshard_tap(report):
@@ -248,5 +240,4 @@ def _reshard_tap(report):
 
 register_stream_tap(_stream_tap)
 register_fault_tap(_fault_tap)
-register_timeline_tap(_timeline_tap)
 register_reshard_tap(_reshard_tap)

@@ -3,24 +3,18 @@
 from .byzantine import (ByzantineStrategy, CollusionCoordinator,
                         CrashStrategy, EquivocateStrategy,
                         FabricatedQuorumStrategy, FlipFlopStrategy,
-                        InversionAttackStrategy, MobileByzantineController,
-                        RandomGarbageStrategy, STRATEGY_FACTORIES,
-                        SilentStrategy, StaleReplyStrategy,
-                        rotate_byzantine_set, strategy_factory)
-from .schedule import (EVENT_KINDS, FaultAction, FaultPlan, FaultTimeline,
-                       TimelineEvent, transient_burst_plan)
+                        InversionAttackStrategy, RandomGarbageStrategy,
+                        STRATEGY_FACTORIES, SilentStrategy,
+                        StaleReplyStrategy, strategy_factory)
+from .schedule import EVENT_KINDS, FaultTimeline, TimelineEvent
 from .transient import (TransientFaultInjector, garbage_message,
                         garbage_value)
 
 __all__ = [
     "ByzantineStrategy", "CollusionCoordinator", "CrashStrategy",
     "EVENT_KINDS", "EquivocateStrategy", "FabricatedQuorumStrategy",
-    "FaultAction",
-    "FaultPlan", "FaultTimeline", "FlipFlopStrategy",
-    "InversionAttackStrategy",
-    "MobileByzantineController", "TimelineEvent",
+    "FaultTimeline", "FlipFlopStrategy", "InversionAttackStrategy",
     "RandomGarbageStrategy", "STRATEGY_FACTORIES", "SilentStrategy",
-    "StaleReplyStrategy", "TransientFaultInjector", "garbage_message",
-    "garbage_value", "rotate_byzantine_set", "strategy_factory",
-    "transient_burst_plan",
+    "StaleReplyStrategy", "TimelineEvent", "TransientFaultInjector",
+    "garbage_message", "garbage_value", "strategy_factory",
 ]

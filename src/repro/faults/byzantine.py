@@ -8,20 +8,20 @@ server is correct.
 
 The strategies receive every ss-delivered payload (the channel still
 delivers — Byzantine servers own their behaviour, not the network) and
-decide what, if anything, to reply.  :class:`MobileByzantineController`
-implements the *mobile* failures of footnote 1: the Byzantine set moves
-between operations, and a server leaving the set re-joins the correct ones
-with an arbitrary (corrupted) state.
+decide what, if anything, to reply.  The *mobile* failures of footnote 1
+— the Byzantine set moves between operations, and a server leaving the
+set re-joins the correct ones with an arbitrary (corrupted) state — are
+the ``byzantine`` events of :class:`~repro.faults.schedule.FaultTimeline`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from ..registers.base import ServerProcess
 from ..registers.messages import BOT, AckRead, AckWrite, NewHelpVal, Read, Write
-from .transient import TransientFaultInjector, garbage_value
+from .transient import garbage_value
 
 
 class ByzantineStrategy:
@@ -261,54 +261,3 @@ def strategy_factory(name: str, cluster):
         return STRATEGY_FACTORIES[name](cluster)
     except KeyError:
         raise ValueError(f"unknown Byzantine strategy {name!r}") from None
-
-
-def rotate_byzantine_set(cluster, injector: TransientFaultInjector,
-                         new_set: Sequence[str], strategy_factory,
-                         frozen: Sequence[str] = ()) -> List[str]:
-    """Move the Byzantine set to ``new_set``; returns the recovered pids.
-
-    Servers leaving the set become correct again with *arbitrary* local
-    state (corrupted through ``injector``) — the mobile-failure semantics
-    of footnote 1, shared by :class:`MobileByzantineController` and the
-    ``byzantine`` events of :class:`~repro.faults.schedule.FaultTimeline`.
-    ``frozen`` pids are left untouched even if currently faulty (e.g.
-    servers a timeline crashed, which only its ``recover`` event revives).
-    """
-    recovering = [pid for pid in cluster.byzantine_ids
-                  if pid not in new_set and pid not in frozen]
-    cluster.make_byzantine(recovering, None)
-    for pid in recovering:
-        injector.corrupt_process(cluster.server(pid))
-    cluster.make_byzantine(new_set, strategy_factory)
-    return recovering
-
-
-class MobileByzantineController:
-    """Mobile Byzantine failures (footnote 1).
-
-    Rotates the Byzantine set through ``server_ids`` (at most ``t`` at a
-    time) at the given times.  A server leaving the Byzantine set becomes
-    correct again but with *arbitrary* local state — we corrupt it through
-    the transient injector, which is exactly the situation the paper's
-    stabilization property is about.
-    """
-
-    def __init__(self, cluster, injector: TransientFaultInjector,
-                 strategy_factory, rotation: Sequence[Sequence[str]],
-                 times: Sequence[float]):
-        if len(rotation) != len(times):
-            raise ValueError("need one Byzantine set per rotation time")
-        self.cluster = cluster
-        self.injector = injector
-        self.strategy_factory = strategy_factory
-        for byz_set, time in zip(rotation, times):
-            if len(byz_set) > cluster.params.t:
-                raise ValueError(
-                    f"Byzantine set {byz_set} exceeds t={cluster.params.t}")
-            cluster.scheduler.schedule_at(
-                time, self._rotate, list(byz_set), label="mobile-byz")
-
-    def _rotate(self, new_set: List[str]) -> None:
-        rotate_byzantine_set(self.cluster, self.injector, new_set,
-                             self.strategy_factory)

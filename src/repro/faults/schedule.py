@@ -1,14 +1,16 @@
 """Declarative fault timelines: what goes wrong, when — as data.
 
-Two layers live here:
-
-* :class:`FaultPlan` — the original imperative list of ``(time, callable)``
-  pairs, kept for hand-built experiments.
-* :class:`FaultTimeline` — a *declarative, serializable* adversary
-  description.  Every entry is a :class:`TimelineEvent` (time, kind,
-  JSON-able args); the timeline round-trips through ``to_dict`` /
-  ``from_dict`` so a :class:`~repro.runner.SweepSpec` can grid over
-  adversary shapes exactly like it grids over ``n`` or seeds.
+:class:`FaultTimeline` is the one way to inject a fault.  It is a
+*declarative, serializable* adversary description: every entry is a
+:class:`TimelineEvent` (time, kind, JSON-able args), and the timeline
+round-trips through ``to_dict`` / ``from_dict`` so a
+:class:`~repro.runner.SweepSpec` can grid over adversary shapes exactly
+like it grids over ``n`` or seeds.  Every scenario family compiles its
+scalar fault knobs (``corruption_times``, ``link_garbage``, rotations,
+partitions) into one timeline, so :meth:`FaultTimeline.install` is the
+only place a fault is scheduled and :meth:`FaultTimeline._fire` the only
+place one is announced: each firing calls every
+:func:`register_fault_tap` observer as ``tap(t, lane, kind, detail)``.
 
 Supported event kinds
 ---------------------
@@ -34,6 +36,12 @@ Supported event kinds
                     keys move there).
 ``migrate_vnodes``  move ``count`` vnode slots ``source`` → ``dest``.
 
+An event accepts exactly its kind's argument names (:data:`EVENT_ARGS`);
+a misspelt one is a spec error, not a silently applied default.  A tap's
+``detail`` is the event's args, except for the two injection kinds,
+which report their effect: ``{"corrupted", "targets"}`` for a burst,
+``{"links", "per_link"}`` for link garbage.
+
 The three ``reshard_*``/``migrate_vnodes`` kinds are **store-scoped**:
 they reshape the whole :class:`~repro.kvstore.sharded.ShardedKVStore`,
 not one cluster, so :meth:`FaultTimeline.install` (cluster-scoped)
@@ -55,16 +63,31 @@ judge reads only after the adversary stopped moving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from .byzantine import (CrashStrategy, rotate_byzantine_set,
-                        strategy_factory)
+from .byzantine import STRATEGY_FACTORIES, CrashStrategy, strategy_factory
 from .transient import TransientFaultInjector
 
-#: event kinds a timeline may contain (anything else is a spec error).
-EVENT_KINDS = ("burst", "link-garbage", "partition", "heal", "crash",
-               "recover", "byzantine", "reshard_split", "reshard_merge",
-               "migrate_vnodes")
+#: kind -> (required, optional) argument names; an event of any other
+#: kind, or with any other argument, is a spec error.
+EVENT_ARGS = {
+    "burst": ((), ("fraction", "targets")),
+    "link-garbage": ((), ("per_link",)),
+    "partition": (("group",), ()),
+    "heal": (("group",), ()),
+    "crash": (("servers",), ()),
+    "recover": (("servers",), ("corrupt",)),
+    "byzantine": (("servers",), ("strategy",)),
+    "reshard_split": (("shard",), ()),
+    "reshard_merge": (("source", "into"), ()),
+    "migrate_vnodes": (("source", "dest"), ("count",)),
+}
+
+#: event kinds a timeline may contain.
+EVENT_KINDS = tuple(EVENT_ARGS)
+
+#: the named groups a ``burst`` may target (or an explicit pid list).
+_BURST_GROUPS = ("servers", "clients", "all")
 
 #: store-scoped rebalance kinds — applied by the Rebalancer, never
 #: schedulable on a single cluster (see module docstring).
@@ -76,18 +99,16 @@ RESHARD_KINDS = frozenset({"reshard_split", "reshard_merge",
 #: system must re-converge.
 _TRANSIENT_KINDS = frozenset(EVENT_KINDS) - {"byzantine"}
 
-#: Timeline taps: ``tap(t, label, event)`` fires after each timeline
-#: event executes.  ``burst`` / ``link-garbage`` are excluded — the
-#: injector-level tap (:func:`repro.faults.transient.register_fault_tap`)
-#: already sees those, with their effect counts.
-_TAPPED_KINDS = frozenset(EVENT_KINDS) - {"burst", "link-garbage"}
-_TIMELINE_TAPS: List = []
+#: Fault taps: ``tap(t, lane, kind, detail)`` fires after each timeline
+#: event executes (``repro.capture`` records through this without the
+#: timeline knowing about capture files).
+_FAULT_TAPS: List = []
 
 
-def register_timeline_tap(tap) -> None:
-    """Register a timeline-firing observer (idempotent)."""
-    if tap not in _TIMELINE_TAPS:
-        _TIMELINE_TAPS.append(tap)
+def register_fault_tap(tap) -> None:
+    """Register a fault-firing observer (idempotent)."""
+    if tap not in _FAULT_TAPS:
+        _FAULT_TAPS.append(tap)
 
 
 class _TimelineCrash(CrashStrategy):
@@ -108,9 +129,25 @@ class TimelineEvent:
     args: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in EVENT_ARGS:
             raise ValueError(f"unknown timeline event kind {self.kind!r} "
                              f"(expected one of {EVENT_KINDS})")
+        required, optional = EVENT_ARGS[self.kind]
+        for name in self.args:
+            if name not in required and name not in optional:
+                raise ValueError(
+                    f"timeline event {self.kind!r} has no argument "
+                    f"{name!r} (accepted: {', '.join(required + optional)})")
+        for name in required:
+            if name not in self.args:
+                raise ValueError(f"timeline event {self.kind!r} needs "
+                                 f"argument {name!r}")
+        if not 0.0 <= float(self.args.get("fraction", 1.0)) <= 1.0:
+            raise ValueError(f"burst fraction must be within [0, 1], got "
+                             f"{self.args['fraction']}")
+        if int(self.args.get("per_link", 1)) < 1:
+            raise ValueError(f"link-garbage per_link must be >= 1, got "
+                             f"{self.args['per_link']}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"time": self.time, "kind": self.kind,
@@ -259,9 +296,12 @@ class FaultTimeline:
     def install(self, cluster, injector: TransientFaultInjector) -> None:
         """Schedule every event on ``cluster``'s scheduler.
 
-        Interpretation is deferred to fire time (targets are resolved
-        against the then-current cluster membership), so a timeline can be
-        installed before clients attach.
+        Every event is checked against the cluster first — server ids,
+        partition groups and explicit burst targets must name processes
+        it has, strategies must exist — so a bad timeline fails here,
+        before the run executes anything.  Group targets (``"all"``,
+        ``"clients"``) are resolved at fire time, so a timeline that
+        uses only those can be installed before clients attach.
         """
         # validate everything *before* scheduling anything: a rejected
         # timeline must not leave a partial install behind on the live
@@ -279,11 +319,7 @@ class FaultTimeline:
                     f"timeline event {event.kind!r} at t={event.time} is "
                     f"in the cluster's past (now={now}); anchor the "
                     f"timeline (shifted()/anchor='now') before installing")
-            if event.kind == "byzantine" \
-                    and len(event.args.get("servers", ())) > cluster.params.t:
-                raise ValueError(
-                    f"Byzantine set {event.args['servers']} exceeds "
-                    f"t={cluster.params.t}")
+            _check_against(cluster, event)
         # the scheduler's (time, seq) order already runs these in time
         # order, same-time events in declaration order.
         for event in self.events:
@@ -297,14 +333,18 @@ class FaultTimeline:
     def _fire(cluster, injector: TransientFaultInjector,
               event: TimelineEvent) -> None:
         kind, args = event.kind, event.args
+        detail = args
         if kind == "burst":
             targets = _resolve_targets(cluster, args.get("targets", "all"))
-            injector.corrupt_all(targets, float(args.get("fraction", 1.0)))
+            corrupted = injector.corrupt_all(
+                targets, float(args.get("fraction", 1.0)))
+            detail = {"corrupted": corrupted, "targets": len(targets)}
         elif kind == "link-garbage":
-            injector.garbage_everywhere(
+            per_link = int(args.get("per_link", 1))
+            links = injector.garbage_everywhere(
                 [client.pid for client in cluster.clients],
-                cluster.server_ids,
-                per_link=int(args.get("per_link", 1)))
+                cluster.server_ids, per_link=per_link)
+            detail = {"links": links, "per_link": per_link}
         elif kind == "partition":
             cluster.network.set_partition(args["group"], up=False)
         elif kind == "heal":
@@ -318,85 +358,54 @@ class FaultTimeline:
                 for pid in args["servers"]:
                     injector.corrupt_process(cluster.server(pid))
         elif kind == "byzantine":
-            new_set = list(args["servers"])
-            strategy = args.get("strategy", "random-garbage")
-            crashed = [pid for pid in cluster.byzantine_ids
-                       if isinstance(cluster.server(pid).strategy,
-                                     _TimelineCrash)]
-            rotate_byzantine_set(cluster, injector, new_set,
-                                 strategy_factory(strategy, cluster),
-                                 frozen=crashed)
-        if kind in _TAPPED_KINDS:
-            for tap in _TIMELINE_TAPS:
-                tap(cluster.scheduler.now, injector.label, event)
+            # servers leaving the set re-join the correct ones with
+            # arbitrary state (footnote 1); crashed ones wait for their
+            # ``recover`` event.
+            factory = strategy_factory(args.get("strategy", "random-garbage"),
+                                       cluster)
+            leaving = [pid for pid in cluster.byzantine_ids
+                       if pid not in args["servers"] and not isinstance(
+                           cluster.server(pid).strategy, _TimelineCrash)]
+            cluster.make_byzantine(leaving, None)
+            for pid in leaving:
+                injector.corrupt_process(cluster.server(pid))
+            cluster.make_byzantine(args["servers"], factory)
+        for tap in _FAULT_TAPS:
+            tap(cluster.scheduler.now, injector.label, kind, detail)
+
+
+def _check_against(cluster, event: TimelineEvent) -> None:
+    """Reject what :meth:`FaultTimeline._fire` could only fail on mid-run:
+    unknown pids, target groups or strategies, an oversized Byzantine set."""
+    args = event.args
+    targets = args.get("targets", ())
+    if isinstance(targets, str):
+        if targets not in _BURST_GROUPS:
+            raise ValueError(f"unknown burst target group {targets!r} "
+                             f"(expected one of {_BURST_GROUPS} or a pid "
+                             f"list)")
+        targets = ()
+    known = cluster.network.processes
+    unknown = ([pid for pid in args.get("servers", ())
+                if pid not in cluster.server_ids]
+               + [pid for pid in [*args.get("group", ()), *targets]
+                  if pid not in known])
+    if unknown:
+        raise ValueError(f"timeline event {event.kind!r} at t={event.time} "
+                         f"names unknown process(es) {unknown}")
+    if "strategy" in args and args["strategy"] not in STRATEGY_FACTORIES:
+        raise ValueError(f"unknown Byzantine strategy {args['strategy']!r}")
+    if event.kind == "byzantine" and len(args["servers"]) > cluster.params.t:
+        raise ValueError(f"Byzantine set {args['servers']} exceeds "
+                         f"t={cluster.params.t}")
 
 
 def _resolve_targets(cluster, spec: Any) -> List:
-    """Burst targets: a group name or an explicit pid list."""
+    """Burst targets: a group name or an explicit (validated) pid list."""
     if spec == "servers":
         return list(cluster.servers)
     if spec == "clients":
         return list(cluster.clients)
     if spec == "all":
         return list(cluster.servers) + list(cluster.clients)
-    by_pid = {process.pid: process
-              for process in list(cluster.servers) + list(cluster.clients)}
-    try:
-        return [by_pid[pid] for pid in spec]
-    except KeyError as missing:
-        raise ValueError(f"unknown burst target {missing}") from None
-
-
-# ----------------------------------------------------------------------
-# the original imperative layer
-# ----------------------------------------------------------------------
-@dataclass
-class FaultAction:
-    """One scheduled injection."""
-
-    time: float
-    action: Callable[[], None]
-    label: str = "fault"
-
-
-@dataclass
-class FaultPlan:
-    """An ordered list of fault actions with a declared τ_no_tr."""
-
-    actions: List[FaultAction] = field(default_factory=list)
-    tau_no_tr: float = 0.0
-
-    def add(self, time: float, action: Callable[[], None],
-            label: str = "fault") -> "FaultPlan":
-        self.actions.append(FaultAction(time, action, label))
-        self.tau_no_tr = max(self.tau_no_tr, time)
-        return self
-
-    def apply(self, scheduler) -> None:
-        """Schedule every action on the cluster's scheduler."""
-        for entry in self.actions:
-            scheduler.schedule_at(entry.time, entry.action, label=entry.label)
-
-
-def transient_burst_plan(injector: TransientFaultInjector, processes,
-                         times: Sequence[float], fraction: float = 1.0,
-                         link_garbage: Optional[dict] = None) -> FaultPlan:
-    """Bursts of state corruption (plus optional link garbage) at ``times``.
-
-    ``link_garbage``, if given, maps ``(src, dst)`` pairs to message counts
-    preloaded at the *first* burst (arbitrary initial link state).
-    """
-    plan = FaultPlan()
-    process_list = list(processes)
-    for time in times:
-        plan.add(time,
-                 lambda procs=process_list: injector.corrupt_all(procs, fraction),
-                 label="transient-burst")
-    if link_garbage and times:
-        first = min(times)
-        for (src, dst), count in link_garbage.items():
-            plan.add(first,
-                     lambda s=src, d=dst, c=count:
-                     injector.preload_link_garbage(s, d, c),
-                     label="link-garbage")
-    return plan
+    return [cluster.network.processes[pid] for pid in spec]

@@ -25,23 +25,6 @@ from ..registers.messages import BOT, AckRead, AckWrite, NewHelpVal, Read, Write
 from ..sim.process import Process
 from ..sim.trace import FAULT
 
-#: Injection taps: ``tap(t, label, fault, detail)`` fires after each
-#: burst / link-garbage injection (``repro.capture`` records through
-#: this without the injector knowing about capture files).
-_FAULT_TAPS: List = []
-
-
-def register_fault_tap(tap) -> None:
-    """Register an injection observer (idempotent)."""
-    if tap not in _FAULT_TAPS:
-        _FAULT_TAPS.append(tap)
-
-
-def _notify_fault(t: float, label: str, fault: str, detail: dict) -> None:
-    for tap in _FAULT_TAPS:
-        tap(t, label, fault, detail)
-
-
 def garbage_value(rng: random.Random) -> Any:
     """An arbitrary value for message fields."""
     roll = rng.random()
@@ -73,11 +56,13 @@ def garbage_message(rng: random.Random, reg_id: str = "reg") -> Any:
 class TransientFaultInjector:
     """Corrupts registered process state and link contents.
 
-    Construct it from a cluster::
+    Construct it from a cluster and corrupt right now::
 
         injector = TransientFaultInjector.for_cluster(cluster)
-        injector.corrupt_all(cluster.servers)           # now
-        injector.at(5.0, lambda: injector.corrupt_process(reader))
+        injector.corrupt_all(cluster.servers)
+
+    Faults at later instants are :class:`~repro.faults.schedule
+    .FaultTimeline` events, which fire through an injector like this one.
     """
 
     def __init__(self, rng: random.Random, trace, scheduler, network=None):
@@ -124,14 +109,8 @@ class TransientFaultInjector:
     def corrupt_all(self, processes: Iterable[Process],
                     fraction: float = 1.0) -> int:
         """Corrupt many processes at once; returns variables touched."""
-        touched = 0
-        targets = 0
-        for process in processes:
-            touched += len(self.corrupt_process(process, fraction))
-            targets += 1
-        _notify_fault(self.scheduler.now, self.label, "burst",
-                      {"corrupted": touched, "targets": targets})
-        return touched
+        return sum(len(self.corrupt_process(process, fraction))
+                   for process in processes)
 
     # -- link corruption ---------------------------------------------------------
     def preload_link_garbage(self, src: str, dst: str, count: int = 2,
@@ -146,8 +125,9 @@ class TransientFaultInjector:
 
     def garbage_everywhere(self, client_pids: Iterable[str],
                            server_pids: Iterable[str], per_link: int = 1,
-                           reg_id: str = "reg") -> None:
-        """Garbage on every client<->server link (arbitrary initial state)."""
+                           reg_id: str = "reg") -> int:
+        """Garbage on every client<->server link (arbitrary initial
+        state); returns the number of links loaded."""
         servers = list(server_pids)
         links = 0
         for client in client_pids:
@@ -155,17 +135,4 @@ class TransientFaultInjector:
                 self.preload_link_garbage(client, server, per_link, reg_id)
                 self.preload_link_garbage(server, client, per_link, reg_id)
                 links += 2
-        _notify_fault(self.scheduler.now, self.label, "link-garbage",
-                      {"links": links, "per_link": per_link})
-
-    # -- scheduling -------------------------------------------------------------
-    def at(self, time: float, action) -> None:
-        """Run an injection action at an absolute virtual time."""
-        self.scheduler.schedule_at(time, action, label="fault")
-
-    def burst(self, times: Iterable[float], processes: List[Process],
-              fraction: float = 1.0) -> None:
-        """Schedule corruption bursts; the last burst time is τ_no_tr."""
-        for time in times:
-            self.at(time, lambda processes=list(processes):
-                    self.corrupt_all(processes, fraction))
+        return links

@@ -147,9 +147,7 @@ class ShardExecutor:
         # installed-but-not-yet-run snapshot can be taken up front.
         outcome.pre_counters["faults"] = self._counters()
         outcome.tau_local = install_fault_envelope(
-            self._cluster, injector, plan.params["corruption_times"],
-            plan.params["corruption_fractions"],
-            plan.timeline and FaultTimeline.from_dict(plan.timeline))
+            self._cluster, injector, FaultTimeline.from_dict(plan.timeline))
         outcome.post_counters["faults"] = self._counters()
         outcome.corruptions = injector.corruptions
         return True

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..kvstore.sharding import HashRing, derive_shard_seed, partition_ops
-from ..workloads.scenarios import (KVOp, _burst_fractions, kv_op_batches,
-                                   shard_timelines)
+from ..workloads.scenarios import KVOp, kv_op_batches, shard_timelines
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,10 @@ class ShardPlan:
       batch (create, then put/get per round), with values pre-drawn in
       global enumeration order;
     * ``run_faults`` / ``timeline`` — for ``kv``: whether the global
-      fault phase executes, and this shard's declarative timeline (dict
-      form, times relative to the shard clock — the executor re-anchors
-      it to the shard's post-create instant, exactly as
-      ``ShardedKVStore.install_timeline(..., anchor=now)`` would).
+      fault phase executes, and this shard's whole fault timeline (dict
+      form: the scalar bursts, then the shard's own events; times
+      relative to the shard clock — the executor re-anchors it to the
+      shard's post-create instant, exactly as the serial run does).
     """
 
     family: str
@@ -96,22 +95,18 @@ def kv_shard_plans(shard_count: int, seed: int, client_count: int,
     slices = [partition_ops(batch, lambda op: ring.shard_for(op[2]))
               for batch in kv_op_batches(keys, clients, rounds)]
 
-    times = [float(time) for time in corruption_times]
-    fractions = _burst_fractions(times, corruption_fraction)
-    timelines = {shard: timeline.to_dict() for shard, timeline in
-                 shard_timelines(fault_timelines, shard_count).items()}
-    run_faults = bool(times or timelines)
+    timelines = shard_timelines(corruption_times, corruption_fraction,
+                                fault_timelines, shard_count)
+    run_faults = bool(corruption_times or fault_timelines)
 
-    params = dict(pool, client_count=client_count, rounds=rounds,
-                  corruption_times=tuple(times),
-                  corruption_fractions=tuple(fractions))
+    params = dict(pool, client_count=client_count, rounds=rounds)
     return [ShardPlan(
         family="kv", shard_index=shard, shard_count=shard_count,
         seed=derive_shard_seed(seed, shard), params=dict(params),
         op_batches=tuple(tuple(batch.get(shard, []))
                          for batch in slices),
         run_faults=run_faults,
-        timeline=timelines.get(shard),
+        timeline=timelines[shard].to_dict(),
     ) for shard in range(shard_count)], keys, ring
 
 

@@ -9,15 +9,22 @@ family) plus a short run function — reached through
 :class:`~repro.workloads.spec.ScenarioSpec` / ``run_scenario``, which
 validate and resolve parameters against that mapping.
 
+A run's faults are one :class:`~repro.faults.schedule.FaultTimeline`:
+the family's scalar knobs (``corruption_times``/``corruption_fraction``,
+``link_garbage``, ``fault_bursts``, rotations, ``partition_*``) compile
+into events in a fixed order — bursts, link garbage, then the family's
+own events and the user's timeline — which is installed once and read
+for τ.
+
 The run functions compose steps that each exist exactly once: the four
 SWSR-shaped families (``swsr``, ``partition``, ``mobile-byz``, ``soak``)
-share :class:`_SwsrRig`, the :func:`_drive_swsr` loop and
-:func:`_rotation_timeline`, and differ only in fault plan, engine
-windows and chunk size; the store-backed families (``kv``, ``reshard``)
-share :func:`kv_op_batches`, :func:`run_batch`, :func:`shard_timelines`
-and :func:`install_fault_envelope` — which :mod:`repro.parallel` also
-plans and runs its shard workers from, making the parallel execution
-serial-equivalent by construction.
+share :class:`_SwsrRig`, the :func:`_drive_swsr` loop, :func:`_bursts`
+and :func:`_rotation_timeline`, and differ only in fault timeline,
+engine windows and chunk size; the store-backed families (``kv``,
+``reshard``) share :func:`kv_op_batches`, :func:`run_batch`,
+:func:`shard_timelines` and :func:`install_fault_envelope` — which
+:mod:`repro.parallel` also plans and runs its shard workers from, making
+the parallel execution serial-equivalent by construction.
 
 Every family runs on the shared
 :class:`~repro.workloads.engine.ScenarioEngine`: completed operations are
@@ -252,22 +259,32 @@ class StoreScenarioResult:
 
 # -- shared steps: faults ----------------------------------------------------
 
-def _burst_fractions(corruption_times: Sequence[float],
-                     corruption_fraction: Union[float, Sequence[float]]
-                     ) -> List[float]:
-    """Per-burst corruption fractions, broadcasting a scalar.
+def _bursts(corruption_times: Sequence[float],
+            corruption_fraction: Union[float, Sequence[float]],
+            targets: str) -> FaultTimeline:
+    """The ``corruption_times`` / ``corruption_fraction`` knobs spelled
+    as a timeline: one ``burst`` of ``targets`` per corruption time.
 
-    Passing a sequence gives each burst in ``corruption_times`` its own
-    severity (a *corruption schedule*); its length must match.
+    Passing a sequence of fractions gives each burst its own severity (a
+    *corruption schedule*); its length must match.  Every fraction must
+    lie in [0, 1] — even with no bursts to apply it to.
     """
-    if isinstance(corruption_fraction, (int, float)):
-        return [float(corruption_fraction)] * len(corruption_times)
-    fractions = [float(fraction) for fraction in corruption_fraction]
-    if len(fractions) != len(corruption_times):
+    scalar = isinstance(corruption_fraction, (int, float))
+    fractions = [float(fraction) for fraction in (
+        [corruption_fraction] if scalar else corruption_fraction)]
+    if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
+        raise ValueError(f"corruption_fraction must be within [0, 1], got "
+                         f"{corruption_fraction}")
+    if scalar:
+        fractions *= len(corruption_times)
+    elif len(fractions) != len(corruption_times):
         raise ValueError(
             f"corruption_fraction sequence has {len(fractions)} entries "
             f"for {len(corruption_times)} corruption times")
-    return fractions
+    timeline = FaultTimeline()
+    for time, fraction in zip(corruption_times, fractions):
+        timeline.burst(time, fraction=fraction, targets=targets)
+    return timeline
 
 
 def _as_timeline(timeline: Union[dict, FaultTimeline]) -> FaultTimeline:
@@ -298,27 +315,10 @@ def _install_byzantine(cluster: Cluster, byzantine: Optional[Dict[str, str]],
                                strategy_factory(byzantine_strategy, cluster))
 
 
-def _schedule_bursts(injector: TransientFaultInjector, targets,
-                     corruption_times: Sequence[float],
-                     corruption_fraction: Union[float, Sequence[float]]
-                     ) -> float:
-    """Schedule the transient bursts; returns their τ_no_tr (0 if none).
-
-    Fractions are default-bound per iteration: a bare ``lambda:
-    ...fraction`` would make every burst use the *last* fraction (the
-    late-binding closure hazard).
-    """
-    fractions = _burst_fractions(corruption_times, corruption_fraction)
-    target_list = list(targets)
-    for time, fraction in zip(corruption_times, fractions):
-        injector.at(time, lambda fraction=fraction: injector.corrupt_all(
-            target_list, fraction))
-    return max(corruption_times) if corruption_times else 0.0
-
-
-def _rotation_timeline(cluster: Cluster, start: float,
-                       p: SimpleNamespace) -> FaultTimeline:
-    """The mobile-Byzantine rotation plan (footnote 1), as a timeline.
+def _rotation_timeline(timeline: FaultTimeline, server_ids: List[str],
+                       start: float, p: SimpleNamespace) -> None:
+    """Append the mobile-Byzantine rotation plan (footnote 1) to
+    ``timeline``.
 
     The Byzantine set (size ``rotation_size``, default ``t``) hops across
     the server ring every ``rotation_gap`` time units (default
@@ -329,52 +329,53 @@ def _rotation_timeline(cluster: Cluster, start: float,
     """
     size = p.t if p.rotation_size is None else p.rotation_size
     gap = 2.0 * p.op_gap if p.rotation_gap is None else p.rotation_gap
-    server_ids = cluster.server_ids
-    timeline = FaultTimeline()
     for index in range(p.rotations):
         members = [server_ids[(index * size + offset) % p.n]
                    for offset in range(size)]
         timeline.byzantine(start + index * gap, members,
                            p.rotation_strategy)
-    return timeline
 
 
-def shard_timelines(fault_timelines: Optional[Dict[Any, Any]],
-                    shard_count: int) -> Dict[int, FaultTimeline]:
-    """Parse ``{shard_index: FaultTimeline-or-dict}`` and range-check it."""
-    timelines = {int(shard): _as_timeline(timeline)
-                 for shard, timeline in (fault_timelines or {}).items()}
-    out_of_range = sorted(shard for shard in timelines
+def shard_timelines(corruption_times: Sequence[float],
+                    corruption_fraction: Union[float, Sequence[float]],
+                    fault_timelines: Optional[Dict[Any, Any]],
+                    shard_count: int) -> List[FaultTimeline]:
+    """Every shard's relative fault timeline, indexed by shard.
+
+    The scalar bursts (servers only, on every shard) come first, then the
+    shard's own ``fault_timelines`` entry (``{shard_index:
+    FaultTimeline-or-dict}``, range-checked).
+    """
+    own = {int(shard): _as_timeline(timeline)
+           for shard, timeline in (fault_timelines or {}).items()}
+    out_of_range = sorted(shard for shard in own
                           if not 0 <= shard < shard_count)
     if out_of_range:
         raise ValueError(
             f"fault_timelines reference shards {out_of_range} but the "
             f"store has {shard_count} shard(s); a silently dropped "
             "timeline would fake a fault-free verdict")
-    return timelines
+    bursts = _bursts(corruption_times, corruption_fraction, "servers").events
+    return [FaultTimeline(bursts + (own[shard].events if shard in own
+                                    else []))
+            for shard in range(shard_count)]
 
 
 def install_fault_envelope(cluster: Cluster,
                            injector: TransientFaultInjector,
-                           corruption_times: Sequence[float],
-                           fractions: Sequence[float],
-                           timeline: Optional[FaultTimeline]) -> float:
+                           timeline: FaultTimeline) -> float:
     """One shard's fault phase; returns its τ_local.
 
-    Bursts (servers only, fraction-sampled) and the shard's declarative
-    timeline are anchored to the shard's local clock — shards are
-    independent simulations, each at its own post-create instant — and
-    the shard then runs to τ_local + 1, so the workload restarts after
-    its last transient event (the paper's assumption (b) per shard).
+    The shard's relative timeline is anchored to its local clock —
+    shards are independent simulations, each at its own post-create
+    instant — and the shard then runs to τ_local + 1, so the workload
+    restarts after its last transient event (the paper's assumption (b)
+    per shard).
     """
     anchor = cluster.now
-    tau_local = max(anchor, _schedule_bursts(
-        injector, cluster.servers,
-        [anchor + time for time in corruption_times], fractions))
-    if timeline is not None:
-        installed = timeline.shifted(anchor)
-        installed.install(cluster, injector)
-        tau_local = max(tau_local, installed.tau_no_tr)
+    installed = timeline.shifted(anchor)
+    installed.install(cluster, injector)
+    tau_local = max(anchor, installed.tau_no_tr)
     cluster.run(until=tau_local + 1.0)
     return tau_local
 
@@ -411,26 +412,19 @@ class _SwsrRig:
                            getattr(p, "byzantine_strategy", None))
         self.injector = TransientFaultInjector.for_cluster(cluster)
 
-    def bursts(self, times: Sequence[float],
-               fraction: Union[float, Sequence[float]],
-               clients: bool = True) -> float:
-        """Schedule bursts over all servers (and, unless ``clients`` is
-        false, the writer and reader); returns their τ_no_tr."""
-        targets = self.cluster.servers + (
-            [self.writer, self.reader] if clients else [])
-        return _schedule_bursts(self.injector, targets, times, fraction)
-
-    def drive(self, p: SimpleNamespace, start: float, tau: float,
-              chunk_ops: Optional[int] = None,
+    def drive(self, p: SimpleNamespace, timeline: FaultTimeline,
+              start: float, tau: float, chunk_ops: Optional[int] = None,
               engine_kwargs: Optional[Dict[str, Any]] = None,
               **extra: Any) -> ScenarioResult:
-        """Run the workload from ``start`` and assemble the result.
+        """Install ``timeline`` (the run's whole adversary), run the
+        workload from ``start`` and assemble the result.
 
         The stabilization report is judged from ``tau`` and read off the
         engine's online tracker — no post-run pass over the history.
         ``engine_kwargs`` override the default engine (exact checkers,
         retained history, tracker mode from ``kind``).
         """
+        timeline.install(self.cluster, self.injector)
         kwargs = {"mode": "atomic" if p.kind == "atomic" else "regular",
                   **(engine_kwargs or {})}
         engine = ScenarioEngine(self.cluster, initial=p.initial, **kwargs)
@@ -442,7 +436,7 @@ class _SwsrRig:
             tau_no_tr=tau, stream=engine.stream,
             extra={"writer": self.writer, "reader": self.reader,
                    "injector": self.injector, "tracker": engine.tracker,
-                   **extra})
+                   "timeline": timeline, **extra})
 
 
 def _drive_swsr(engine: ScenarioEngine, writer, reader, start: float,
@@ -587,17 +581,15 @@ def _drive_store(p: SimpleNamespace, store: ShardedKVStore,
        posture).  ``batch(ops, live=True)`` marks these batches as the
        ones a live rebalance may ride.
     """
+    timelines = shard_timelines(p.corruption_times, p.corruption_fraction,
+                                p.fault_timelines, p.shard_count)
     batches = kv_op_batches(keys, store.client_pids, p.rounds, writer_of)
     completed = batch(next(batches))
     corruptions = 0
     if completed and (p.corruption_times or p.fault_timelines):
-        fractions = _burst_fractions(p.corruption_times,
-                                     p.corruption_fraction)
-        timelines = shard_timelines(p.fault_timelines, p.shard_count)
-        for shard in range(p.shard_count):
+        for shard, timeline in enumerate(timelines):
             tau_by_shard[shard] = install_fault_envelope(
-                store.group[shard], store.injector_for(shard),
-                p.corruption_times, fractions, timelines.get(shard))
+                store.group[shard], store.injector_for(shard), timeline)
         corruptions = sum(injector.corruptions
                           for injector in store._injectors.values())
     for key in keys:
@@ -633,21 +625,19 @@ def _run_swsr(p: SimpleNamespace) -> ScenarioResult:
     >>> result.completed, result.summarize().stable
     (True, True)
     """
+    if p.link_garbage < 0:
+        raise ValueError(f"link_garbage must be >= 0, got {p.link_garbage}")
     rig = _SwsrRig(
         p, synchronous=p.synchronous,
         wsn_config=WsnConfig(p.wsn_modulus) if p.wsn_modulus else None)
-    injector = rig.injector
-    tau_no_tr = rig.bursts(p.corruption_times, p.corruption_fraction)
+    timeline = _bursts(p.corruption_times, p.corruption_fraction, "all")
     if p.link_garbage > 0 and p.corruption_times:
-        injector.at(min(p.corruption_times),
-                    lambda: injector.garbage_everywhere(
-                        [rig.writer.pid, rig.reader.pid],
-                        rig.cluster.server_ids, per_link=p.link_garbage))
+        timeline.link_garbage(min(p.corruption_times),
+                              per_link=p.link_garbage)
     if p.fault_timeline is not None:
-        timeline = _as_timeline(p.fault_timeline)
-        timeline.install(rig.cluster, injector)
-        tau_no_tr = max(tau_no_tr, timeline.tau_no_tr)
-    return rig.drive(p, tau_no_tr + 1.0, tau_no_tr)
+        timeline.events += _as_timeline(p.fault_timeline).events
+    tau_no_tr = timeline.tau_no_tr
+    return rig.drive(p, timeline, tau_no_tr + 1.0, tau_no_tr)
 
 
 def _run_partition(p: SimpleNamespace) -> ScenarioResult:
@@ -677,19 +667,17 @@ def _run_partition(p: SimpleNamespace) -> ScenarioResult:
                          f"{count}; a group sliced past the server list "
                          "would report a partition that never happened")
     rig = _SwsrRig(p)
-    tau_bursts = rig.bursts(p.corruption_times, p.corruption_fraction)
-    start = tau_bursts + 1.0
+    timeline = _bursts(p.corruption_times, p.corruption_fraction, "all")
+    start = timeline.tau_no_tr + 1.0
     group = rig.cluster.server_ids[p.n - count:] if count else []
     cut = (start + 1.5 * p.op_gap if p.partition_start is None
            else p.partition_start)
     duration = (2.0 * p.op_gap if p.partition_duration is None
                 else p.partition_duration)
-    timeline = FaultTimeline()
     if group:
         timeline.partition(cut, cut + duration, group)
-    timeline.install(rig.cluster, rig.injector)
-    return rig.drive(p, start, max(tau_bursts, timeline.tau_no_tr),
-                     timeline=timeline, partition_group=group)
+    return rig.drive(p, timeline, start, timeline.tau_no_tr,
+                     partition_group=group)
 
 
 def _run_mobile_byz(p: SimpleNamespace) -> ScenarioResult:
@@ -709,12 +697,10 @@ def _run_mobile_byz(p: SimpleNamespace) -> ScenarioResult:
     sweeps should rotate responsive liars (``random-garbage``, ``stale``).
     """
     rig = _SwsrRig(p)
-    tau_bursts = rig.bursts(p.corruption_times, p.corruption_fraction)
-    start = tau_bursts + 1.0
-    timeline = _rotation_timeline(rig.cluster, start, p)
-    timeline.install(rig.cluster, rig.injector)
-    return rig.drive(p, start, max(tau_bursts, timeline.last_event_time),
-                     timeline=timeline)
+    timeline = _bursts(p.corruption_times, p.corruption_fraction, "all")
+    start = timeline.tau_no_tr + 1.0
+    _rotation_timeline(timeline, rig.cluster.server_ids, start, p)
+    return rig.drive(p, timeline, start, timeline.last_event_time)
 
 
 def _run_soak(p: SimpleNamespace):
@@ -775,15 +761,12 @@ def soak_shard(p: SimpleNamespace, seed: int, tracked: bool = True,
     and the parent re-runs the tracker on the merged stream side).
     """
     rig = _SwsrRig(p, seed=seed)
-    tau = rig.bursts([p.fault_period * (index + 1)
-                      for index in range(p.fault_bursts)],
-                     p.corruption_fraction, clients=False)
-    start = tau + 1.0
-    timeline = None
-    if p.rotations > 0:
-        timeline = _rotation_timeline(rig.cluster, start, p)
-        timeline.install(rig.cluster, rig.injector)
-        tau = max(tau, timeline.last_event_time)
+    timeline = _bursts([p.fault_period * (index + 1)
+                        for index in range(p.fault_bursts)],
+                       p.corruption_fraction, "servers")
+    start = timeline.tau_no_tr + 1.0
+    _rotation_timeline(timeline, rig.cluster.server_ids, start, p)
+    tau = timeline.last_event_time
     engine_kwargs = dict(
         keep_history=p.keep_history, write_window=p.write_window,
         read_window=p.read_window, max_records=p.max_records,
@@ -791,8 +774,8 @@ def soak_shard(p: SimpleNamespace, seed: int, tracked: bool = True,
         retain_handles=p.keep_history, checkers=checkers)
     if not tracked:
         engine_kwargs["mode"] = None
-    return rig.drive(p, start, tau, chunk_ops=p.chunk_ops,
-                     engine_kwargs=engine_kwargs, timeline=timeline,
+    return rig.drive(p, timeline, start, tau, chunk_ops=p.chunk_ops,
+                     engine_kwargs=engine_kwargs,
                      soak={name: getattr(p, name) for name in (
                          "num_writes", "num_reads", "chunk_ops",
                          "write_window", "read_window")})
@@ -827,9 +810,9 @@ def _run_mwmr(p: SimpleNamespace) -> ScenarioResult:
     _install_byzantine(cluster, None, p.byzantine_count,
                        p.byzantine_strategy)
     injector = TransientFaultInjector.for_cluster(cluster)
-    tau_no_tr = _schedule_bursts(injector,
-                                 cluster.servers + register.processes,
-                                 p.corruption_times, p.corruption_fraction)
+    timeline = _bursts(p.corruption_times, p.corruption_fraction, "all")
+    timeline.install(cluster, injector)
+    tau_no_tr = timeline.tau_no_tr
 
     start = tau_no_tr + 1.0
     values = ValueStream()

@@ -1,12 +1,12 @@
-"""Unit tests for Byzantine strategies and mobile Byzantine control."""
+"""Unit tests for Byzantine strategies and mobile Byzantine rotation."""
 
 import pytest
 
 from repro.faults.byzantine import (CollusionCoordinator,
                                     FabricatedQuorumStrategy,
-                                    MobileByzantineController,
                                     STRATEGY_FACTORIES, SilentStrategy,
                                     StaleReplyStrategy, strategy_factory)
+from repro.faults.schedule import FaultTimeline
 from repro.faults.transient import TransientFaultInjector
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_regular
 
@@ -76,21 +76,22 @@ def test_fabricated_quorum_strategy_colludes():
     assert run_op(cluster, reader.read()) == "good"
 
 
+def rotate(cluster, sets, times, strategy="silent"):
+    """Install a mobile-Byzantine rotation; returns its injector."""
+    injector = TransientFaultInjector.for_cluster(cluster)
+    FaultTimeline().rotation(times, sets, strategy).install(cluster, injector)
+    return injector
+
+
 def test_exceeding_t_in_mobile_controller_rejected():
     cluster, writer, reader = make_cluster()
-    injector = TransientFaultInjector.for_cluster(cluster)
-    with pytest.raises(ValueError):
-        MobileByzantineController(
-            cluster, injector, strategy_factory("silent", cluster),
-            rotation=[["s1", "s2"]], times=[1.0])
+    with pytest.raises(ValueError, match="exceeds t=1"):
+        rotate(cluster, [["s1", "s2"]], [1.0])
 
 
 def test_mobile_rotation_moves_byzantine_set():
     cluster, writer, reader = make_cluster(seed=3)
-    injector = TransientFaultInjector.for_cluster(cluster)
-    MobileByzantineController(
-        cluster, injector, strategy_factory("silent", cluster),
-        rotation=[["s1"], ["s2"]], times=[1.0, 2.0])
+    rotate(cluster, [["s1"], ["s2"]], [1.0, 2.0])
     cluster.run(until=1.5)
     assert cluster.byzantine_ids == ["s1"]
     cluster.run(until=2.5)
@@ -100,20 +101,15 @@ def test_mobile_rotation_moves_byzantine_set():
 def test_mobile_recovery_corrupts_recovered_server():
     """A server leaving the Byzantine set re-joins with arbitrary state."""
     cluster, writer, reader = make_cluster(seed=4)
-    injector = TransientFaultInjector.for_cluster(cluster)
-    MobileByzantineController(
-        cluster, injector, strategy_factory("silent", cluster),
-        rotation=[["s1"], ["s2"]], times=[1.0, 2.0])
+    injector = rotate(cluster, [["s1"], ["s2"]], [1.0, 2.0])
     cluster.run(until=2.5)
     assert injector.corruptions > 0  # s1's state was fuzzed on recovery
 
 
 def test_register_survives_mobile_byzantine_rotation():
     cluster, writer, reader = make_cluster(seed=5)
-    injector = TransientFaultInjector.for_cluster(cluster)
-    MobileByzantineController(
-        cluster, injector, strategy_factory("random-garbage", cluster),
-        rotation=[["s1"], ["s3"], ["s7"]], times=[1.0, 30.0, 60.0])
+    rotate(cluster, [["s1"], ["s3"], ["s7"]], [1.0, 30.0, 60.0],
+           "random-garbage")
     results = []
     cluster.run(until=5.0)
     run_op(cluster, writer.write("alpha"))
@@ -126,8 +122,5 @@ def test_register_survives_mobile_byzantine_rotation():
 
 def test_rotation_times_length_mismatch_rejected():
     cluster, writer, reader = make_cluster()
-    injector = TransientFaultInjector.for_cluster(cluster)
-    with pytest.raises(ValueError):
-        MobileByzantineController(
-            cluster, injector, strategy_factory("silent", cluster),
-            rotation=[["s1"]], times=[1.0, 2.0])
+    with pytest.raises(ValueError, match="one Byzantine set per"):
+        rotate(cluster, [["s1"]], [1.0, 2.0])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults.schedule import FaultTimeline
 from repro.faults.transient import (TransientFaultInjector, garbage_message,
                                     garbage_value)
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_regular
@@ -84,7 +85,9 @@ def test_garbage_everywhere_covers_all_links():
 
 def test_burst_schedules_future_corruption():
     cluster, writer, reader, injector = make_cluster()
-    injector.burst([1.0, 2.0], cluster.servers)
+    FaultTimeline().burst(1.0, targets="servers") \
+        .burst(2.0, targets="servers").install(cluster, injector)
+    assert injector.corruptions == 0
     cluster.run(until=3.0)
     assert injector.corruptions > 0
 

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.capture import load_capture, record_scenario
 from repro.faults.schedule import FaultTimeline, TimelineEvent
+from repro.faults.transient import TransientFaultInjector
+from repro.registers.system import Cluster, ClusterConfig, build_swsr_regular
 from repro.runner.engine import run_sweep
 from repro.runner.spec import SweepSpec
+from repro.workloads import scenarios
 from repro.workloads.spec import run_scenario
 
 
@@ -197,6 +201,125 @@ class TestTimelineSerialization:
         # the timeline's burst pushed tau (and hence the workload) out
         assert result.tau_no_tr == 3.0
         assert result.extra["injector"].corruptions > 0
+
+
+def bare_cluster():
+    cluster = Cluster(ClusterConfig(n=9, t=1, seed=0))
+    build_swsr_regular(cluster, initial="v")
+    return cluster, TransientFaultInjector.for_cluster(cluster)
+
+
+class TestTimelineValidation:
+    @pytest.mark.parametrize("kind, args, match", [
+        # a typo'd optional argument used to fall back to its default:
+        # "fracton" corrupted every variable instead of a tenth of them
+        ("burst", {"fracton": 0.1}, "'burst' has no argument 'fracton'"),
+        ("link-garbage", {"per_links": 2}, "no argument 'per_links'"),
+        ("byzantine", {"server": ["s1"]}, "no argument 'server'"),
+        ("crash", {}, "'crash' needs argument 'servers'"),
+        ("reshard_merge", {"source": 1}, "needs argument 'into'"),
+    ])
+    def test_argument_names_are_checked(self, kind, args, match):
+        with pytest.raises(ValueError, match=match):
+            TimelineEvent(1.0, kind, args)
+
+    def test_typo_rejected_through_a_scenario(self):
+        with pytest.raises(ValueError, match="fracton"):
+            run_scenario("swsr", seed=1, fault_timeline={"events": [
+                {"time": 2.0, "kind": "burst", "args": {"fracton": 0.1}}]})
+
+    @pytest.mark.parametrize("family, params", [
+        # fractions outside [0, 1] used to run as 0 (fault-free, yet
+        # reported stable) or as 1
+        ("swsr", dict(corruption_times=[2.0], corruption_fraction=-0.5)),
+        ("swsr", dict(corruption_times=[2.0], corruption_fraction=1.5)),
+        ("swsr", dict(corruption_times=[2.0, 3.0],
+                      corruption_fraction=[0.5, 2.0])),
+        ("mwmr", dict(corruption_times=[2.0], corruption_fraction=-0.1)),
+        ("soak", dict(corruption_fraction=1.01)),
+        ("kv", dict(corruption_times=[2.0], corruption_fraction=-1.0)),
+        # negative link garbage used to run as none
+        ("swsr", dict(corruption_times=[2.0], link_garbage=-3)),
+        # timeline per_link <= 0 used to load nothing yet count toward τ
+        ("swsr", dict(fault_timeline={"events": [
+            {"time": 2.0, "kind": "link-garbage", "args": {"per_link": 0}}]})),
+        ("swsr", dict(fault_timeline={"events": [
+            {"time": 2.0, "kind": "burst", "args": {"fraction": 1.5}}]})),
+    ])
+    def test_out_of_range_fault_sizes_rejected(self, family, params):
+        with pytest.raises(ValueError, match="fraction|link_garbage|per_link"):
+            run_scenario(family, seed=1, **params)
+
+    @pytest.mark.parametrize("event, match", [
+        (TimelineEvent(50.0, "crash", {"servers": ["s99"]}), "s99"),
+        (TimelineEvent(50.0, "recover", {"servers": ["s99"]}), "s99"),
+        (TimelineEvent(50.0, "byzantine", {"servers": ["s99"]}), "s99"),
+        (TimelineEvent(50.0, "partition", {"group": ["s99"]}), "s99"),
+        (TimelineEvent(50.0, "burst", {"targets": ["w", "x9"]}), "x9"),
+        (TimelineEvent(50.0, "burst", {"targets": "server"}),
+         "unknown burst target group 'server'"),
+        (TimelineEvent(50.0, "byzantine",
+                       {"servers": ["s1"], "strategy": "nope"}),
+         "unknown Byzantine strategy 'nope'"),
+    ])
+    def test_bad_targets_fail_at_install(self, event, match):
+        # these used to raise only when the event fired, mid-run
+        cluster, injector = bare_cluster()
+        timeline = FaultTimeline([TimelineEvent(1.0, "burst"), event])
+        before = cluster.scheduler.pending_count()
+        with pytest.raises(ValueError, match=match):
+            timeline.install(cluster, injector)
+        assert cluster.scheduler.pending_count() == before
+
+
+def _faults_and_summary(path, family, params):
+    result = record_scenario(family, str(path), **params)
+    _, events, _ = load_capture(str(path))
+    return (result.summarize().to_dict(),
+            [event for event in events if event["kind"] == "fault"])
+
+
+SWSR = dict(seed=1, num_writes=3, num_reads=3)
+KV = dict(shard_count=2, num_keys=2, rounds=1, seed=3)
+KV_BURSTS = (FaultTimeline().burst(1.0, fraction=0.2, targets="servers")
+             .burst(2.0, fraction=0.2, targets="servers")).to_dict()
+MWMR = dict(m=2, seed=3, ops_per_process=1)
+SOAK = dict(seed=3, num_writes=6, num_reads=6, rotations=1)
+
+
+class TestScalarKnobsAreTimelines:
+    """Every scalar fault knob is shorthand for timeline events: the two
+    spellings run the same execution and record the same faults."""
+
+    @pytest.mark.parametrize("family, knobs, explicit, substitute", [
+        ("swsr", dict(SWSR, corruption_times=[2.0, 4.0],
+                      corruption_fraction=[0.5, 1.0], link_garbage=2),
+         dict(SWSR, fault_timeline=FaultTimeline()
+              .burst(2.0, fraction=0.5).burst(4.0, fraction=1.0)
+              .link_garbage(2.0, per_link=2).to_dict()), None),
+        ("kv", dict(KV, corruption_times=[1.0, 2.0]),
+         dict(KV, fault_timelines={0: KV_BURSTS, 1: KV_BURSTS}), None),
+        # mwmr and soak take no timeline parameter: the explicit spelling
+        # stands in for the bursts the family compiles from its knobs.
+        ("mwmr", dict(MWMR, corruption_times=[1.0, 3.0]), MWMR,
+         FaultTimeline().burst(1.0, fraction=0.3).burst(3.0, fraction=0.3)),
+        ("soak", dict(SOAK, fault_bursts=2), dict(SOAK, fault_bursts=0),
+         FaultTimeline().burst(5.0, fraction=0.3, targets="servers")
+         .burst(10.0, fraction=0.3, targets="servers")),
+    ])
+    def test_scalar_knobs_equal_their_timeline_spelling(
+            self, tmp_path, monkeypatch, family, knobs, explicit,
+            substitute):
+        by_knob = _faults_and_summary(tmp_path / "knob.jsonl", family,
+                                      knobs)
+        if substitute is not None:
+            monkeypatch.setattr(scenarios, "_bursts",
+                                lambda *args: FaultTimeline(
+                                    substitute.events))
+        by_timeline = _faults_and_summary(tmp_path / "timeline.jsonl",
+                                          family, explicit)
+        assert by_knob[1], "the cell must record faults"
+        assert by_knob == by_timeline
 
 
 class TestSweepIntegration:
