@@ -53,6 +53,11 @@ def garbage_message(rng: random.Random, reg_id: str = "reg") -> Any:
     return SSConfirm(phase)
 
 
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be within [0, 1], got {fraction!r}")
+
+
 class TransientFaultInjector:
     """Corrupts registered process state and link contents.
 
@@ -84,7 +89,7 @@ class TransientFaultInjector:
         """Overwrite one registered variable with an arbitrary value."""
         var = process.corruptible[name]
         value = var.fuzz(self.rng)
-        var.setter(value)
+        setattr(var.owner, var.attr, value)
         self.corruptions += 1
         self.trace.emit(self.scheduler.now, FAULT, process.pid,
                         var=name, value=value)
@@ -94,13 +99,20 @@ class TransientFaultInjector:
                         prefix: Optional[str] = None) -> List[str]:
         """Corrupt (a sampled subset of) a process's corruptible variables.
 
+        ``fraction`` (in [0, 1]) is each variable's chance of being hit;
         ``prefix`` restricts corruption to variables of one register
-        instance (their names are ``<reg_id>.<var>``).
+        instance (their names are ``<reg_id>.<var>``) and must match at
+        least one of them.
         """
+        _check_fraction(fraction)
+        names = sorted(process.corruptible)
+        if prefix is not None:
+            names = [name for name in names if name.startswith(prefix)]
+            if not names:
+                raise ValueError(f"prefix {prefix!r} matches no corruptible "
+                                 f"variable of {process.pid}")
         corrupted = []
-        for name in sorted(process.corruptible):
-            if prefix is not None and not name.startswith(prefix):
-                continue
+        for name in names:
             if self.rng.random() <= fraction:
                 self.corrupt_var(process, name)
                 corrupted.append(name)
@@ -109,6 +121,7 @@ class TransientFaultInjector:
     def corrupt_all(self, processes: Iterable[Process],
                     fraction: float = 1.0) -> int:
         """Corrupt many processes at once; returns variables touched."""
+        _check_fraction(fraction)
         return sum(len(self.corrupt_process(process, fraction))
                    for process in processes)
 

@@ -184,7 +184,10 @@ class ServerAutomaton:
 
     Handlers receive the client id, the ss-delivered payload and the
     substrate phase token, and answer through ``self.server.reply``.
+    Slotted, like its subclasses: a server hosts one per register copy.
     """
+
+    __slots__ = ("server", "reg_id")
 
     def __init__(self, server: "ServerProcess", reg_id: str):
         self.server = server
@@ -212,6 +215,10 @@ class ServerProcess(Process):
         self.deliveries = 0
 
     def add_automaton(self, automaton: ServerAutomaton) -> ServerAutomaton:
+        """Host ``automaton``; one automaton per ``reg_id``."""
+        if automaton.reg_id in self.automatons:
+            raise ValueError(f"{self.pid} already hosts register "
+                             f"{automaton.reg_id!r}")
         self.automatons[automaton.reg_id] = automaton
         return automaton
 

@@ -70,3 +70,8 @@ class WsnConfig:
 
     def in_domain(self, wsn) -> bool:
         return isinstance(wsn, int) and 0 <= wsn < self.modulus
+
+
+#: The paper's configuration; what every role and automaton built without
+#: an explicit one shares.
+DEFAULT_WSN_CONFIG = WsnConfig()

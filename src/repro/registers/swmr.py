@@ -37,11 +37,12 @@ def install_swmr_servers(servers: List[ServerProcess], base_reg_id: str,
                          reader_pids: List[str], initial: Any = None,
                          config: Optional[WsnConfig] = None) -> None:
     """Attach one SWSR atomic automaton per reader to every server."""
+    pair = (0, initial)     # immutable: every copy may share it
     for reader_pid in reader_pids:
         reg_id = copy_reg_id(base_reg_id, reader_pid)
         for server in servers:
             server.add_automaton(
-                AtomicRegisterServer(server, reg_id, initial=(0, initial),
+                AtomicRegisterServer(server, reg_id, initial=pair,
                                      config=config))
 
 

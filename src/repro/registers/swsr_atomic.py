@@ -20,6 +20,7 @@ Like the regular register, the roles also run in the synchronous model
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Generator, Optional, Tuple
 
 from ..sim.process import WaitCondition
@@ -27,11 +28,14 @@ from ..sim.scheduler import Scheduler
 from ..sim.trace import TraceBackend
 from .base import (QuorumParams, RegisterClientProcess, ServerAutomaton,
                    ServerProcess, value_with_quorum)
-from .bounded_seq import WsnConfig
+from .bounded_seq import DEFAULT_WSN_CONFIG, WsnConfig
 from .messages import BOT, AckRead, AckWrite, NewHelpVal, Read, Write
 from .swsr_regular import RegularRegisterServer, _RoleBase
 
 
+# Fuzzers are pure functions of the configuration, so every automaton and
+# role of one configuration shares one (cached) function object.
+@lru_cache(maxsize=None)
 def make_pair_fuzz(config: WsnConfig):
     """Domain-respecting fuzzer for ``(wsn, value)`` pairs (and ⊥)."""
 
@@ -44,6 +48,21 @@ def make_pair_fuzz(config: WsnConfig):
     return fuzz
 
 
+@lru_cache(maxsize=None)
+def make_wsn_fuzz(config: WsnConfig):
+    """Domain-respecting fuzzer for a bare sequence number."""
+
+    def fuzz(rng) -> int:
+        return rng.randrange(config.modulus)
+
+    return fuzz
+
+
+def pv_fuzz(rng) -> str:
+    """Arbitrary replacement for the reader's last returned value ``pv``."""
+    return f"corrupt#{rng.randrange(1_000_000)}"
+
+
 def is_pair(value: Any) -> bool:
     """Shape check for a ``(wsn, v)`` pair (guards against raw garbage)."""
     return isinstance(value, tuple) and len(value) == 2
@@ -52,11 +71,13 @@ def is_pair(value: Any) -> bool:
 class AtomicRegisterServer(RegularRegisterServer):
     """Server automaton of Figure 3 — lines 19-23, values now pairs."""
 
+    __slots__ = ()
+
     def __init__(self, server: ServerProcess, reg_id: str,
                  initial: Any = None, config: Optional[WsnConfig] = None):
-        config = config or WsnConfig()
+        value_fuzz = make_pair_fuzz(config or DEFAULT_WSN_CONFIG)
         super().__init__(server, reg_id, initial=initial,
-                         value_fuzz=make_pair_fuzz(config))
+                         value_fuzz=value_fuzz)
 
 
 class AtomicWriterRole(_RoleBase):
@@ -68,13 +89,10 @@ class AtomicWriterRole(_RoleBase):
     def __init__(self, host: RegisterClientProcess, reg_id: str,
                  params: QuorumParams, config: Optional[WsnConfig] = None):
         super().__init__(host, reg_id, params)
-        self.config = config or WsnConfig()
+        self.config = config or DEFAULT_WSN_CONFIG
         self.wsn = 0
-        host.register_corruptible_var(
-            f"{reg_id}.wsn",
-            getter=lambda: self.wsn,
-            setter=lambda v: setattr(self, "wsn", v),
-            fuzz=lambda rng: rng.randrange(self.config.modulus))
+        host.register_corruptible(f"{reg_id}.wsn", self, "wsn",
+                                  make_wsn_fuzz(self.config))
 
     def write_gen(self, value: Any) -> Generator[WaitCondition, None, None]:
         self.wsn = self.config.next(self.wsn)                        # line N1
@@ -106,21 +124,14 @@ class AtomicReaderRole(_RoleBase):
                  params: QuorumParams, config: Optional[WsnConfig] = None,
                  initial: Any = None):
         super().__init__(host, reg_id, params)
-        self.config = config or WsnConfig()
+        self.config = config or DEFAULT_WSN_CONFIG
         # (pwsn, pv) coherent with the servers' clean initial state
         # (0, initial); an arbitrary starting configuration overwrites both.
         self.pwsn = 0
         self.pv: Any = initial
-        host.register_corruptible_var(
-            f"{reg_id}.pwsn",
-            getter=lambda: self.pwsn,
-            setter=lambda v: setattr(self, "pwsn", v),
-            fuzz=lambda rng: rng.randrange(self.config.modulus))
-        host.register_corruptible_var(
-            f"{reg_id}.pv",
-            getter=lambda: self.pv,
-            setter=lambda v: setattr(self, "pv", v),
-            fuzz=lambda rng: f"corrupt#{rng.randrange(1_000_000)}")
+        host.register_corruptible(f"{reg_id}.pwsn", self, "pwsn",
+                                  make_wsn_fuzz(self.config))
+        host.register_corruptible(f"{reg_id}.pv", self, "pv", pv_fuzz)
 
     # -- helpers -----------------------------------------------------------
     def _quorum_pair(self, acks, field: str,
@@ -221,7 +232,7 @@ def install_servers(servers, reg_id: str, initial: Any = None,
     ``initial`` is the *value* part; servers start at ``(0, initial)`` so a
     clean (uncorrupted) run has a well-defined pre-write state.
     """
+    pair = (0, initial)
     return [server.add_automaton(
-        AtomicRegisterServer(server, reg_id, initial=(0, initial),
-                             config=config))
+        AtomicRegisterServer(server, reg_id, initial=pair, config=config))
         for server in servers]

@@ -51,21 +51,17 @@ class RegularRegisterServer(ServerAutomaton):
     process so the transient-fault injector can overwrite them.
     """
 
+    __slots__ = ("last_val", "helping_val")
+
     def __init__(self, server: ServerProcess, reg_id: str,
                  initial: Any = None, value_fuzz=default_value_fuzz):
         super().__init__(server, reg_id)
         self.last_val: Any = initial
         self.helping_val: Any = BOT
-        server.register_corruptible_var(
-            f"{reg_id}.last_val",
-            getter=lambda: self.last_val,
-            setter=lambda v: setattr(self, "last_val", v),
-            fuzz=value_fuzz)
-        server.register_corruptible_var(
-            f"{reg_id}.helping_val",
-            getter=lambda: self.helping_val,
-            setter=lambda v: setattr(self, "helping_val", v),
-            fuzz=value_fuzz)
+        server.register_corruptible(f"{reg_id}.last_val", self, "last_val",
+                                    value_fuzz)
+        server.register_corruptible(f"{reg_id}.helping_val", self,
+                                    "helping_val", value_fuzz)
 
     def on_deliver(self, client: str, payload: Any, phase: int) -> None:
         # replies go straight through the server's outbox (``reply``/

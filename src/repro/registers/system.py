@@ -289,7 +289,6 @@ def build_swsr_atomic(cluster: Cluster, reg_id: str = "reg",
                       config: Optional[WsnConfig] = None
                       ) -> Tuple[AtomicWriter, AtomicReader]:
     """Figure 3 (practically stabilizing SWSR atomic register)."""
-    config = config or WsnConfig()
     install_atomic_servers(cluster.servers, reg_id, initial=initial,
                            config=config)
     writer = AtomicWriter(writer_pid, cluster.scheduler, cluster.trace,

@@ -40,12 +40,19 @@ everything it needs — the hosting process, hence the clock — from
 
 Corruptible state
 -----------------
-Transient failures may corrupt *any* local variable (Section 2.1).  Each
-process registers its protocol variables in :attr:`Process.corruptible`
-together with a fuzzing function; the fault injector in
-``repro.faults.transient`` overwrites exactly those.  Substrate-level
-bookkeeping (the event queue, phase tokens — see DESIGN.md §2.5) is not
-registered and hence not corrupted, mirroring the paper's reliance on a
+Transient failures may corrupt *any* local variable (Section 2.1).  A
+protocol variable is registered once, with
+``process.register_corruptible(name, owner, attr, fuzz)``: ``name`` is
+the ``<reg_id>.<var>`` key the injector sorts and traces, ``owner.attr``
+is where the value lives (the process itself, or a role or server
+automaton it hosts), ``fuzz(rng)`` draws an arbitrary value of the
+variable's domain.  :attr:`Process.corruptible` maps each name to one
+slotted :class:`CorruptibleVar` record — no closures — and fuzzers are
+shared per configuration, so a stored key costs its state and little
+more.  The fault injector in ``repro.faults.transient`` overwrites
+exactly those variables, with ``setattr``.  Substrate-level bookkeeping
+(the event queue, phase tokens — see DESIGN.md §2.5) is not registered
+and hence not corrupted, mirroring the paper's reliance on a
 self-stabilizing data link.
 """
 
@@ -255,14 +262,18 @@ def join_all(*generators: OpGenerator) -> OpGenerator:
 # processes
 # ----------------------------------------------------------------------
 class CorruptibleVar:
-    """Descriptor record for one transient-failure-corruptible variable."""
+    """One transient-failure-corruptible variable: attribute ``attr`` of
+    ``owner``, and the ``fuzz(rng)`` that draws an arbitrary replacement.
 
-    __slots__ = ("getter", "setter", "fuzz")
+    Its value is ``getattr(owner, attr)`` and a fault writes it with
+    ``setattr`` — no per-variable closures.
+    """
 
-    def __init__(self, getter: Callable[[], Any], setter: Callable[[Any], None],
-                 fuzz: Callable[[Any], Any]):
-        self.getter = getter
-        self.setter = setter
+    __slots__ = ("owner", "attr", "fuzz")
+
+    def __init__(self, owner: Any, attr: str, fuzz: Callable[[Any], Any]):
+        self.owner = owner
+        self.attr = attr
         self.fuzz = fuzz
 
 
@@ -321,27 +332,18 @@ class Process:
         """
 
     # -- corruptible state ---------------------------------------------
-    def register_corruptible(self, name: str,
+    def register_corruptible(self, name: str, owner: Any, attr: str,
                              fuzz: Callable[[Any], Any]) -> None:
-        """Declare attribute ``name`` as transient-failure-corruptible.
+        """Declare ``owner.attr`` transient-failure-corruptible as ``name``.
 
-        ``fuzz(rng)`` must return an arbitrary replacement value.
+        ``owner`` is this process or an object it hosts (a register role,
+        a server automaton); ``fuzz(rng)`` must return an arbitrary
+        replacement value.  A name registers once per process.
         """
-        self.corruptible[name] = CorruptibleVar(
-            getter=lambda: getattr(self, name),
-            setter=lambda value: setattr(self, name, value),
-            fuzz=fuzz,
-        )
-
-    def register_corruptible_var(self, name: str,
-                                 getter: Callable[[], Any],
-                                 setter: Callable[[Any], None],
-                                 fuzz: Callable[[Any], Any]) -> None:
-        """Like :meth:`register_corruptible` for state living on sub-objects
-
-        (register roles and server automatons hosted by this process).
-        """
-        self.corruptible[name] = CorruptibleVar(getter, setter, fuzz)
+        if name in self.corruptible:
+            raise ValueError(f"{self.pid} already has a corruptible "
+                             f"variable named {name!r}")
+        self.corruptible[name] = CorruptibleVar(owner, attr, fuzz)
 
     # -- blocking operations ---------------------------------------------
     def start_operation(self, name: str, generator: OpGenerator) -> OperationHandle:

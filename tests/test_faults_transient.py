@@ -105,3 +105,33 @@ def test_injector_without_network_rejects_link_ops():
                                   cluster.trace, cluster.scheduler)
     with pytest.raises(ValueError):
         bare.preload_link_garbage("w", "s1")
+
+
+@pytest.mark.parametrize("fraction", [1.5, -0.5, float("nan")])
+def test_fraction_outside_unit_interval_is_rejected(fraction):
+    cluster, writer, reader, injector = make_cluster()
+    server = cluster.servers[0]
+    before = server.automatons["reg"].last_val
+    with pytest.raises(ValueError, match="fraction"):
+        injector.corrupt_process(server, fraction=fraction)
+    with pytest.raises(ValueError, match="fraction"):
+        injector.corrupt_all(cluster.servers, fraction=fraction)
+    assert injector.corruptions == 0
+    assert server.automatons["reg"].last_val == before
+
+
+def test_prefix_matching_nothing_is_rejected():
+    cluster, writer, reader, injector = make_cluster()
+    with pytest.raises(ValueError, match=r"prefix 'rge\.'"):
+        injector.corrupt_process(cluster.servers[0], prefix="rge.")
+    assert injector.corruptions == 0
+
+
+def test_corruption_writes_through_the_registered_attribute():
+    cluster, writer, reader, injector = make_cluster()
+    server = cluster.servers[0]
+    var = server.corruptible["reg.helping_val"]
+    assert var.owner is server.automatons["reg"]
+    assert var.attr == "helping_val"
+    value = injector.corrupt_var(server, "reg.helping_val")
+    assert server.automatons["reg"].helping_val is value

@@ -1,5 +1,9 @@
 """Tests of the self-stabilizing Byzantine KV store facade."""
 
+import gc
+import tracemalloc
+from collections import Counter
+
 import pytest
 
 from repro.faults.byzantine import strategy_factory
@@ -170,3 +174,54 @@ class TestMultiClientBurstInterleavings:
         assert check_linearizable(history, initial="w0").ok
         assert reads[0].result in ("w1", "w2")
         assert reads[0].result == reads[1].result
+
+
+class TestPerKeyFootprint:
+    """What a stored key costs: its state, not registration plumbing.
+
+    Each key is an MWMR register over ``m`` SWSR copies per writer, so
+    ``m² × n`` server automatons with two corruptible variables each
+    (36 automatons and 72 variables at ``n=9, m=2``).  A variable is one
+    slotted owner/attribute record sharing its configuration's fuzzer.
+    """
+
+    KEYS = 16
+    #: generous: ~21 KB/key measured on CPython 3.11 (~72 KB while every
+    #: variable carried its own getter/setter closures)
+    MAX_BYTES_PER_KEY = 40_000
+
+    def _store(self):
+        cluster = Cluster(ClusterConfig(n=9, t=1, seed=1,
+                                        trace_backend="null"))
+        store = StabilizingKVStore(cluster, client_count=2)
+        store.register_for("warm")      # first-use caches are not per key
+        return store
+
+    @staticmethod
+    def _census():
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.get_objects())
+
+    def test_registering_keys_creates_no_functions_or_cells(self):
+        store = self._store()
+        before = self._census()
+        for index in range(self.KEYS):
+            store.register_for(f"k{index}")
+        grown = self._census() - before
+        assert grown["function"] == 0 and grown["cell"] == 0, grown
+        assert grown["AtomicRegisterServer"] == self.KEYS * 4 * 9
+        assert grown["CorruptibleVar"] == self.KEYS * (4 * 9 * 2 + 4 * 3)
+
+    def test_bytes_per_key_stay_under_the_ceiling(self):
+        store = self._store()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for index in range(self.KEYS):
+                store.register_for(f"k{index}")
+            gc.collect()
+            per_key = (tracemalloc.get_traced_memory()[0] - start) / self.KEYS
+        finally:
+            tracemalloc.stop()
+        assert per_key < self.MAX_BYTES_PER_KEY, per_key

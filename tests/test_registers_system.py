@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.registers.base import ServerAutomaton
 from repro.registers.system import (Cluster, ClusterConfig, build_mwmr,
                                     build_swmr, build_swsr_regular)
 from repro.sim.errors import SimulationLimitReached
@@ -117,3 +118,36 @@ def test_mwmr_epoch_parameter_validated():
     cluster = Cluster(ClusterConfig(n=9, t=1))
     with pytest.raises(ValueError):
         build_mwmr(cluster, 4, k=2)  # k must be >= m
+
+
+def test_a_second_register_under_a_hosted_reg_id_is_rejected():
+    """Two registers sharing ``reg_id`` used to alias: the second
+    overwrote the hosted automatons and a read through it returned what
+    was written only through the first."""
+    cluster = Cluster(ClusterConfig(n=9, t=1, seed=1))
+    writer, _ = build_swsr_regular(cluster, writer_pid="w1",
+                                   reader_pid="r1")
+    automatons = [server.automatons["reg"] for server in cluster.servers]
+    with pytest.raises(ValueError, match="'reg"):
+        build_swsr_regular(cluster, writer_pid="w2", reader_pid="r2")
+    assert [server.automatons["reg"]
+            for server in cluster.servers] == automatons
+    assert all(sorted(server.corruptible) == ["reg.helping_val",
+                                              "reg.last_val"]
+               for server in cluster.servers)
+    # a distinct reg_id is a distinct register
+    _, reader = build_swsr_regular(cluster, reg_id="other", initial="init",
+                                   writer_pid="w3", reader_pid="r3")
+    cluster.run_ops([writer.write("from-w1")])
+    read = reader.read()
+    cluster.run_ops([read])
+    assert read.result == "init"
+
+
+def test_add_automaton_rejects_a_hosted_reg_id():
+    cluster = Cluster(ClusterConfig(n=9, t=1))
+    server = cluster.servers[0]
+    first = server.add_automaton(ServerAutomaton(server, "reg"))
+    with pytest.raises(ValueError, match=r"s1 already hosts register 'reg'"):
+        server.add_automaton(ServerAutomaton(server, "reg"))
+    assert server.automatons == {"reg": first}

@@ -212,23 +212,35 @@ def test_on_done_after_completion_fires_immediately():
 def test_register_corruptible_attribute():
     process, _, _ = make_process()
     process.value = 10
-    process.register_corruptible("value", fuzz=lambda rng: 99)
+    process.register_corruptible("value", process, "value",
+                                 fuzz=lambda rng: 99)
     var = process.corruptible["value"]
-    assert var.getter() == 10
-    var.setter(var.fuzz(None))
+    assert getattr(var.owner, var.attr) == 10
+    setattr(var.owner, var.attr, var.fuzz(None))
     assert process.value == 99
 
 
 def test_register_corruptible_var_external_state():
     process, _, _ = make_process()
-    box = {"v": 1}
-    process.register_corruptible_var(
-        "box.v", getter=lambda: box["v"],
-        setter=lambda value: box.__setitem__("v", value),
-        fuzz=lambda rng: -1)
+
+    class Box:
+        v = 1
+
+    box = Box()
+    process.register_corruptible("box.v", box, "v", fuzz=lambda rng: -1)
     var = process.corruptible["box.v"]
-    var.setter(var.fuzz(None))
-    assert box["v"] == -1
+    assert var.owner is box and var.attr == "v"
+    setattr(var.owner, var.attr, var.fuzz(None))
+    assert box.v == -1
+
+
+def test_a_corruptible_name_registers_once():
+    process, _, _ = make_process()
+    process.register_corruptible("reg.x", process, "x", fuzz=lambda rng: 0)
+    with pytest.raises(ValueError, match=r"'reg\.x'"):
+        process.register_corruptible("reg.x", process, "y",
+                                     fuzz=lambda rng: 1)
+    assert process.corruptible["reg.x"].attr == "x"
 
 
 def test_join_all_runs_children_to_completion():
