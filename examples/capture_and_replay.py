@@ -71,7 +71,8 @@ def main() -> None:
                         metrics_every=30.0, metrics_out=metrics)
     soak = spec.run()
     emitter = soak.extra["metrics"]
-    snaps = [json.loads(line) for line in open(metrics)]
+    with open(metrics) as lines:
+        snaps = [json.loads(line) for line in lines]
     print(f"soak metrics: {len(snaps)} snapshots, "
           f"alerts fired: {emitter.alerts}")
     final = snaps[-1]

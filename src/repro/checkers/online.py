@@ -482,13 +482,18 @@ class OnlineTauTracker(OnlineChecker):
         self.tau_hint = tau_hint
         self._first_w: Optional[tuple] = None
         self._hint_1w: Optional[float] = None
+        # the checkers report into a list ``_apply`` drains: a bound-method
+        # listener would point them back at the tracker
+        found: List[tuple] = []
+        self._found = found
+        listener = lambda *violation: found.append(violation)
         self.regularity = OnlineRegularityChecker(
             register, initial, write_window=write_window,
-            max_records=max_records, listener=self._on_violation)
+            max_records=max_records, listener=listener)
         self.inversions = OnlineInversionDetector(
             register, initial, write_window=write_window,
             read_window=read_window, max_records=max_records,
-            listener=self._on_violation)
+            listener=listener)
         self.candidate_cap = candidate_cap
         self.total_reads = 0
         self._w_invokes = array("d")
@@ -520,6 +525,8 @@ class OnlineTauTracker(OnlineChecker):
             self._note_candidate(op.invoke)
         self.regularity.observe(op)
         self.inversions.observe(op)
+        if self._found:
+            self._apply()
 
     def finish(self) -> None:
         if self._finished:
@@ -527,6 +534,7 @@ class OnlineTauTracker(OnlineChecker):
         self._finished = True
         self.regularity.finish()
         self.inversions.finish()
+        self._apply()
 
     @property
     def exact(self) -> bool:
@@ -551,6 +559,12 @@ class OnlineTauTracker(OnlineChecker):
         if self.mode == "regular":
             return self._b_reg
         return max(self._b_reg, self._b_inv)
+
+    def _apply(self) -> None:
+        """Apply the violations the wrapped checkers reported, in order."""
+        for violation in self._found:
+            self._on_violation(*violation)
+        self._found.clear()
 
     def _on_violation(self, kind: str, read: Operation,
                       first_invoke: Optional[float] = None) -> None:

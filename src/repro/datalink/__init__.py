@@ -13,12 +13,11 @@ from .alternating_bit import AlternatingBitReceiver, AlternatingBitSender
 from .bounded_link import BoundedCapacityLink
 from .packets import AckPacket, DataPacket, SSConfirm, SSMsg, SSReply
 from .ss_broadcast import (BroadcastHandle, ClientTransport,
-                           DataLinkClientTransport, DirectClientTransport,
-                           DirectServerTransport)
+                           DataLinkClientTransport, DirectClientTransport)
 
 __all__ = [
     "AckPacket", "AlternatingBitReceiver", "AlternatingBitSender",
     "BoundedCapacityLink", "BroadcastHandle", "ClientTransport",
     "DataLinkClientTransport", "DataPacket", "DirectClientTransport",
-    "DirectServerTransport", "SSConfirm", "SSMsg", "SSReply",
+    "SSConfirm", "SSMsg", "SSReply",
 ]

@@ -72,6 +72,9 @@ class ClientTransport:
     def retire(self, phase: int) -> None:
         """Forget bookkeeping for a finished broadcast."""
 
+    def release(self) -> None:
+        """Drop wiring that reaches back here (the cluster was released)."""
+
 
 class DirectClientTransport(ClientTransport):
     """Fast, property-faithful transport over the reliable FIFO links."""
@@ -108,26 +111,6 @@ class DirectClientTransport(ClientTransport):
 
     def retire(self, phase: int) -> None:
         self._handles.pop(phase, None)
-
-
-class DirectServerTransport:
-    """Server-side counterpart of :class:`DirectClientTransport`."""
-
-    def __init__(self, server: "Process"):
-        self.server = server
-
-    def on_network_message(self, src: str, msg: Any) -> bool:
-        if isinstance(msg, SSMsg):
-            # Substrate-level confirmation: sent before the (possibly
-            # Byzantine) automaton runs, unless the strategy suppresses it.
-            if self.server.confirm_enabled:
-                self.server.send(src, SSConfirm(msg.phase))
-            # Reply "by return" to the physical link peer (``src``), not to
-            # whatever sender a (possibly garbage) message claims: link
-            # garbage may carry arbitrary sender fields.
-            self.server.ss_deliver(src, msg.payload, msg.phase)
-            return True
-        return False
 
 
 class DataLinkClientTransport(ClientTransport):
@@ -198,6 +181,14 @@ class DataLinkClientTransport(ClientTransport):
 
     def retire(self, phase: int) -> None:
         self._handles.pop(phase, None)
+
+    def release(self) -> None:
+        # each channel's receiver reaches the channel feeding its peer,
+        # and a pending send's ``confirm`` reaches this transport
+        for link in (*self.forward_links.values(),
+                     *self.reverse_links.values()):
+            link.deliver = None
+        self.senders.clear()
 
     def total_packets(self) -> int:
         """Raw packets offered on all channels (bench P3 statistic)."""

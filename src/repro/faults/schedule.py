@@ -62,6 +62,7 @@ judge reads only after the adversary stopped moving.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -321,17 +322,20 @@ class FaultTimeline:
                     f"timeline (shifted()/anchor='now') before installing")
             _check_against(cluster, event)
         # the scheduler's (time, seq) order already runs these in time
-        # order, same-time events in declaration order.
+        # order, same-time events in declaration order.  Events sit in the
+        # cluster's own queue, so they hold the cluster weakly.
+        cluster_ref = weakref.ref(cluster)
         for event in self.events:
             cluster.scheduler.schedule_at(
-                event.time, self._fire, cluster, injector, event,
+                event.time, self._fire, cluster_ref, injector, event,
                 label=f"timeline:{event.kind}")
 
     # one dispatcher rather than per-kind closures: keeps installation
     # allocation-light and the timeline trivially picklable.
     @staticmethod
-    def _fire(cluster, injector: TransientFaultInjector,
+    def _fire(cluster_ref, injector: TransientFaultInjector,
               event: TimelineEvent) -> None:
+        cluster = cluster_ref()
         kind, args = event.kind, event.args
         detail = args
         if kind == "burst":

@@ -36,6 +36,7 @@ guarantee, not a bug).  Flush between batches when you need ordering:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -117,17 +118,17 @@ class Pipeline:
     # -- enqueueing --------------------------------------------------------
     def put(self, client_pid: str, key: str, value: Any) -> PipelineHandle:
         """Queue ``put(key, value)`` by ``client_pid``; returns a future."""
-        shard = self._shard_for(key)
+        shard, store = self._shard_for(key), self.store
         return self._enqueue(
             PipelineHandle("put", client_pid, key, shard),
-            lambda: self.store.put(client_pid, key, value))
+            lambda: store.put(client_pid, key, value))
 
     def get(self, client_pid: str, key: str) -> PipelineHandle:
         """Queue ``get(key)`` by ``client_pid``; returns a future."""
-        shard = self._shard_for(key)
+        shard, store = self._shard_for(key), self.store
         return self._enqueue(
             PipelineHandle("get", client_pid, key, shard),
-            lambda: self.store.get(client_pid, key))
+            lambda: store.get(client_pid, key))
 
     def _enqueue(self, pending: PipelineHandle,
                  issue: Callable[[], OperationHandle]) -> PipelineHandle:
@@ -151,8 +152,11 @@ class Pipeline:
         self._in_flight[lane_key] = True
         handle = issue()
         pending.handle = handle
-        handle.on_done(lambda done: self._completed(lane_key,
-                                                    pending.shard, done))
+        # weakly: the handle sits in the store's cluster, which a stalled
+        # pipeline dropped with its store must not keep alive
+        pipeline = weakref.ref(self)
+        handle.on_done(lambda done: pipeline() is not None and pipeline()
+                       ._completed(lane_key, pending.shard, done))
 
     def _completed(self, lane_key: Tuple[int, str], shard: int,
                    handle: OperationHandle) -> None:

@@ -20,8 +20,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..datalink.packets import SSConfirm, SSMsg, SSReply
 from ..datalink.ss_broadcast import (BroadcastHandle, ClientTransport,
-                                     DirectClientTransport,
-                                     DirectServerTransport)
+                                     DirectClientTransport)
 from ..sim.process import Predicate, Process, WaitCondition
 from ..sim.scheduler import Scheduler
 from ..sim.trace import NOTE, TraceBackend
@@ -211,7 +210,6 @@ class ServerProcess(Process):
         self.automatons: Dict[str, ServerAutomaton] = {}
         self.strategy = None
         self.confirm_enabled = True
-        self.transport = DirectServerTransport(self)
         self.deliveries = 0
 
     def add_automaton(self, automaton: ServerAutomaton) -> ServerAutomaton:
@@ -222,18 +220,20 @@ class ServerProcess(Process):
         self.automatons[automaton.reg_id] = automaton
         return automaton
 
+    def release(self) -> None:
+        super().release()
+        self.automatons.clear()
+
     def on_message(self, src: str, msg: Any) -> None:
-        # Inlined DirectServerTransport.on_network_message — the dominant
-        # per-delivery path; semantics identical, two frames cheaper.
-        if isinstance(msg, SSMsg) and \
-                type(self.transport) is DirectServerTransport:
+        # The server half of the direct ss-broadcast substrate, the
+        # dominant per-delivery path: confirm (unless a strategy suppresses
+        # it) before the automaton runs, reply to the link peer ``src``.
+        if isinstance(msg, SSMsg):
             if self.confirm_enabled:
                 self.outbox[src](SSConfirm(msg.phase))
             # ``ss_deliver`` stays a real call — it is the instrumentable
             # seam of the ss-broadcast abstraction (tests wrap it).
             self.ss_deliver(src, msg.payload, msg.phase)
-            return
-        if self.transport.on_network_message(src, msg):
             return
         # Anything else is channel garbage (transient failures): tolerated.
         self.trace.emit(self.scheduler.now, NOTE, self.pid,
@@ -274,6 +274,9 @@ class RegisterClientProcess(Process):
     *later* broadcasts, and a correct server sends exactly one.
     """
 
+    #: the one register role a stand-alone writer/reader hosts
+    role: Any = None
+
     def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend):
         super().__init__(pid, scheduler, trace)
         self.transport: Optional[ClientTransport] = None
@@ -281,6 +284,14 @@ class RegisterClientProcess(Process):
 
     def attach_transport(self, transport: ClientTransport) -> None:
         self.transport = transport
+
+    def release(self) -> None:
+        super().release()
+        transport, self.transport = self.transport, None
+        if transport is not None:
+            transport.release()
+        if self.role is not None:   # kept: ``write`` must reach the refusal
+            self.role.host = None
 
     def on_message(self, src: str, msg: Any) -> bool:
         """Record a reply or confirmation; true when it is the one that

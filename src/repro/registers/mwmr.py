@@ -131,6 +131,10 @@ class MWMRProcess(RegisterClientProcess):
         super().__init__(pid, scheduler, trace)
         self.mwmr_role: Optional[MWMRRole] = None
 
+    def release(self) -> None:
+        super().release()
+        self.mwmr_role = None   # its registers reach every process
+
     def mwmr_write(self, value: Any):
         handle = self.start_operation("mwmr_write",
                                       self.mwmr_role.write_gen(value))

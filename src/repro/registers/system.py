@@ -16,11 +16,21 @@ Register factories then attach clients and server automatons:
 >>> cluster.run_ops([read])
 >>> read.result
 'hello'
+
+A cluster's parts live as long as the cluster.  They are cyclic by
+construction, so when the last reference to a ``Cluster`` goes it empties
+the event queue and the network and releases every process: a dropped
+result, store or service is freed by refcounting at once.  Nothing a run
+installs (drivers, fault timelines, pipeline callbacks) may hold the
+``Cluster`` itself, or only the cycle collector could free it.  A process
+kept past its cluster raises
+:class:`~repro.sim.errors.ClusterReleasedError`, naming its pid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..datalink.ss_broadcast import (DataLinkClientTransport,
@@ -96,6 +106,7 @@ class Cluster:
             self.servers.append(server)
             self._server_index[server.pid] = server
         self.clients: List[RegisterClientProcess] = []
+        weakref.finalize(self, _release, weakref.ref(self.network))
 
     # -- accessors -----------------------------------------------------------
     @property
@@ -184,6 +195,16 @@ class Cluster:
     @property
     def now(self) -> float:
         return self.scheduler.now
+
+
+def _release(network_ref: "weakref.ref[Network]") -> None:
+    """A dropped cluster's teardown.  The dying cluster still holds its
+    network while this runs; a strong hold would turn a stray path back to
+    the cluster into a leak instead of a cycle."""
+    network = network_ref()
+    if network is not None:     # else it died in a cycle being collected
+        network.scheduler.clear()
+        network.release()
 
 
 class ClusterGroup:

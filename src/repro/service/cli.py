@@ -17,6 +17,7 @@ import json
 import sys
 from typing import Any, List, Optional
 
+from ..registers.base import QuorumParams
 from .client import KVClient
 from .loadgen import run_loopback_load
 from .server import KVService, serve_tcp
@@ -145,7 +146,21 @@ async def _one_shot(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # a size the store would reject deep inside, with a traceback naming
+    # no flag, is a usage error naming it
+    for name, least in (("shards", 1), ("n", 1), ("t", 0),
+                        ("store_clients", 1), ("clients", 1), ("lanes", 1),
+                        ("rounds", 1), ("keys_per_lane", 1)):
+        value = getattr(args, name, least)
+        if value < least:
+            parser.error(f"--{name.replace('_', '-')} must be at least "
+                         f"{least}, got {value}")
+    if hasattr(args, "n") and \
+            not QuorumParams(args.n, args.t).satisfies_resilience:
+        parser.error(f"--n {args.n} is too small for --t {args.t}: each "
+                     f"shard needs n >= 8t + 1 = {8 * args.t + 1}")
     try:
         if args.command == "serve":
             try:

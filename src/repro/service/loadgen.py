@@ -171,9 +171,10 @@ def run_loopback_load(*, clients: int = 4, lanes: int = 8, rounds: int = 4,
     ops, request/response frames, drain transitions) to a trace file
     that ``repro.capture.replay_service_capture`` re-drives.
     """
-    if lanes < 1 or rounds < 1 or keys_per_lane < 1 or clients < 1:
-        raise ValueError("clients, lanes, rounds and keys_per_lane must "
-                         "be positive")
+    for name, value in (("clients", clients), ("lanes", lanes),
+                        ("rounds", rounds), ("keys_per_lane", keys_per_lane)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     session = None
     if capture is not None:
         from ..capture.session import ServiceCaptureSession

@@ -6,8 +6,8 @@ processes connected by reliable FIFO directed links with pluggable delay
 so that runs are exactly reproducible and stabilization instants are exact.
 """
 
-from .errors import (LinkError, OperationError, SchedulerError,
-                     SimulationError, SimulationLimitReached,
+from .errors import (ClusterReleasedError, LinkError, OperationError,
+                     SchedulerError, SimulationError, SimulationLimitReached,
                      UnknownProcessError)
 from .network import (AsyncDelay, DelayModel, FixedDelay, Link, Network,
                       ScriptedDelay, SyncDelay)
@@ -20,7 +20,8 @@ from .trace import (BROADCAST, DELIVER, DROP, FAULT, FullTrace, NOTE,
                     TraceBackend, TraceEvent, build_trace)
 
 __all__ = [
-    "AllOf", "AnyOf", "AsyncDelay", "BROADCAST", "DELIVER",
+    "AllOf", "AnyOf", "AsyncDelay", "BROADCAST", "ClusterReleasedError",
+    "DELIVER",
     "DROP", "Deadline",
     "DelayModel", "EventHandle", "FAULT", "FixedDelay", "FullTrace", "Link",
     "LinkError",

@@ -33,6 +33,11 @@ class LinkError(SimulationError):
     """Misconfigured or missing communication link."""
 
 
+class ClusterReleasedError(SimulationError):
+    """A process was used after its cluster was dropped: a cluster's parts
+    live as long as the cluster (see ``repro.registers.system``)."""
+
+
 class OperationError(SimulationError):
     """Misuse of client operations (e.g. two concurrent ops on a
 

@@ -56,6 +56,15 @@ records, a wrapper that records the delivery and then calls it.
 :attr:`Network.messages_delivered` sums what ``Process.deliver`` counted.
 Fused and general sends consume identical ``(time, seq)`` pairs, so
 executions are bit-identical across backends and against the oracle.
+
+Ownership
+---------
+The send path is cyclic by construction (an outbox entry reaches the
+network, fused also the destination's ``deliver``) and pays nothing to
+avoid it: the owning ``Cluster``, once dropped, calls
+:meth:`Network.release`, which empties every outbox and the receiver
+table and releases every process; a later send raises
+:class:`~repro.sim.errors.ClusterReleasedError`.
 """
 
 from __future__ import annotations
@@ -65,7 +74,8 @@ from functools import partial
 from heapq import heappush
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from .errors import LinkError, SchedulerError, UnknownProcessError
+from .errors import (ClusterReleasedError, LinkError, SchedulerError,
+                     UnknownProcessError)
 from .process import Process
 from .random_source import RandomSource
 from .scheduler import Scheduler
@@ -219,6 +229,12 @@ class Outbox(dict):
         return send
 
 
+def _released(src: str, dst: str) -> Callable[[Any], None]:
+    """A released network's outbox miss (see "Ownership")."""
+    raise ClusterReleasedError(
+        f"{src} cannot send to {dst!r}: its cluster was released")
+
+
 class Network:
     """The set of all links plus process registry and delivery machinery."""
 
@@ -250,6 +266,15 @@ class Network:
             if self._records else process.deliver)
         process.outbox = self._outbox(process.pid)
         return process
+
+    def release(self) -> None:
+        """Unwire every sender, receiver and process (see "Ownership")."""
+        for src, outbox in self._outboxes.items():
+            outbox.clear()
+            outbox._general = partial(_released, src)
+        self._receivers.clear()
+        for process in self.processes.values():
+            process.release()
 
     @property
     def messages_delivered(self) -> int:

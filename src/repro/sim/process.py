@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from typing import (Any, Callable, Dict, Generator, List, Optional)
 
-from .errors import OperationError
+from .errors import ClusterReleasedError, OperationError
 from .scheduler import Scheduler
 from .trace import OP_INVOKE, OP_RESPONSE, TraceBackend
 
@@ -182,6 +182,7 @@ class OperationHandle:
         self.done = True
         for callback in self.callbacks:
             callback(self)
+        self.callbacks.clear()      # never run again: stop pinning owners
 
     def on_done(self, callback: Callable[["OperationHandle"], None]) -> None:
         if self.done:
@@ -284,6 +285,8 @@ class Process:
     blocking operations with :meth:`start_operation`.
     """
 
+    released = False    # set by ``release``: no operation starts after it
+
     def __init__(self, pid: str, scheduler: Scheduler, trace: TraceBackend):
         self.pid = pid
         self.scheduler = scheduler
@@ -345,9 +348,21 @@ class Process:
                              f"variable named {name!r}")
         self.corruptible[name] = CorruptibleVar(owner, attr, fuzz)
 
+    def release(self) -> None:
+        """Drop what points back at this process (its cluster was dropped;
+        subclasses extend this).  A pending operation is abandoned."""
+        self.released = True
+        if self._current_op is not None:
+            self._current_op.callbacks.clear()
+        self._current_gen = self._current_cond = None
+        self.corruptible.clear()
+
     # -- blocking operations ---------------------------------------------
     def start_operation(self, name: str, generator: OpGenerator) -> OperationHandle:
         """Begin a blocking operation; processes are sequential (§2.1)."""
+        if self.released:
+            raise ClusterReleasedError(
+                f"{self.pid} cannot start {name}: its cluster was released")
         if self._current_op is not None and not self._current_op.done:
             raise OperationError(
                 f"{self.pid} is sequential: {self._current_op.name} still running")

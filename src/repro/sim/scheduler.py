@@ -260,6 +260,19 @@ class Scheduler:
         entry = self._peek_entry()
         return None if entry is None else entry[0]
 
+    def clear(self) -> None:
+        """Drop every pending event unfired, and each timer's callback: an
+        object holding its own timer is a cycle (a dropped cluster's end)."""
+        for queue in self._queues():
+            for entry in queue:
+                if len(entry) == 3:
+                    entry[2].callback = entry[2].args = None
+            queue.clear()
+        self._live = 0
+
+    def _queues(self) -> Tuple[List[Tuple], ...]:
+        return (*self._buckets, self._far)
+
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
@@ -407,6 +420,9 @@ class HeapScheduler(Scheduler):
     def _insert(self, time: float, entry: Tuple) -> None:
         heappush(self._queue, entry)
         self._live += 1
+
+    def _queues(self) -> Tuple[List[Tuple], ...]:
+        return (self._queue,)
 
     def _peek_entry(self) -> Optional[Tuple]:
         queue = self._queue

@@ -27,7 +27,7 @@ from .generators import ClientDriver
 
 
 class ScenarioEngine:
-    """Owns the stream and drivers of one scenario run.
+    """Owns the stream of one scenario run and drives its cluster.
 
     * ``mode`` (``"regular"`` / ``"atomic"``) attaches an
       :class:`~repro.checkers.online.OnlineTauTracker`, making the run's
@@ -39,6 +39,9 @@ class ScenarioEngine:
     * ``write_window`` / ``read_window`` / ``max_records`` /
       ``candidate_cap`` bound the tracker's memory (``None`` = exact,
       unbounded — see :mod:`repro.checkers.online`).
+
+    It keeps the cluster's scheduler, not the cluster: its drivers report
+    to it from pending handles inside the cluster (no path back).
     """
 
     def __init__(self, cluster, mode: Optional[str] = None,
@@ -51,7 +54,7 @@ class ScenarioEngine:
                  tau_hint: Optional[float] = None,
                  retain_handles: bool = True,
                  checkers: Iterable[OnlineChecker] = ()):
-        self.cluster = cluster
+        self.scheduler = cluster.scheduler
         self.retain_handles = retain_handles
         self.tracker: Optional[OnlineTauTracker] = None
         attached: List[OnlineChecker] = list(checkers)
@@ -63,7 +66,6 @@ class ScenarioEngine:
             attached.append(self.tracker)
         self.stream = ObservationStream(checkers=attached,
                                         keep_history=keep_history)
-        self.drivers: List[ClientDriver] = []
         #: count of currently busy drivers, maintained by idle-edge
         #: callbacks so the run-loop predicate is one integer compare
         #: instead of a per-event scan over every driver.
@@ -86,12 +88,10 @@ class ScenarioEngine:
     # -- driving -----------------------------------------------------------
     def driver(self, process) -> ClientDriver:
         """A sequential driver whose completions feed the stream."""
-        driver = ClientDriver(self.cluster.scheduler, process,
-                              observer=self.stream.observe_handle,
-                              retain_handles=self.retain_handles,
-                              idle_observer=self._on_idle_edge)
-        self.drivers.append(driver)
-        return driver
+        return ClientDriver(self.scheduler, process,
+                            observer=self.stream.observe_handle,
+                            retain_handles=self.retain_handles,
+                            idle_observer=self._on_idle_edge)
 
     def _on_idle_edge(self, idle: bool) -> None:
         self._busy += -1 if idle else 1
@@ -112,8 +112,8 @@ class ScenarioEngine:
         """
         completed = True
         try:
-            self.cluster.scheduler.run_until(self._drivers_done,
-                                             max_events=max_events)
+            self.scheduler.run_until(self._drivers_done,
+                                     max_events=max_events)
         except SimulationLimitReached:
             completed = False
         self.stream.close()
@@ -123,8 +123,8 @@ class ScenarioEngine:
         """Like :meth:`run` but without closing the stream — the chunked
         driving loop of the soak family schedules more work afterwards."""
         try:
-            self.cluster.scheduler.run_until(self._drivers_done,
-                                             max_events=max_events)
+            self.scheduler.run_until(self._drivers_done,
+                                     max_events=max_events)
         except SimulationLimitReached:
             return False
         return True

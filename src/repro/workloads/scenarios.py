@@ -458,7 +458,7 @@ def _drive_swsr(engine: ScenarioEngine, writer, reader, start: float,
     writer_driver = engine.driver(writer)
     reader_driver = engine.driver(reader)
     values = ValueStream()
-    scheduler = engine.cluster.scheduler
+    scheduler = engine.scheduler
     offset = p.op_gap / 2 if p.reader_offset is None else p.reader_offset
     count = max(p.num_writes, p.num_reads)
     chunk = max(1, count if chunk_ops is None else chunk_ops)

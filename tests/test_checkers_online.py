@@ -10,12 +10,12 @@ initial-value edge cases PR 3 pinned, the committed regression corpus
 the online verdicts are produced by the engine itself.
 """
 
-import gc
 import os
 import random
 
 import pytest
 
+from gc_guard import garbage_left_by
 from repro.checkers.atomicity import (check_linearizable,
                                       find_new_old_inversions)
 from repro.checkers.history import History, Operation
@@ -221,26 +221,16 @@ class TestExactSearchesLeaveNoCyclicGarbage:
     itself via its closure cell; unless the call breaks that cycle, the
     memo table and every operation stay alive until a full collection."""
 
-    @staticmethod
-    def _garbage_left_by(call):
-        gc.collect()
-        gc.disable()
-        try:
-            call()
-            return gc.collect()
-        finally:
-            gc.enable()
-
     def test_check_linearizable(self):
         history = gen_mwmr_history(random.Random(5))
         assert len(history) > 3
-        assert self._garbage_left_by(
+        assert garbage_left_by(
             lambda: check_linearizable(history, initial=INITIAL)) == 0
 
     def test_streaming_segment_search(self):
         linearizer = StreamingLinearizer(initial=INITIAL)
         ops = gen_mwmr_history(random.Random(5)).ops
-        assert self._garbage_left_by(
+        assert garbage_left_by(
             lambda: linearizer._segment_finals(ops, INITIAL)) == 0
         assert linearizer.explored > len(ops)
 
