@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional
 
 from ..checkers.online import OnlineTauTracker, StreamingLinearizer
 from ..checkers.stream import ObservationStream
-from ..workloads.spec import ScenarioSpec
+from ..workloads.spec import ScenarioSpec, as_spec
 from .format import (CaptureFormatError, CaptureReader,
                      ReplayMismatchError, canonical_line,
                      decode_operation, decode_value)
@@ -71,11 +71,7 @@ def record_scenario(spec, path, *, metrics_out=None, metrics_every=None,
     ``spec`` is a family name, mapping or :class:`ScenarioSpec`;
     ``params`` overlay its parameters.
     """
-    if not isinstance(spec, ScenarioSpec):
-        spec = (ScenarioSpec.from_dict(spec) if isinstance(spec, dict)
-                else ScenarioSpec(spec))
-    if params:
-        spec = spec.with_params(**params)
+    spec = as_spec(spec, **params)
     spec = ScenarioSpec(spec.family, spec.params, capture=path,
                         metrics_out=metrics_out,
                         metrics_every=metrics_every)

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Sequence
 
 from ..checkers.atomicity import find_new_old_inversions
 from ..checkers.history import History
+from ..checkers.stream import history_digest
 from ..datalink.packets import SSMsg
 from ..faults.byzantine import FlipFlopStrategy
 from ..registers.messages import Write
@@ -89,7 +90,6 @@ class Figure1Result:
         Same contract as ``ScenarioResult.summarize()``: plain scalars
         only, deterministic, history reduced to a digest.
         """
-        from ..workloads.scenarios import history_digest
         return {
             "kind": self.kind,
             "first_read": repr(self.first_read),

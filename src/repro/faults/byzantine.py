@@ -41,7 +41,9 @@ class SilentStrategy(ByzantineStrategy):
     """Never replies (and suppresses substrate confirmations): a mute or
 
     crashed server.  Exercises the ``n - t`` waits: operations must
-    terminate without it.
+    terminate without it.  A crash that should later recover is the
+    ``crash`` / ``recover`` pair of :class:`~repro.faults.schedule
+    .FaultTimeline` events, which run this strategy in between.
     """
 
     name = "silent"
@@ -56,12 +58,6 @@ class SilentStrategy(ByzantineStrategy):
     def on_deliver(self, server: ServerProcess, client: str, payload: Any,
                    phase: int) -> None:
         return None
-
-
-class CrashStrategy(SilentStrategy):
-    """Alias of :class:`SilentStrategy` (a stopped server)."""
-
-    name = "crash"
 
 
 class RandomGarbageStrategy(ByzantineStrategy):
@@ -244,7 +240,6 @@ class FabricatedQuorumStrategy(ByzantineStrategy):
 
 STRATEGY_FACTORIES = {
     "silent": lambda cluster: (lambda server: SilentStrategy()),
-    "crash": lambda cluster: (lambda server: CrashStrategy()),
     "random-garbage": lambda cluster: (lambda server: RandomGarbageStrategy(
         cluster.randomness.stream(f"byz:{server.pid}"))),
     "stale": lambda cluster: (lambda server: StaleReplyStrategy()),
@@ -257,7 +252,13 @@ STRATEGY_FACTORIES = {
 
 def strategy_factory(name: str, cluster):
     """Look up a named strategy factory bound to ``cluster`` randomness."""
-    try:
-        return STRATEGY_FACTORIES[name](cluster)
-    except KeyError:
-        raise ValueError(f"unknown Byzantine strategy {name!r}") from None
+    check_strategy(name)
+    return STRATEGY_FACTORIES[name](cluster)
+
+
+def check_strategy(name: Any) -> None:
+    """Reject a name that is not a key of :data:`STRATEGY_FACTORIES`,
+    listing the names that are."""
+    if name not in STRATEGY_FACTORIES:
+        raise ValueError(f"unknown Byzantine strategy {name!r} (expected "
+                         f"one of {', '.join(STRATEGY_FACTORIES)})")

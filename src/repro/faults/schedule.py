@@ -66,7 +66,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from .byzantine import STRATEGY_FACTORIES, CrashStrategy, strategy_factory
+from .byzantine import SilentStrategy, check_strategy, strategy_factory
 from .transient import TransientFaultInjector
 
 #: kind -> (required, optional) argument names; an event of any other
@@ -112,7 +112,7 @@ def register_fault_tap(tap) -> None:
         _FAULT_TAPS.append(tap)
 
 
-class _TimelineCrash(CrashStrategy):
+class _TimelineCrash(SilentStrategy):
     """Marker strategy for servers crashed by a ``crash`` event.
 
     Only the matching ``recover`` event revives them: ``byzantine``
@@ -397,8 +397,8 @@ def _check_against(cluster, event: TimelineEvent) -> None:
     if unknown:
         raise ValueError(f"timeline event {event.kind!r} at t={event.time} "
                          f"names unknown process(es) {unknown}")
-    if "strategy" in args and args["strategy"] not in STRATEGY_FACTORIES:
-        raise ValueError(f"unknown Byzantine strategy {args['strategy']!r}")
+    if "strategy" in args:
+        check_strategy(args["strategy"])
     if event.kind == "byzantine" and len(args["servers"]) > cluster.params.t:
         raise ValueError(f"Byzantine set {args['servers']} exceeds "
                          f"t={cluster.params.t}")

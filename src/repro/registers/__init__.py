@@ -15,8 +15,6 @@ from .swsr_atomic import (AtomicReader, AtomicReaderRole,
 from .swsr_regular import (RegularReader, RegularReaderRole,
                            RegularRegisterServer, RegularWriter,
                            RegularWriterRole)
-from .swsr_sync import (SyncAtomicReader, SyncAtomicWriter,
-                        SyncRegularReader, SyncRegularWriter, sync_params)
 from .system import (Cluster, ClusterConfig, build_mwmr, build_swmr,
                      build_swsr_atomic, build_swsr_regular)
 
@@ -28,10 +26,9 @@ __all__ = [
     "NewHelpVal", "QuorumParams", "Read", "RegisterClientProcess",
     "RegularReader", "RegularReaderRole", "RegularRegisterServer",
     "RegularWriter", "RegularWriterRole", "SWMRRegister", "ServerAutomaton",
-    "ServerProcess", "SyncAtomicReader", "SyncAtomicWriter",
-    "SyncRegularReader", "SyncRegularWriter", "Write", "WsnConfig",
+    "ServerProcess", "Write", "WsnConfig",
     "build_mwmr", "build_swmr", "build_swsr_atomic", "build_swsr_regular",
     "cd_geq", "cd_gt", "clockwise_distance", "copy_reg_id", "first_k",
-    "install_swmr_servers", "is_valid_triple", "next_wsn", "sync_params",
+    "install_swmr_servers", "is_valid_triple", "next_wsn",
     "value_with_quorum",
 ]

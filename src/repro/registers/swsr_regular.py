@@ -6,7 +6,11 @@ variant of Figure 5: when :class:`~repro.registers.base.QuorumParams` is
 constructed with ``synchronous=True`` the acknowledgement wait becomes
 "all ``n`` servers or a timeout" and the thresholds drop from
 ``(2t+1, 4t+1)`` to ``(t+1, t+1)``, exactly the lines suffixed ``.M`` in
-Figure 5 (see :mod:`repro.registers.swsr_sync`).
+Figure 5, tolerating ``t < n/3`` instead of ``t < n/8`` (Theorem 2).  The
+atomic roles switch the same way (the "similar extension" at the end of
+Section 4), and servers are oblivious to the synchrony assumption.  One
+spelling builds either model: ``build_swsr_regular`` / ``build_swsr_atomic``
+on a cluster whose config says ``synchronous=True``.
 
 Roles vs processes
 ------------------

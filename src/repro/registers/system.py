@@ -217,9 +217,9 @@ class ClusterGroup:
     one member per shard, failing independently.
 
     The group only aggregates and iterates; it never imposes a global
-    clock.  Members advance independently (``run_all`` drives them one by
-    one, in index order — deterministic because the members themselves
-    are), and cross-cluster aggregate counters are plain sums.
+    clock.  Members advance independently, each through its own
+    ``Cluster.run`` / ``run_ops``, and cross-cluster aggregate counters
+    are plain sums.
 
     >>> group = ClusterGroup([ClusterConfig(n=9, t=1, seed=s)
     ...                       for s in (1, 2)])
@@ -277,13 +277,6 @@ class ClusterGroup:
         """The latest local clock across members (they are independent
         simulations; there is no shared global time)."""
         return max(cluster.now for cluster in self.clusters)
-
-    # -- running -----------------------------------------------------------
-    def run_all(self, until: Optional[float] = None,
-                max_events: Optional[int] = None) -> None:
-        """Drive every member (index order) to ``until`` / budget."""
-        for cluster in self.clusters:
-            cluster.run(until=until, max_events=max_events)
 
 
 # ----------------------------------------------------------------------

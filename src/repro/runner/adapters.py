@@ -17,9 +17,10 @@ the SWSR-shaped (stabilizing) families, one for the store-backed ones,
 each extended per family through :data:`EXTRAS`.  Adding a scenario
 family = one registry entry in ``repro.workloads.scenarios`` plus, here,
 one :data:`ADAPTERS` line (and an :data:`EXTRAS` entry if it reports
-more than its shape's shared sections) and its name in
-``spec.SCENARIOS``; keep the returned sections picklable (plain scalars
-only) so cells stay shippable across worker processes.
+more than its shape's shared sections); :data:`ADAPTERS` is also the
+list of names a sweep spec accepts.  Keep the returned sections
+picklable (plain scalars only) so cells stay shippable across worker
+processes.
 """
 
 from __future__ import annotations

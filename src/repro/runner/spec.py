@@ -27,11 +27,9 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
-#: scenario families the engine knows how to run (see ``adapters.py``).
-SCENARIOS = ("swsr", "mwmr", "figure1", "partition", "mobile-byz", "soak",
-             "fuzz", "kv", "reshard")
+from .adapters import ADAPTERS
 
 
 def derive_seed(name: str, scenario: str, params: Dict[str, Any],
@@ -89,9 +87,9 @@ class SweepSpec:
     seeds: Optional[List[int]] = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in ADAPTERS:
             raise ValueError(f"unknown scenario {self.scenario!r} "
-                             f"(expected one of {SCENARIOS})")
+                             f"(expected one of {tuple(ADAPTERS)})")
         for key, values in self.grid.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(

@@ -71,20 +71,6 @@ class ScenarioEngine:
         #: instead of a per-event scan over every driver.
         self._busy = 0
 
-    # -- spec entry point --------------------------------------------------
-    @classmethod
-    def run_spec(cls, spec, **params):
-        """Run a :class:`~repro.workloads.spec.ScenarioSpec` (or family
-        name / spec dict) and return the family's result object.
-
-        The engine is where every scenario family executes, so this is
-        the natural front door: ``ScenarioEngine.run_spec("swsr",
-        seed=1)`` is :func:`repro.workloads.spec.run_scenario` by another
-        name.
-        """
-        from .spec import run_scenario
-        return run_scenario(spec, **params)
-
     # -- driving -----------------------------------------------------------
     def driver(self, process) -> ClientDriver:
         """A sequential driver whose completions feed the stream."""
@@ -99,10 +85,6 @@ class ScenarioEngine:
     def _drivers_done(self) -> bool:
         return self._busy == 0
 
-    @property
-    def all_done(self) -> bool:
-        return self._busy == 0
-
     def run(self, max_events: int) -> bool:
         """Run the cluster until every driver drains; close the stream.
 
@@ -110,12 +92,7 @@ class ScenarioEngine:
         (``SimulationLimitReached`` surfaces as ``completed=False``,
         same contract as the batch scenarios had).
         """
-        completed = True
-        try:
-            self.scheduler.run_until(self._drivers_done,
-                                     max_events=max_events)
-        except SimulationLimitReached:
-            completed = False
+        completed = self.step(max_events)
         self.stream.close()
         return completed
 

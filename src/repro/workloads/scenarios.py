@@ -48,7 +48,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
 from ..checkers.history import History
 from ..checkers.online import OnlineTauTracker, StreamingLinearizer
 from ..checkers.stabilization import StabilizationReport
-from ..checkers.stream import ObservationStream, history_digest
+from ..checkers.stream import ObservationStream
 from ..faults.byzantine import strategy_factory
 from ..faults.schedule import RESHARD_KINDS, FaultTimeline
 from ..faults.transient import TransientFaultInjector
@@ -64,7 +64,7 @@ from .generators import ValueStream
 
 __all__ = [
     "FAMILIES", "Family", "INITIAL", "ScenarioResult", "ScenarioSummary",
-    "StoreScenarioResult", "history_digest",
+    "StoreScenarioResult",
 ]
 
 #: default register initial value, shared by every scenario family (the
@@ -125,16 +125,10 @@ class ScenarioSummary:
         return payload
 
 
-def _stream_counters(stream: Optional[ObservationStream],
-                     history: Optional[History]) -> Dict[str, Any]:
-    """The summary's op counters and digest off the stream — single pass —
-    with a history-walking fallback for hand-built results (tests)."""
-    if stream is not None:
-        return dict(ops=stream.ops, writes=stream.writes,
-                    reads=stream.reads, history_digest=stream.digest())
-    return dict(ops=len(history), writes=len(history.writes()),
-                reads=len(history.reads()),
-                history_digest=history_digest(history))
+def _stream_counters(stream: ObservationStream) -> Dict[str, Any]:
+    """The summary's op counters and digest, off the run's stream."""
+    return dict(ops=stream.ops, writes=stream.writes, reads=stream.reads,
+                history_digest=stream.digest())
 
 
 @dataclass
@@ -152,9 +146,9 @@ class ScenarioResult:
     cluster: Cluster
     history: Optional[History]
     completed: bool                      # all operations terminated
+    stream: ObservationStream
     report: Optional[StabilizationReport] = None
     tau_no_tr: float = 0.0
-    stream: Optional[ObservationStream] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -196,7 +190,7 @@ class ScenarioResult:
             events_processed=self.cluster.scheduler.events_processed,
             sim_end=self.cluster.scheduler.now,
             corruptions=injector.corruptions if injector else 0,
-            **_stream_counters(self.stream, self.history), **verdict)
+            **_stream_counters(self.stream), **verdict)
 
 
 @dataclass
@@ -222,6 +216,7 @@ class StoreScenarioResult:
     store: ShardedKVStore
     history: Optional[History]
     completed: bool
+    stream: ObservationStream
     tau_no_tr: float = 0.0
     #: per-shard last-transient instants (shards are independent
     #: simulations, so each key is judged against its *own* shard's τ).
@@ -229,7 +224,6 @@ class StoreScenarioResult:
     per_key_linearizable: Dict[str, bool] = field(default_factory=dict)
     rebalances: List[RebalanceReport] = field(default_factory=list)
     epoch_taus: Optional[List[Dict[str, Any]]] = None
-    stream: Optional[ObservationStream] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -254,7 +248,7 @@ class StoreScenarioResult:
             stable=self.completed and self.linearizable,
             epoch_taus=(None if self.epoch_taus is None else
                         tuple(dict(entry) for entry in self.epoch_taus)),
-            **_stream_counters(self.stream, self.history))
+            **_stream_counters(self.stream))
 
 
 # -- shared steps: faults ----------------------------------------------------
@@ -689,8 +683,8 @@ def _run_mobile_byz(p: SimpleNamespace) -> ScenarioResult:
     sequence of transient disruptions, but once it stops moving the
     remaining (static, size ≤ t) Byzantine set must be tolerated forever.
 
-    Liveness caveat: with a *non-responsive* rotation strategy (``silent``
-    / ``crash``) a broadcast in flight across a rotation instant can see
+    Liveness caveat: with the *non-responsive* rotation strategy
+    (``silent``) a broadcast in flight across a rotation instant can see
     two mute servers — the old member dropped it before the handover, the
     new one after — which exceeds the ``n - t`` wait's fault budget and
     can legitimately starve an operation (``completed=False``).  Strict

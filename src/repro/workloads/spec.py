@@ -16,12 +16,10 @@ Specs are plain data — comparable, serializable via
 :meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`, tweakable
 via :meth:`ScenarioSpec.with_params` — and validated eagerly: an unknown
 parameter or family raises at construction time, not minutes into a
-sweep.  :func:`run_scenario` is the call-shaped convenience;
-``ScenarioEngine.run_spec`` is the same thing reachable from the engine.
+sweep.  :func:`run_scenario` is the call-shaped convenience.
 
-Families (aliases in parentheses): ``swsr``, ``mwmr``, ``partition``,
-``kv``, ``reshard``, ``mobile-byz`` (``mobile-byzantine``,
-``mobile_byzantine``), ``soak``.
+Families, one spelling each: ``swsr``, ``mwmr``, ``partition``, ``kv``,
+``reshard``, ``mobile-byz``, ``soak``.
 """
 
 from __future__ import annotations
@@ -38,26 +36,10 @@ __all__ = ["FAMILIES", "ScenarioSpec", "run_scenario", "scenario_families"]
 #: capture file / emit periodic metrics snapshots (see ``repro.capture``).
 IO_OPTIONS = ("capture", "metrics_every", "metrics_out")
 
-_ALIASES = {
-    "mobile-byzantine": "mobile-byz",
-    "mobile_byzantine": "mobile-byz",
-}
-
 
 def scenario_families() -> Tuple[str, ...]:
-    """The canonical family names, sorted."""
+    """The family names, sorted."""
     return tuple(sorted(FAMILIES))
-
-
-def _canonical_family(family: str) -> str:
-    if not isinstance(family, str):
-        raise TypeError(f"family must be a string, got {type(family).__name__}")
-    name = _ALIASES.get(family, family)
-    if name not in FAMILIES:
-        raise ValueError(
-            f"unknown scenario family {family!r}; expected one of "
-            f"{', '.join(scenario_families())}")
-    return name
 
 
 @dataclass(frozen=True)
@@ -87,14 +69,13 @@ class ScenarioSpec:
             raise TypeError(f"parameters given both positionally and as "
                             f"keywords: {', '.join(overlap)}")
         merged.update(kwargs)
-        canonical = _canonical_family(family)
-        _validate_params(canonical, merged)
+        _validate_params(family, merged)
         if metrics_every is not None and not float(metrics_every) > 0:
             raise ValueError(f"metrics_every must be positive, got "
                              f"{metrics_every!r}")
         if (capture, metrics_every, metrics_out) != (None, None, None):
-            _reject_multiprocess(canonical, merged)
-        object.__setattr__(self, "family", canonical)
+            _reject_multiprocess(family, merged)
+        object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", merged)
         object.__setattr__(self, "capture", capture)
         object.__setattr__(self, "metrics_every", metrics_every)
@@ -169,6 +150,12 @@ def _reject_multiprocess(family: str, params: Mapping[str, Any]) -> None:
 
 
 def _validate_params(family: str, params: Mapping[str, Any]) -> None:
+    if not isinstance(family, str):
+        raise TypeError(f"family must be a string, got {type(family).__name__}")
+    if family not in FAMILIES:
+        raise ValueError(
+            f"unknown scenario family {family!r}; expected one of "
+            f"{', '.join(scenario_families())}")
     bad_keys = [key for key in params if not isinstance(key, str)]
     if bad_keys:
         raise TypeError(f"parameter names must be strings, got "
@@ -182,20 +169,25 @@ def _validate_params(family: str, params: Mapping[str, Any]) -> None:
             f"{', '.join(defaults)}")
 
 
+def as_spec(spec: Union[ScenarioSpec, str, Mapping[str, Any]],
+            **params: Any) -> ScenarioSpec:
+    """The one reading of a spec, family name or spec dict, with keyword
+    overrides applied through :meth:`ScenarioSpec.with_params`."""
+    if isinstance(spec, str):
+        return ScenarioSpec(spec, params)
+    if isinstance(spec, Mapping):
+        spec = ScenarioSpec.from_dict(spec)
+    if not isinstance(spec, ScenarioSpec):
+        raise TypeError(f"spec must be a ScenarioSpec, family name or spec "
+                        f"dict, got {type(spec).__name__}")
+    return spec.with_params(**params) if params else spec
+
+
 def run_scenario(spec: Union[ScenarioSpec, str, Mapping[str, Any]],
                  **params: Any) -> Any:
     """Run a scenario described by a spec, family name or spec dict.
 
     ``run_scenario("swsr", seed=1)`` builds the spec inline;
-    ``run_scenario(spec)`` runs it as-is (keyword overrides allowed, they
-    go through :meth:`ScenarioSpec.with_params`).
+    ``run_scenario(spec)`` runs it as-is (keyword overrides allowed).
     """
-    if isinstance(spec, ScenarioSpec):
-        return (spec.with_params(**params) if params else spec).run()
-    if isinstance(spec, str):
-        return ScenarioSpec(spec, params).run()
-    if isinstance(spec, Mapping):
-        built = ScenarioSpec.from_dict(spec)
-        return (built.with_params(**params) if params else built).run()
-    raise TypeError(f"spec must be a ScenarioSpec, family name or spec "
-                    f"dict, got {type(spec).__name__}")
+    return as_spec(spec, **params).run()

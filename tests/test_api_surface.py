@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
 import repro.api as api
 import repro.service as service
@@ -44,6 +46,38 @@ def test_scenario_surface_is_one_entry_point_and_two_result_types():
     from repro.sim.scheduler import HeapScheduler, Scheduler
     for kernel in (Scheduler, HeapScheduler):
         assert {"run", "run_until"} <= set(vars(kernel))
+
+
+def test_each_entry_point_has_one_spelling():
+    """Second spellings that were folded into the one that stays must not
+    grow back: each row names what is gone and what replaces it."""
+    import importlib.util
+    from repro.faults.byzantine import STRATEGY_FACTORIES
+    from repro.registers.system import ClusterGroup
+    from repro.runner.adapters import ADAPTERS
+    import repro.runner.spec as sweep_spec
+    import repro.workloads as workloads
+    import repro.workloads.scenarios as scenarios
+    from repro.workloads.engine import ScenarioEngine
+    # python -m cProfile over a one-cell sweep; ClusterConfig(synchronous=
+    # True) + build_swsr_*; run_scenario
+    for module in ("repro.profiling", "repro.registers.swsr_sync"):
+        assert importlib.util.find_spec(module) is None, module
+    for owner, name in ((ScenarioEngine, "run_spec"),
+                        (ScenarioEngine, "all_done"),
+                        (ClusterGroup, "run_all"),
+                        (sweep_spec, "SCENARIOS"),
+                        (workloads, "history_digest"),
+                        (scenarios, "history_digest")):
+        assert not hasattr(owner, name), (owner, name)
+    assert "crash" not in STRATEGY_FACTORIES       # the crash *event* stays
+    assert sweep_spec.ADAPTERS is ADAPTERS
+    with pytest.raises(ValueError, match="unknown scenario family"):
+        api.ScenarioSpec("mobile_byzantine")
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]")[1].split("\n[")[0]
+    assert sorted(re.findall(r"^(repro-\w+) = ", scripts, re.M)) == [
+        "repro-capture", "repro-fuzz", "repro-service", "repro-sweep"]
 
 
 def test_service_package_all_is_importable():

@@ -75,17 +75,20 @@ def test_perf_smoke_job_arms_absolute_throughput_floors(workflow):
 def test_perf_smoke_job_smokes_the_profiler(workflow):
     steps = workflow["jobs"]["perf-smoke"]["steps"]
     runs = " ".join(step.get("run", "") for step in steps)
-    # one single-cluster cell, one sharded (kv: the MWMR scan, and the
-    # profiler's per-shard event sum), one over the footnote-3 data link
-    # (packets and acks as scheduler calls) — each must report events
-    assert runs.count("repro-profile --family") == 3
-    assert "repro-profile --family swsr" in runs
-    assert "repro-profile --family kv --param" in runs and "rounds=1" in runs
-    assert "--param transport=datalink" in runs
-    assert runs.count("['events_processed'] > 0") == 3
+    # cProfile around a one-cell sweep is the one way to profile a cell:
+    # a single-cluster cell, a sharded one (kv: the MWMR scan, events
+    # summed over shards) and one over the footnote-3 data link (packets
+    # and acks as scheduler calls), each loaded back and reporting events
+    assert "repro-profile" not in runs
+    assert "python -m cProfile -o profile-$cell.prof -m repro.runner " \
+        "--spec cell-$cell.json" in runs
+    assert "for cell in swsr kv datalink; do" in runs
+    assert '"rounds": 1' in runs and '"transport": "datalink"' in runs
+    assert "pstats.Stats('profile-$cell.prof')" in runs
+    assert "['counters']['events_processed'] > 0" in runs
     uploads = [step for step in steps
                if "upload-artifact" in step.get("uses", "")]
-    assert "profile.json" in uploads[0]["with"]["path"].split()
+    assert "profile-*.prof" in uploads[0]["with"]["path"].split()
 
 
 def test_perf_smoke_job_gates_streaming_checkers(workflow):

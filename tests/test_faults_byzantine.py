@@ -34,6 +34,13 @@ def test_unknown_strategy_rejected():
     cluster, writer, reader = make_cluster()
     with pytest.raises(ValueError):
         strategy_factory("nope", cluster)
+    # "crash" was a second name for "silent"; a crash is a timeline event
+    with pytest.raises(ValueError, match="expected one of silent, ") as exc:
+        strategy_factory("crash", cluster)
+    assert "'crash'" in str(exc.value)
+    with pytest.raises(ValueError, match="unknown Byzantine strategy 'crash'"):
+        FaultTimeline().byzantine(1.0, ["s1"], "crash").install(
+            cluster, TransientFaultInjector.for_cluster(cluster))
 
 
 def test_silent_strategy_suppresses_confirms():

@@ -63,7 +63,7 @@ class TestBasicOperation:
 
 
 class TestByzantineTolerance:
-    @pytest.mark.parametrize("strategy", ["silent", "crash", "random-garbage",
+    @pytest.mark.parametrize("strategy", ["silent", "random-garbage",
                                           "stale", "equivocate",
                                           "inversion-attack", "flip-flop"])
     def test_single_byzantine_server(self, strategy):

@@ -1,15 +1,17 @@
-"""Tests of the synchronous-link variant (Figure 5 / Theorem 2, t < n/3)."""
+"""Tests of the synchronous-link variant (Figure 5 / Theorem 2, t < n/3).
+
+The synchronous model has no entry points of its own: the same
+``build_swsr_regular`` / ``build_swsr_atomic`` on a cluster configured
+``synchronous=True`` switch the roles to the Figure 5 waits and thresholds.
+"""
 
 import pytest
 
 from repro.faults.byzantine import strategy_factory
 from repro.faults.transient import TransientFaultInjector
-from repro.registers.swsr_sync import (SyncAtomicReader, SyncAtomicWriter,
-                                       SyncRegularReader, SyncRegularWriter,
-                                       install_sync_atomic_servers,
-                                       install_sync_regular_servers,
-                                       sync_params)
-from repro.registers.system import Cluster, ClusterConfig
+from repro.registers.base import QuorumParams
+from repro.registers.system import (Cluster, ClusterConfig,
+                                    build_swsr_atomic, build_swsr_regular)
 from repro.workloads.spec import run_scenario
 
 
@@ -17,21 +19,9 @@ def make_sync_system(n=4, t=1, seed=0, atomic=False, **kwargs):
     config = ClusterConfig(n=n, t=t, seed=seed, synchronous=True,
                            delay_bound=1.0, **kwargs)
     cluster = Cluster(config)
-    if atomic:
-        install_sync_atomic_servers(cluster.servers, "reg", initial="v_init")
-        writer = SyncAtomicWriter("w", cluster.scheduler, cluster.trace,
-                                  "reg", n, t, 1.0)
-        reader = SyncAtomicReader("r", cluster.scheduler, cluster.trace,
-                                  "reg", n, t, 1.0)
-    else:
-        install_sync_regular_servers(cluster.servers, "reg",
-                                     initial="v_init")
-        writer = SyncRegularWriter("w", cluster.scheduler, cluster.trace,
-                                   "reg", n, t, 1.0)
-        reader = SyncRegularReader("r", cluster.scheduler, cluster.trace,
-                                   "reg", n, t, 1.0)
-    cluster.adopt_client(writer)
-    cluster.adopt_client(reader)
+    build = build_swsr_atomic if atomic else build_swsr_regular
+    writer, reader = build(cluster, initial="v_init")
+    assert writer.role.params.synchronous and reader.role.params.synchronous
     return cluster, writer, reader
 
 
@@ -42,12 +32,12 @@ def run_op(cluster, handle, max_events=500_000):
 
 class TestSyncParams:
     def test_bound_is_n_over_3(self):
-        sync_params(4, 1, 1.0)  # ok
-        with pytest.raises(ValueError):
-            sync_params(3, 1, 1.0)
+        Cluster(ClusterConfig(n=4, t=1, synchronous=True))  # ok
+        with pytest.raises(ValueError, match=r"n >= 3t \+ 1"):
+            Cluster(ClusterConfig(n=3, t=1, synchronous=True))
 
     def test_thresholds(self):
-        params = sync_params(7, 2, 1.0)
+        params = QuorumParams(n=7, t=2, synchronous=True, delay_bound=1.0)
         assert params.ack_quorum == 7      # all n
         assert params.value_quorum == 3    # t + 1
         assert params.help_quorum == 3     # t + 1

@@ -4,8 +4,9 @@ import pickle
 
 import pytest
 
+from repro.checkers.stream import history_digest
 from repro.sim.trace import FAULT
-from repro.workloads.scenarios import ScenarioSummary, history_digest
+from repro.workloads.scenarios import ScenarioSummary
 from repro.workloads.spec import run_scenario
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults.schedule import FaultTimeline
 from repro.runner.adapters import ADAPTERS
-from repro.runner.spec import SCENARIOS, expand, smoke_specs
+from repro.runner.spec import SweepSpec, expand, smoke_specs
 from repro.workloads.spec import run_scenario
 
 
@@ -77,7 +77,7 @@ class TestRunKVScenario:
 
 class TestKVAdapter:
     def test_registered_and_sections_picklable(self):
-        assert "kv" in SCENARIOS
+        assert SweepSpec(name="kv", scenario="kv").scenario in ADAPTERS
         verdicts, counters, timings, digest = ADAPTERS["kv"](
             dict(shard_count=2, num_keys=3, rounds=1, seed=1))
         assert verdicts["completed"] and verdicts["linearizable"] \
