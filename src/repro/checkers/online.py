@@ -496,6 +496,8 @@ class OnlineTauTracker(OnlineChecker):
             listener=listener)
         self.candidate_cap = candidate_cap
         self.total_reads = 0
+        #: latest read invocation seen: does a judged suffix hold a read?
+        self.last_read_invoke = _NEG_INF
         self._w_invokes = array("d")
         self._w_responses = array("d")
         self._b_reg = _NEG_INF
@@ -522,6 +524,8 @@ class OnlineTauTracker(OnlineChecker):
                     self._hint_1w = op.response
         elif op.kind == "read":
             self.total_reads += 1
+            if op.invoke > self.last_read_invoke:
+                self.last_read_invoke = op.invoke
             self._note_candidate(op.invoke)
         self.regularity.observe(op)
         self.inversions.observe(op)

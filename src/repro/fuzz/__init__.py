@@ -6,11 +6,11 @@ atomicity / stabilization), then delta-debugs any violation down to a
 minimal, replayable JSON artifact:
 
 * :mod:`repro.fuzz.families` — the one :data:`FUZZ_FAMILIES` table: per
-  family, its seeded sampler, judge and shrink ladder;
+  family, its seeded sampler and shrink ladder;
 * :mod:`repro.fuzz.gen` — the one case type and the hash-seeded generator
   over the table (byte-reproducible);
 * :mod:`repro.fuzz.harness` — NullTrace fast-path execution, FullTrace
-  confirmation, checker integration;
+  confirmation, each judged by :func:`repro.workloads.verdict.judge`;
 * :mod:`repro.fuzz.shrink` — ddmin over timeline events + parameter
   ladders;
 * :mod:`repro.fuzz.replay` — self-contained replay artifacts

@@ -1,12 +1,12 @@
 """The fuzz-family table: everything a family-specific fuzz arm supplies.
 
 A fuzz family is a scenario family of :mod:`repro.workloads` — whose
-``FAMILIES`` entry owns the parameter vocabulary a case may pin — plus
-one :data:`FUZZ_FAMILIES` entry: the :class:`FuzzFamily` (sampler, judge,
-shrink ladder, ``--help`` line) that the generic case type, harness,
-shrinker, campaign and CLI read.  Nothing else in ``repro.fuzz`` names a
-family: adding an arm is one entry here (and, for a new scenario family,
-its ``FAMILIES`` entry there).
+``FAMILIES`` entry owns the parameter vocabulary a case may pin, and
+whose verdict rule judges a case as it judges a sweep cell — plus one
+:data:`FUZZ_FAMILIES` entry: the :class:`FuzzFamily` (sampler, shrink
+ladder, ``--help`` line) that the generic case type, harness, shrinker,
+campaign and CLI read.  Nothing else in ``repro.fuzz`` names a family:
+adding an arm is one entry here.
 
 Sampling discipline
 -------------------
@@ -45,10 +45,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..checkers.atomicity import find_new_old_inversions
-from ..checkers.regularity import check_regularity
-from ..workloads.scenarios import INITIAL
-
 #: responsive static adversaries (may also be silent: a static mute server
 #: is within the n - t wait's budget).
 STATIC_STRATEGIES = ("silent", "stale", "random-garbage", "equivocate",
@@ -76,9 +72,6 @@ KV_MAX_BURST_FRACTION = 0.2
 Event = Dict[str, Any]
 #: ``(params, events)`` — what a sampler returns.
 Sample = Tuple[Dict[str, Any], List[Event]]
-#: ``(stable, violations, counters, timings)`` — what a judge returns.
-Verdict = Tuple[Optional[bool], List[Dict[str, Any]], Dict[str, int],
-                Dict[str, float]]
 
 
 def server_name(index: int) -> str:
@@ -377,108 +370,6 @@ def _sample_store(rng: random.Random, profile: FuzzProfile,
 
 
 # ----------------------------------------------------------------------
-# judges
-# ----------------------------------------------------------------------
-def _violation_details(history, atomic: bool, tau: float
-                       ) -> List[Dict[str, Any]]:
-    """Concrete violating reads after ``tau`` (full-check path only)."""
-    details: List[Dict[str, Any]] = []
-    for violation in check_regularity(history, after=tau, initial=INITIAL):
-        details.append({
-            "kind": "regularity",
-            "detail": f"read {violation.returned!r} at "
-                      f"[{violation.read.invoke:.3f}, "
-                      f"{violation.read.response:.3f}] not in allowed set",
-        })
-    if atomic:
-        for inversion in find_new_old_inversions(history, after=tau,
-                                                 initial=INITIAL):
-            details.append({
-                "kind": "new-old-inversion",
-                "detail": f"read w#{inversion.first_write_index} then "
-                          f"w#{inversion.second_write_index} "
-                          f"(invoked {inversion.first.invoke:.3f} / "
-                          f"{inversion.second.invoke:.3f})",
-            })
-    return details
-
-
-def _judge_swsr(case, result, detail: bool) -> Verdict:
-    """The τ-tracker verdict: eventually regular (atomic) after the last
-    adversary action, read straight off the observation stream."""
-    # judge stabilization from the last adversary action of any kind:
-    # rotations may straddle the workload, and the construction only owes
-    # consistency on the suffix after the Byzantine set stops moving.
-    tau = max(result.tau_no_tr, max(
-        (float(event["time"]) for event in case.timeline), default=0.0))
-    atomic = case.param("kind") == "atomic"
-    report = None
-    if result.completed and result.history.reads():
-        # the scenario's online tracker answers any cut-off without a
-        # rescan of the history.
-        if result.report is not None and tau == result.tau_no_tr:
-            report = result.report
-        else:
-            report = result.stream_report(tau)
-    stable = report.stable if report else None
-
-    violations: List[Dict[str, Any]] = []
-    if result.completed and stable is False:
-        if detail:
-            violations.extend(_violation_details(result.history, atomic, tau))
-        if not violations:
-            mode = "atomic" if atomic else "regular"
-            violations.append({
-                "kind": "unstable",
-                "detail": f"no suffix after tau={tau} satisfies {mode}"})
-    timings = {"tau_adversary": tau}
-    if report and report.tau_stab is not None:
-        timings["tau_stab"] = report.tau_stab
-    return stable, violations, {}, timings
-
-
-def _judge_store(case, result, detail: bool) -> Verdict:
-    """The store verdict: per-key post-τ linearizability (straight across
-    every handoff), **plus**, for a run whose ring changed, per-migration-
-    epoch stabilization: every applied rebalance must reach an aggregated
-    epoch τ (``epoch-unstable`` otherwise — some key's reads never went
-    clean again after the ownership change).  ``detail`` additionally
-    lists the failing key's concrete operations — post-τ on its shard, or
-    all of them when handoffs moved it between shards — so store replay
-    artifacts are as triagable as SWSR ones.
-    """
-    handoffs = result.epoch_taus is not None    # None: the ring is static
-    violations: List[Dict[str, Any]] = []
-    for key in sorted(result.per_key_linearizable):
-        if result.per_key_linearizable[key]:
-            continue
-        shard = result.store.shard_for(key)
-        entry = (f"key {key!r} (shard {shard}) post-tau history does not "
-                 "linearize" + (" across the handoffs" if handoffs else ""))
-        if detail:
-            cutoff = (float("-inf") if handoffs
-                      else result.tau_by_shard[shard])
-            ops = [repr(op) for op in sorted(
-                result.history.ops,
-                key=lambda op: (op.invoke, op.response))
-                if op.register == f"kv/{key}" and op.invoke >= cutoff]
-            entry += "; ops: " + " | ".join(ops)
-        violations.append({"kind": "kv-linearizability", "detail": entry})
-    counters = {"shards": result.store.shard_count}
-    if handoffs:
-        violations.extend(
-            {"kind": "epoch-unstable",
-             "detail": f"migration epoch {entry['label']} "
-                       f"(start {entry['start']:.3f}) never re-stabilized"}
-            for entry in result.epoch_taus if entry["tau"] is None)
-        counters["rebalances"] = len(result.rebalances)
-        counters["keys_transferred"] = sum(
-            len(report.transferred) for report in result.rebalances)
-    stable = result.completed and result.linearizable   # = summary.stable
-    return stable, violations, counters, {}
-
-
-# ----------------------------------------------------------------------
 # shrink ladders
 # ----------------------------------------------------------------------
 #: ladder target: try 1, then half the current value.
@@ -583,10 +474,6 @@ class FuzzFamily:
     :meth:`~repro.fuzz.gen.FuzzCase.scenario_kwargs`) — which is why
     ddmin minimizes rebalance plans exactly like fault timelines.
 
-    ``judge(case, result, detail)`` returns the :data:`Verdict` of one
-    terminated run; the harness adds ``incomplete``, injected violations
-    and the summary's counters around it.
-
     ``ladder`` lists the shrinker's single-parameter reductions, biggest
     wins first: ``(name, HALVE)`` tries 1 then half, ``(name, value)``
     tries that value, and a callable ``step(case)`` returns its own
@@ -595,20 +482,19 @@ class FuzzFamily:
 
     summary: str
     sample: Callable[[random.Random, FuzzProfile], Sample]
-    judge: Callable[[Any, Any, bool], Verdict]
     ladder: Tuple[Any, ...]
 
 
 FUZZ_FAMILIES: Dict[str, FuzzFamily] = {
     "swsr": FuzzFamily(
         "single register pairs under fault timelines",
-        _sample_swsr, _judge_swsr,
+        _sample_swsr,
         (("num_writes", HALVE), ("num_reads", HALVE), _smaller_topology,
          ("byzantine_count", 0), ("reader_offset", None),
          ("transport", "direct"), _rounder_event_args)),
     "kv": FuzzFamily(
         "sharded KV workloads",
-        _sample_store, _judge_store,
+        _sample_store,
         _STORE_LADDER + (_single_shard,)),
     # shard_count and vnodes stay fixed: both feed the ring algebra the
     # plan events were validated against, and a changed ring just places
@@ -618,7 +504,7 @@ FUZZ_FAMILIES: Dict[str, FuzzFamily] = {
     # a different signature.
     "reshard": FuzzFamily(
         "live resharding under traffic",
-        partial(_sample_store, resharding=True), _judge_store,
+        partial(_sample_store, resharding=True),
         _STORE_LADDER),
 }
 

@@ -1,10 +1,10 @@
 """Case execution: fast-path verdicts, full-trace confirmation.
 
-The campaign runs every case on the NullTrace fast path (PR 2: constant-
-cost ``tick``, nothing retained) and asks the family's judge (its
-:data:`~repro.fuzz.families.FUZZ_FAMILIES` entry) only for the cheap
+The campaign runs every case on the NullTrace fast path (constant-cost
+``tick``, nothing retained) and asks :func:`~repro.workloads.verdict
+.judge` — the one judge the sweep runner uses too — only for the cheap
 verdict: *completed and eventually consistent* — read straight off the
-scenario's observation stream (the online τ-tracker answers the judge's
+scenario's observation stream (the online τ-tracker answers the
 adversary cut-off without any history rescan).  Suspicious cases are
 re-run under ``FullTrace`` — executions are byte-identical across
 backends, which the re-run asserts via the history digest — and only
@@ -26,12 +26,11 @@ time, so worker processes inherit it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..runner.adapters import counters_from
 from ..workloads.spec import run_scenario
-from .families import FUZZ_FAMILIES
+from ..workloads.verdict import Verdict, judge
 from .gen import FuzzCase
 
 #: environment variable enabling the test-only injection hook.
@@ -39,18 +38,12 @@ INJECT_ENV = "REPRO_FUZZ_INJECT"
 
 
 @dataclass
-class CaseOutcome:
-    """Everything one execution of a case yields (plain data only)."""
+class CaseOutcome(Verdict):
+    """One execution of a case: the run's :class:`~repro.workloads
+    .verdict.Verdict` (``ok`` = no violations), plus what ran."""
 
-    case: FuzzCase
-    backend: str
-    completed: bool
-    stable: Optional[bool]
-    ok: bool
-    violations: List[Dict[str, Any]] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
-    history_digest: str = ""
+    case: Optional[FuzzCase] = None
+    backend: str = "null"
 
     @property
     def signature(self) -> Tuple[str, ...]:
@@ -58,16 +51,9 @@ class CaseOutcome:
         return tuple(sorted({entry["kind"] for entry in self.violations}))
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "completed": self.completed,
-            "counters": dict(sorted(self.counters.items())),
-            "history_digest": self.history_digest,
-            "ok": self.ok,
-            "stable": self.stable,
-            "timings": dict(sorted(self.timings.items())),
-            "violations": self.violations,
-        }
+        return {name: getattr(self, name) for name in (
+            "backend", "completed", "counters", "history_digest", "ok",
+            "stable", "timings", "violations")}
 
 
 def _injected_violations(case: FuzzCase) -> List[Dict[str, Any]]:
@@ -84,47 +70,34 @@ def _injected_violations(case: FuzzCase) -> List[Dict[str, Any]]:
 
 def run_case(case: FuzzCase, backend: str = "null",
              detail: bool = False) -> CaseOutcome:
-    """Execute ``case`` on the given trace backend and judge it.
-
-    The scenario family and the judge both come from the case's
-    :data:`~repro.fuzz.families.FUZZ_FAMILIES` entry.  A raising scenario
-    is *contained* as an ``error:<Type>`` outcome so cases cannot kill
-    campaigns and shrinking works uniformly on crashes too.
-    ``detail=True`` (the FullTrace confirmation pass) asks the judge to
-    additionally list the concrete violating operations; the fast path
-    only needs the boolean verdict.
+    """Execute ``case`` on the given trace backend and judge it with the
+    sweep's :func:`~repro.workloads.verdict.judge`, from the adversary's
+    last action on.  A raising scenario is *contained* as an
+    ``error:<Type>`` outcome so cases cannot kill campaigns and
+    shrinking works uniformly on crashes too.  ``detail=True`` (the
+    FullTrace confirmation pass) also lists the concrete violating
+    operations; the fast path only needs the boolean verdict.
     """
     try:
         result = run_scenario(case.family, trace_backend=backend,
                               **case.scenario_kwargs())
     except Exception as exc:  # noqa: BLE001 - cases must not kill campaigns
         return CaseOutcome(
-            case=case, backend=backend, completed=False, stable=None,
-            ok=False,
+            case=case, backend=backend, completed=False,
             violations=[{"kind": f"error:{type(exc).__name__}",
                          "detail": str(exc)}])
-    stable, violations, counters, timings = \
-        FUZZ_FAMILIES[case.family].judge(case, result, detail)
-    if not result.completed:
-        violations = [{
-            "kind": "incomplete",
-            "detail": "operations did not terminate within "
-                      f"max_events={case.max_events}"}]
-    violations = violations + _injected_violations(case)
-    summary = result.summarize()
-    counters = {**counters_from(summary),
-                "timeline_events": len(case.timeline), **counters}
-    # summary.dirty_reads is judged against the scenario's own τ, not the
-    # judge's (which may also cover rotations) — reporting it here would
-    # mix two τ bases.
-    counters.pop("dirty_reads", None)
-    return CaseOutcome(
-        case=case, backend=backend, completed=result.completed,
-        stable=stable, ok=not violations, violations=violations,
-        counters=counters,
-        timings={"sim_end": summary.sim_end, "tau_no_tr": result.tau_no_tr,
-                 **timings},
-        history_digest=summary.history_digest)
+    # judge stabilization from the last adversary action of any kind:
+    # rotations may straddle the workload, and the construction only owes
+    # consistency on the suffix after the Byzantine set stops moving.
+    tau = max(result.tau_no_tr, max(
+        (float(event["time"]) for event in case.timeline), default=0.0))
+    outcome = CaseOutcome(case=case, backend=backend, **vars(
+        judge(case.family, result, after=tau, detail=detail)))
+    outcome.violations += _injected_violations(case)
+    outcome.counters["timeline_events"] = len(case.timeline)
+    if outcome.after is not None:
+        outcome.timings["tau_adversary"] = outcome.after
+    return outcome
 
 
 def confirm_case(case: FuzzCase,
@@ -141,5 +114,4 @@ def confirm_case(case: FuzzCase,
             "kind": "backend-divergence",
             "detail": f"null-trace digest {fast.history_digest} != "
                       f"full-trace digest {full.history_digest}"})
-        full.ok = False
     return full

@@ -192,16 +192,23 @@ class _AggregateInversions:
 
 
 class _AggregateTracker:
-    """Duck-typed tracker over per-shard trackers (``exact`` and the
-    inversion counter are what the runner adapter reads)."""
+    """Duck-typed tracker over per-shard trackers (what the verdict
+    reads: ``mode``, ``exact``, ``last_read_invoke`` and the inversion
+    counter)."""
 
     def __init__(self, trackers: Sequence[OnlineTauTracker]):
         self.trackers = list(trackers)
         self.inversions = _AggregateInversions(self.trackers)
+        self.mode = self.trackers[0].mode
+        self.initial = self.trackers[0].initial
 
     @property
     def exact(self) -> bool:
         return all(tracker.exact for tracker in self.trackers)
+
+    @property
+    def last_read_invoke(self) -> float:
+        return max(tracker.last_read_invoke for tracker in self.trackers)
 
     def report(self, tau_no_tr: float):
         if len(self.trackers) == 1:
@@ -215,11 +222,11 @@ class MergedScenarioResult:
 
     Duck-types the surface consumers read off a soak
     :class:`~repro.workloads.scenarios.ScenarioResult`: ``summarize()``,
-    ``inversions_after``, ``stream_report``, ``extra["tracker"]`` and the
-    stream/history pair.  Aggregation rules: verdict fields are
-    all-shards conjunctions, τ instants maxima, count fields sums — the
-    identity mapping when ``shards == 1``, which is what the equality
-    tests pin against the legacy single-cluster path.
+    ``extra["tracker"]`` and the stream/history pair.  Aggregation
+    rules: verdict fields are all-shards conjunctions, τ instants
+    maxima, count fields sums — the identity mapping when
+    ``shards == 1``, which is what the equality tests pin against the
+    legacy single-cluster path.
     """
 
     completed: bool
@@ -235,18 +242,6 @@ class MergedScenarioResult:
 
     def summarize(self):
         return self.summary
-
-    def inversions_after(self, after: float) -> Optional[int]:
-        tracker = self.extra.get("tracker")
-        if tracker is None:
-            return None
-        return tracker.inversions.pairs_after(after)
-
-    def stream_report(self, tau_no_tr: float):
-        tracker = self.extra.get("tracker")
-        if tracker is None:
-            return None
-        return tracker.report(tau_no_tr)
 
 
 def run_parallel_soak(shards: int, parallel: Optional[int],
@@ -281,16 +276,13 @@ def merge_soak_outcomes(outcomes: Sequence[ShardOutcome],
             max_records=params["max_records"],
             candidate_cap=params["candidate_cap"],
             tau_hint=outcome.tau_local)
-        reads = 0
         for op in outcome.records["run"]:
             stream.observe(op)
             tracker.observe(op)
-            if op.kind == "read":
-                reads += 1
         tracker.finish()
         trackers.append(tracker)
         reports.append(tracker.report(outcome.tau_local)
-                       if outcome.completed and reads else None)
+                       if outcome.completed and tracker.total_reads else None)
     stream.close()
 
     completed = all(outcome.completed for outcome in outcomes)

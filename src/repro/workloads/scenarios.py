@@ -138,9 +138,9 @@ class ScenarioResult:
     ``stream`` is the run's observation pipeline; ``history`` is the
     materialized operation history when the scenario retained one
     (``None`` for memory-bounded soak runs).  ``extra["tracker"]`` holds
-    the online τ-tracker of SWSR-shaped runs, so consumers (runner
-    adapters, the fuzz harness) read verdicts off the stream instead of
-    re-scanning the history.
+    the online τ-tracker of SWSR-shaped runs, which answers any cut-off,
+    so :func:`~repro.workloads.verdict.judge` reads verdicts off the
+    stream instead of re-scanning the history.
     """
 
     cluster: Cluster
@@ -162,18 +162,6 @@ class ScenarioResult:
         if tracker is None:
             return None
         return tracker.inversions.pairs_after(after)
-
-    def stream_report(self, tau_no_tr: float) -> Optional[StabilizationReport]:
-        """Re-derive the stabilization report for a different τ_no_tr.
-
-        The online tracker keeps enough state to answer any cut-off, so
-        consumers that judge from a later instant (e.g. the fuzz harness
-        covering mobile rotations) no longer rescan the history.
-        """
-        tracker = self.extra.get("tracker")
-        if tracker is None:
-            return None
-        return tracker.report(tau_no_tr)
 
     def summarize(self) -> ScenarioSummary:
         """Reduce to the compact, picklable record sweep workers return."""
@@ -552,6 +540,9 @@ def _build_store(p: SimpleNamespace) -> Tuple[ShardedKVStore, List[str]]:
 def _check_store_workload(p: SimpleNamespace) -> None:
     if p.rounds < 1:
         raise ValueError("need at least one workload round")
+    if p.num_keys < 1:
+        raise ValueError(f"num_keys must be >= 1, got {p.num_keys}; a "
+                         "store with no key would judge no operation")
     if p.vnodes < 1:
         raise ValueError("need at least one virtual node per shard")
 
@@ -796,6 +787,10 @@ def _run_mwmr(p: SimpleNamespace) -> ScenarioResult:
     >>> result.completed, len(result.history)
     (True, 4)
     """
+    if p.ops_per_process < 1:
+        raise ValueError(f"ops_per_process must be >= 1, got "
+                         f"{p.ops_per_process}; a run with no operation "
+                         "would judge nothing")
     cluster = Cluster(ClusterConfig(
         n=p.n, t=p.t, seed=p.seed, transport=p.transport,
         enforce_resilience=p.enforce_resilience,

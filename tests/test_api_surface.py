@@ -1,6 +1,7 @@
 """repro.api is the public surface: complete, importable, README-covering."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -70,6 +71,27 @@ def test_each_entry_point_has_one_spelling():
                         (workloads, "history_digest"),
                         (scenarios, "history_digest")):
         assert not hasattr(owner, name), (owner, name)
+    # one judge (repro.workloads.verdict.judge) for the sweep and the
+    # fuzzer: the runner's per-shape judgements, the fuzz family judges
+    # and the harness's counter merge are gone
+    import repro.fuzz.families as fuzz_families
+    import repro.fuzz.harness as fuzz_harness
+    import repro.runner.adapters as adapters
+    from repro.parallel.runner import MergedScenarioResult
+    for owner, names in (
+            (adapters, ("counters_from", "timings_from", "EXTRAS",
+                        "_partition_extras", "_soak_extras",
+                        "_reshard_extras", "run_stabilizing_cell",
+                        "run_store_cell", "run_mwmr_cell")),
+            (fuzz_families, ("Verdict", "_judge_swsr", "_judge_store",
+                             "_violation_details")),
+            (fuzz_harness, ("counters_from", "FUZZ_FAMILIES")),
+            (scenarios.ScenarioResult, ("stream_report",)),
+            (MergedScenarioResult, ("stream_report",))):
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    assert "judge" not in {field.name for field in
+                           dataclasses.fields(fuzz_families.FuzzFamily)}
     assert "crash" not in STRATEGY_FACTORIES       # the crash *event* stays
     assert sweep_spec.ADAPTERS is ADAPTERS
     with pytest.raises(ValueError, match="unknown scenario family"):

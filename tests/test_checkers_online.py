@@ -253,7 +253,7 @@ class TestRegressionCorpus:
         mode = "atomic" if case.params["kind"] == "atomic" else "regular"
         offline = stabilization_report(result.history, mode=mode,
                                        initial=INITIAL, tau_no_tr=tau)
-        online = result.stream_report(tau)
+        online = result.extra["tracker"].report(tau)
         assert (online.tau_stab, online.dirty_reads, online.stable) == \
             (offline.tau_stab, offline.dirty_reads, offline.stable)
         # the corpus case is a *violation*: both judgements must agree it

@@ -92,11 +92,11 @@ class TestSoakSerialEquivalence:
         merged = run_scenario("soak", parallel=1, **SOAK_KWARGS)
         assert legacy.summarize() == merged.summarize()
         assert legacy.inversions_after(legacy.tau_no_tr) == \
-            merged.inversions_after(merged.tau_no_tr)
+            merged.extra["tracker"].inversions.pairs_after(merged.tau_no_tr)
         assert legacy.extra["tracker"].exact == \
             merged.extra["tracker"].exact
-        assert legacy.stream_report(legacy.tau_no_tr) == \
-            merged.stream_report(merged.tau_no_tr)
+        assert legacy.extra["tracker"].report(legacy.tau_no_tr) == \
+            merged.extra["tracker"].report(merged.tau_no_tr)
 
     def test_multi_shard_pool_matches_inline(self):
         pooled = run_scenario("soak", shards=3, parallel=2, **SOAK_KWARGS)
