@@ -9,8 +9,10 @@ consistency checkers that *measure* stabilization, and an asyncio service
 layer that puts the sharded KV store behind a framed client/server
 protocol.
 
-The public surface is defined by :mod:`repro.api` and re-exported here;
-import from either spelling::
+The public surface is defined by :mod:`repro.api` and re-exported here,
+on first use: ``import repro`` alone loads no layer, and reading one of
+the names (or ``__all__``) imports :mod:`repro.api`, which resolves it
+through its name -> module table.  Import from either spelling::
 
     from repro.api import Cluster, ClusterConfig, build_swsr_atomic
 
@@ -26,9 +28,22 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from .api import *          # noqa: F401,F403 - the blessed surface
-from .api import __all__ as _api_all
+from importlib import import_module
 
 __version__ = "1.1.0"
 
-__all__ = list(_api_all) + ["__version__"]
+
+def __getattr__(name):
+    # a tool probing for a dunder (doctest, inspect) must not load a layer
+    if name.startswith("__") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    api = import_module(f"{__name__}.api")
+    if name == "__all__":
+        return api.__all__ + ["__version__"]
+    if name not in api.HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(api, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__getattr__("__all__")))

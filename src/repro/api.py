@@ -5,100 +5,100 @@ Everything documented in README.md and docs/ imports from here::
     from repro.api import ScenarioSpec, run_scenario, build_sharded_kv_store
 
 ``repro.api`` (re-exported as ``repro`` itself) is the compatibility
-contract: names listed in ``__all__`` below are stable across PRs, while
-submodule layouts underneath may shift.  The surface groups into:
+contract: names listed in ``__all__`` are stable across PRs, while
+submodule layouts underneath may shift.  The two tables below list them
+layer by layer, each with the module that defines it; ``__all__`` is
+derived from them.
 
-* **registers** — the four constructions (+ the cluster simulator they
-  run on): :class:`Cluster`, :func:`build_swsr_regular` /
-  :func:`build_swsr_atomic` / :func:`build_swmr` / :func:`build_mwmr`;
-* **checkers** — offline (:func:`check_linearizable`, ...) and streaming
-  (:class:`ObservationStream`, :func:`history_digest`) consistency
-  verdicts;
-* **faults** — the declarative :class:`FaultTimeline`;
-* **kvstore** — :class:`StabilizingKVStore`, :class:`ShardedKVStore`
-  and the request :class:`Pipeline`, plus the shared placement helpers
-  (:func:`partition_ops`, :func:`shard_router`) and live resharding
-  (:class:`HashRing`, :class:`Rebalancer`, :class:`RebalanceReport`);
-* **parallel** — shard-parallel execution of a single simulation
-  (:class:`ParallelScenarioRunner`, :class:`ShardExecutor`,
-  :class:`ShardPlan`), normally driven via ``run_scenario(...,
-  parallel=N)``;
-* **scenarios** — :class:`ScenarioSpec` / :func:`run_scenario`, the one
-  entry point to every family of the registry
-  (:func:`scenario_families`), returning a :class:`ScenarioResult`
-  (cluster-backed families) or :class:`StoreScenarioResult` (``kv`` /
-  ``reshard``);
-* **runner** — parameter sweeps (:func:`run_sweep`);
-* **service** — the asyncio KV service layer (:class:`KVService`,
-  :class:`KVClient`, :func:`run_loopback_load`);
-* **capture** — universal trace record/replay and live soak metrics
-  (:func:`record_scenario`, :func:`replay_capture`,
-  :class:`MetricsEmitter`; see :mod:`repro.capture`).
+The scenario path — simulator, registers, faults, checkers, kv store and
+the scenario registry (``run_scenario``, the one entry point to every
+family) — is what this module is for, so its names are bound when it
+loads.  The outer layers — parallel execution, the sweep runner, the
+asyncio service and capture/replay — load when one of their names is
+first read (PEP 562).  So ``from repro.api import run_scenario`` loads
+none of them, nor asyncio; the capture taps register when
+``repro.capture`` is imported, which reading any capture name does.
 """
 
-from .capture import (CaptureError, CaptureFormatError, CaptureReader,
-                      CaptureSink, CorruptCaptureError, MetricsEmitter,
-                      ReplayMismatchError, ReplayReport,
-                      TruncatedCaptureError, capturing, load_capture,
-                      record_scenario, replay_capture,
-                      replay_service_capture, verify_capture)
-from .checkers import (History, ObservationStream, Operation,
-                       check_atomic_swsr, check_linearizable,
-                       check_regularity, find_new_old_inversions,
-                       find_tau_stab, history_digest, is_atomic_swsr,
-                       is_regular, stabilization_report)
-from .faults import FaultTimeline
-from .kvstore import (HashRing, Pipeline, RebalanceReport, Rebalancer,
-                      ShardedKVStore, StabilizingKVStore, build_kv_store,
-                      build_sharded_kv_store, partition_ops, shard_router)
-from .parallel import (ParallelScenarioRunner, ShardExecutor, ShardOutcome,
-                       ShardPlan)
-from .registers import (BOT, Cluster, ClusterConfig, Epoch, EpochLabeling,
-                        MWMRRegister, QuorumParams, SWMRRegister, WsnConfig,
-                        build_mwmr, build_swmr, build_swsr_atomic,
-                        build_swsr_regular)
-from .runner import (CellResult, SweepResult, SweepSpec, run_sweep,
-                     smoke_specs)
-from .service import (KVClient, KVService, LoadReport, ServiceError,
-                      ServiceServer, ServiceUnavailableError, SyncKVClient,
-                      run_loopback_load, serve_tcp)
-from .workloads import (ScenarioEngine, ScenarioResult, ScenarioSpec,
-                        ScenarioSummary, StoreScenarioResult, run_scenario,
-                        scenario_families)
-from .workloads.scenarios import INITIAL
+from importlib import import_module
 
-__all__ = [
+#: defining module -> the public names it contributes: the scenario path
+_SCENARIO_PATH = {
     # registers + simulator
-    "BOT", "Cluster", "ClusterConfig", "Epoch", "EpochLabeling",
-    "MWMRRegister", "QuorumParams", "SWMRRegister", "WsnConfig",
-    "build_mwmr", "build_swmr", "build_swsr_atomic", "build_swsr_regular",
+    "repro.registers.messages": "BOT",
+    "repro.registers.system": "Cluster ClusterConfig build_mwmr build_swmr "
+                              "build_swsr_atomic build_swsr_regular",
+    "repro.registers.epochs": "Epoch EpochLabeling",
+    "repro.registers.mwmr": "MWMRRegister",
+    "repro.registers.base": "QuorumParams",
+    "repro.registers.swmr": "SWMRRegister",
+    "repro.registers.bounded_seq": "WsnConfig",
     # checkers
-    "History", "ObservationStream", "Operation", "check_atomic_swsr",
-    "check_linearizable", "check_regularity", "find_new_old_inversions",
-    "find_tau_stab", "history_digest", "is_atomic_swsr", "is_regular",
-    "stabilization_report",
+    "repro.checkers.history": "History Operation",
+    "repro.checkers.stream": "ObservationStream history_digest",
+    "repro.checkers.atomicity": "check_atomic_swsr check_linearizable "
+                                "find_new_old_inversions is_atomic_swsr",
+    "repro.checkers.regularity": "check_regularity is_regular",
+    "repro.checkers.stabilization": "find_tau_stab stabilization_report",
     # faults
-    "FaultTimeline",
+    "repro.faults.schedule": "FaultTimeline",
     # kv store + live resharding
-    "HashRing", "Pipeline", "RebalanceReport", "Rebalancer",
-    "ShardedKVStore", "StabilizingKVStore", "build_kv_store",
-    "build_sharded_kv_store", "partition_ops", "shard_router",
-    # parallel execution
-    "ParallelScenarioRunner", "ShardExecutor", "ShardOutcome", "ShardPlan",
+    "repro.kvstore.sharding": "HashRing partition_ops shard_router",
+    "repro.kvstore.pipeline": "Pipeline",
+    "repro.kvstore.rebalance": "RebalanceReport Rebalancer",
+    "repro.kvstore.sharded": "ShardedKVStore build_sharded_kv_store",
+    "repro.kvstore.store": "StabilizingKVStore build_kv_store",
     # scenarios
-    "INITIAL", "ScenarioEngine", "ScenarioResult", "ScenarioSpec",
-    "ScenarioSummary", "StoreScenarioResult", "run_scenario",
-    "scenario_families",
+    "repro.workloads.scenarios": "INITIAL ScenarioResult ScenarioSummary "
+                                 "StoreScenarioResult",
+    "repro.workloads.engine": "ScenarioEngine",
+    "repro.workloads.spec": "ScenarioSpec run_scenario scenario_families",
+}
+
+#: ... and the outer layers, each imported on first use of one of its names
+_OUTER_LAYERS = {
+    # parallel execution
+    "repro.parallel.runner": "ParallelScenarioRunner",
+    "repro.parallel.executor": "ShardExecutor ShardOutcome",
+    "repro.parallel.plan": "ShardPlan",
     # runner
-    "CellResult", "SweepResult", "SweepSpec", "run_sweep", "smoke_specs",
+    "repro.runner.results": "CellResult",
+    "repro.runner.engine": "SweepResult run_sweep",
+    "repro.runner.spec": "SweepSpec smoke_specs",
     # service layer
-    "KVClient", "KVService", "LoadReport", "ServiceError", "ServiceServer",
-    "ServiceUnavailableError", "SyncKVClient", "run_loopback_load",
-    "serve_tcp",
+    "repro.service.client": "KVClient ServiceError ServiceUnavailableError "
+                            "SyncKVClient",
+    "repro.service.server": "KVService ServiceServer serve_tcp",
+    "repro.service.loadgen": "LoadReport run_loopback_load",
     # capture / replay / metrics
-    "CaptureError", "CaptureFormatError", "CaptureReader", "CaptureSink",
-    "CorruptCaptureError", "MetricsEmitter", "ReplayMismatchError",
-    "ReplayReport", "TruncatedCaptureError", "capturing", "load_capture",
-    "record_scenario", "replay_capture", "replay_service_capture",
-    "verify_capture",
-]
+    "repro.capture.format": "CaptureError CaptureFormatError CaptureReader "
+                            "CaptureSink CorruptCaptureError "
+                            "ReplayMismatchError TruncatedCaptureError "
+                            "load_capture verify_capture",
+    "repro.capture.metrics": "MetricsEmitter",
+    "repro.capture.replay": "ReplayReport record_scenario replay_capture "
+                            "replay_service_capture",
+    "repro.capture.session": "capturing",
+}
+
+#: public name -> its defining module
+HOMES = {name: module for table in (_SCENARIO_PATH, _OUTER_LAYERS)
+         for module, names in table.items() for name in names.split()}
+
+__all__ = list(HOMES)
+
+globals().update((name, getattr(import_module(module), name))
+                 for module, names in _SCENARIO_PATH.items()
+                 for name in names.split())
+
+
+def __getattr__(name):
+    home = HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(home), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,26 +1,5 @@
-"""Consistency checkers over operation histories — batch and streaming."""
+"""Consistency checkers over operation histories — batch and streaming.
 
-from .atomicity import (LinearizabilityResult, NewOldInversion,
-                        check_atomic_swsr, check_linearizable,
-                        find_new_old_inversions, is_atomic_swsr)
-from .history import History, Operation, operation_from_handle
-from .online import (OnlineChecker, OnlineInversionDetector,
-                     OnlineRegularityChecker, OnlineTauTracker,
-                     StreamingLinearizer)
-from .regularity import (NO_INITIAL, RegularityViolation, allowed_values,
-                         check_regularity, is_regular)
-from .stabilization import (StabilizationReport, find_tau_stab,
-                            stabilization_report)
-from .stream import ObservationStream, history_digest, operation_fingerprint
-
-__all__ = [
-    "History", "LinearizabilityResult", "NO_INITIAL", "NewOldInversion",
-    "ObservationStream", "OnlineChecker", "OnlineInversionDetector",
-    "OnlineRegularityChecker", "OnlineTauTracker", "Operation",
-    "RegularityViolation", "StabilizationReport", "StreamingLinearizer",
-    "allowed_values", "check_atomic_swsr", "check_linearizable",
-    "check_regularity", "find_new_old_inversions", "find_tau_stab",
-    "history_digest", "is_atomic_swsr", "is_regular",
-    "operation_fingerprint", "operation_from_handle",
-    "stabilization_report",
-]
+Names are imported from their modules (a package import loads no
+module of it); the flat public surface is :mod:`repro.api`.
+"""

@@ -18,7 +18,7 @@ Two tools:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .history import History, Operation
 from .regularity import NO_INITIAL
@@ -142,57 +142,91 @@ class LinearizabilityResult:
         return self.ok
 
 
+class LinearizationSearch:
+    """The exact search over one register's linearizations, shared by
+    :func:`check_linearizable` and the streaming linearizer.
+
+    A state is ``(remaining, value)``: a bitmask over ``ops`` (sorted by
+    ``(invoke, response)``) and the register value so far; each state is
+    expanded once per :meth:`run`, extending one backtracking prefix.  An
+    operation may go next only if no remaining one responded before it
+    was invoked; in sorted order only an *earlier* one can have, so the
+    candidates are the lowest remaining bits up to the first that fails.
+    ``explored`` counts visits across runs; past ``max_states`` the search
+    raises ``RuntimeError``.
+    """
+
+    def __init__(self, ops: List[Operation], max_states: int,
+                 explored: int = 0, first: bool = False):
+        self.ops = sorted(ops, key=lambda op: (op.invoke, op.response))
+        self.max_states = max_states
+        self.explored = explored
+        self.first = first      # stop at the first witness (offline check)
+        self.witness: Optional[List[Operation]] = None
+        self._prefix: List[int] = []
+
+    def run(self, entry: Any) -> Set[Any]:
+        """The values a linearization entered at ``entry`` can end on (with
+        ``first``: the witness's, if there is one)."""
+        self._seen: Set[Tuple[int, Any]] = set()
+        self._finals: Set[Any] = set()
+        if self.ops:
+            self._visit((1 << len(self.ops)) - 1, entry)
+        else:
+            self._finals.add(entry)
+        return self._finals
+
+    def _visit(self, remaining: int, value: Any) -> bool:
+        """Search on from one state; true once ``first`` has its witness."""
+        self.explored += 1
+        if self.explored > self.max_states:
+            raise RuntimeError("linearizability search exceeded max_states")
+        if not remaining:
+            self._finals.add(value)
+            if self.first:
+                self.witness = [self.ops[i] for i in self._prefix]
+            return self.first
+        if (remaining, value) in self._seen:
+            return False
+        self._seen.add((remaining, value))
+        earliest = float("inf")
+        bits = remaining
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            index = low.bit_length() - 1
+            op = self.ops[index]
+            if op.response < earliest:
+                earliest = op.response
+            if op.invoke > earliest:
+                break
+            read = op.kind == "read"
+            if read and op.value != value:
+                continue
+            self._prefix.append(index)
+            if self._visit(remaining ^ low, value if read else op.value):
+                return True
+            self._prefix.pop()
+        return False
+
+
 def check_linearizable(history: History, initial: Any = None,
                        register: Optional[str] = None,
                        max_states: int = 2_000_000) -> LinearizabilityResult:
     """Decide whether the register history linearizes.
 
-    Exact DFS over completion orders with memoization on
-    ``(remaining-ops, current-value)``.  Operations may be linearized next
-    only if no other remaining operation *responded* before they were
-    invoked.  Raises ``RuntimeError`` if ``max_states`` is exceeded
-    (histories in this repo are small enough in practice).
+    Exact depth-first :class:`LinearizationSearch` over completion orders,
+    memoized on ``(remaining-ops, current-value)``, stopping at the first
+    witness.  Operations may be linearized next only if no other remaining
+    operation *responded* before they were invoked.  Raises
+    ``RuntimeError`` if ``max_states`` is exceeded (histories in this repo
+    are small enough in practice).
     """
     ops = [op for op in history.ops
            if register is None or op.register == register]
-    ops.sort(key=lambda op: (op.invoke, op.response))
-    n = len(ops)
-    if n == 0:
+    if not ops:
         return LinearizabilityResult(True, [])
-
-    seen: Set[Tuple[FrozenSet[int], Any]] = set()
-    explored = 0
-
-    def candidates(remaining: FrozenSet[int]) -> List[int]:
-        earliest_response = min(ops[i].response for i in remaining)
-        return [i for i in remaining if ops[i].invoke <= earliest_response]
-
-    def dfs(remaining: FrozenSet[int], value: Any,
-            prefix: List[int]) -> Optional[List[int]]:
-        nonlocal explored
-        if not remaining:
-            return prefix
-        key = (remaining, value)
-        if key in seen:
-            return None
-        seen.add(key)
-        explored += 1
-        if explored > max_states:
-            raise RuntimeError("linearizability search exceeded max_states")
-        for i in candidates(remaining):
-            op = ops[i]
-            if op.kind == "read":
-                if op.value != value:
-                    continue
-                result = dfs(remaining - {i}, value, prefix + [i])
-            else:
-                result = dfs(remaining - {i}, op.value, prefix + [i])
-            if result is not None:
-                return result
-        return None
-
-    witness = dfs(frozenset(range(n)), initial, [])
-    del dfs  # it reaches itself via its closure cell: a cycle holding ``seen``
-    if witness is None:
-        return LinearizabilityResult(False, None, explored)
-    return LinearizabilityResult(True, [ops[i] for i in witness], explored)
+    search = LinearizationSearch(ops, max_states, first=True)
+    search.run(initial)
+    return LinearizabilityResult(search.witness is not None, search.witness,
+                                 search.explored)

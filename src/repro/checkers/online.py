@@ -53,7 +53,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from .atomicity import NewOldInversion
+from .atomicity import LinearizationSearch, NewOldInversion
 from .history import Operation
 from .regularity import NO_INITIAL, RegularityViolation
 from .stabilization import StabilizationReport
@@ -698,8 +698,9 @@ class StreamingLinearizer(OnlineChecker):
     the register value across the cut.  The checker keeps one open
     segment per register (merging back closed segments if a late-finishing
     operation straddles a tentative cut), and collapses each settled
-    segment with the same bounded DFS as offline
-    :func:`~repro.checkers.atomicity.check_linearizable`, carrying the
+    segment with the same bounded search as offline
+    :func:`~repro.checkers.atomicity.check_linearizable`
+    (:class:`~repro.checkers.atomicity.LinearizationSearch`), carrying the
     *set* of feasible register values across cuts.  A register fails the
     moment that set empties — equivalent to the offline verdict on the
     register's full (post-cutoff) history.
@@ -794,48 +795,14 @@ class StreamingLinearizer(OnlineChecker):
         lane.collapsed_mr = max(lane.collapsed_mr, max_response)
         if not lane.ok:
             return
+        search = LinearizationSearch(segment, self.max_states, self.explored)
         finals: Set[Any] = set()
         for value in lane.possible:
-            finals |= self._segment_finals(segment, value)
+            finals |= search.run(value)
+        self.explored = search.explored
         lane.possible = finals
         if not finals:
             lane.ok = False
-
-    def _segment_finals(self, segment: List[Operation],
-                        entry: Any) -> Set[Any]:
-        """All register values a linearization of ``segment`` can end on."""
-        ops = sorted(segment, key=lambda op: (op.invoke, op.response))
-        if not ops:
-            return {entry}
-        finals: Set[Any] = set()
-        seen: Set = set()
-
-        def dfs(remaining, value):
-            self.explored += 1
-            if self.explored > self.max_states:
-                raise RuntimeError(
-                    "linearizability search exceeded max_states")
-            if not remaining:
-                finals.add(value)
-                return
-            key = (remaining, value)
-            if key in seen:
-                return
-            seen.add(key)
-            earliest = min(ops[i].response for i in remaining)
-            for i in remaining:
-                op = ops[i]
-                if op.invoke > earliest:
-                    continue
-                if op.kind == "read":
-                    if op.value == value:
-                        dfs(remaining - {i}, value)
-                else:
-                    dfs(remaining - {i}, op.value)
-
-        dfs(frozenset(range(len(ops))), entry)
-        del dfs  # it reaches itself via its closure cell: a cycle holding ``seen``
-        return finals
 
     # -- results -----------------------------------------------------------
     def ok(self, register: str) -> bool:

@@ -7,17 +7,7 @@
   (:mod:`~repro.datalink.ss_broadcast`).
 
 Packets and acks in transit are non-cancellable scheduler calls.
+
+Names are imported from their modules (a package import loads no
+module of it); the flat public surface is :mod:`repro.api`.
 """
-
-from .alternating_bit import AlternatingBitReceiver, AlternatingBitSender
-from .bounded_link import BoundedCapacityLink
-from .packets import AckPacket, DataPacket, SSConfirm, SSMsg, SSReply
-from .ss_broadcast import (BroadcastHandle, ClientTransport,
-                           DataLinkClientTransport, DirectClientTransport)
-
-__all__ = [
-    "AckPacket", "AlternatingBitReceiver", "AlternatingBitSender",
-    "BoundedCapacityLink", "BroadcastHandle", "ClientTransport",
-    "DataLinkClientTransport", "DataPacket", "DirectClientTransport",
-    "SSConfirm", "SSMsg", "SSReply",
-]

@@ -5,11 +5,11 @@ transient failures.  This means that their values can be arbitrarily
 modified.  It is nevertheless assumed that there is a finite time τ_no_tr
 after which there are no more transient failures."*
 
-The injector overwrites exactly the variables processes registered as
-corruptible (a domain-respecting arbitrary value each — the standard
-self-stabilization convention that a variable always holds *some* value of
-its type), and places arbitrary garbage messages on links (the arbitrary
-initial link state of the configuration definition).
+The injector overwrites exactly the variables the processes' automatons
+and roles declare corruptible (a domain-respecting arbitrary value each —
+the standard self-stabilization convention that a variable always holds
+*some* value of its type), and places arbitrary garbage messages on links
+(the arbitrary initial link state of the configuration definition).
 
 Everything is driven by the cluster's named randomness, so a corruption
 burst is part of the reproducible execution.
@@ -22,7 +22,7 @@ from typing import Any, Iterable, List, Optional
 
 from ..datalink.packets import SSConfirm, SSMsg, SSReply
 from ..registers.messages import BOT, AckRead, AckWrite, NewHelpVal, Read, Write
-from ..sim.process import Process
+from ..sim.process import CorruptibleVar, Process
 from ..sim.trace import FAULT
 
 def garbage_value(rng: random.Random) -> Any:
@@ -59,7 +59,7 @@ def _check_fraction(fraction: float) -> None:
 
 
 class TransientFaultInjector:
-    """Corrupts registered process state and link contents.
+    """Corrupts declared process state and link contents.
 
     Construct it from a cluster and corrupt right now::
 
@@ -86,8 +86,15 @@ class TransientFaultInjector:
 
     # -- state corruption -----------------------------------------------------
     def corrupt_var(self, process: Process, name: str) -> Any:
-        """Overwrite one registered variable with an arbitrary value."""
-        var = process.corruptible[name]
+        """Overwrite one declared variable with an arbitrary value."""
+        var = process.corruptible.get(name)
+        if var is None:
+            raise ValueError(f"{process.pid} has no corruptible variable "
+                             f"named {name!r}")
+        return self._overwrite(process, name, var)
+
+    def _overwrite(self, process: Process, name: str,
+                   var: CorruptibleVar) -> Any:
         value = var.fuzz(self.rng)
         setattr(var.owner, var.attr, value)
         self.corruptions += 1
@@ -105,7 +112,8 @@ class TransientFaultInjector:
         least one of them.
         """
         _check_fraction(fraction)
-        names = sorted(process.corruptible)
+        variables = process.corruptible
+        names = sorted(variables)
         if prefix is not None:
             names = [name for name in names if name.startswith(prefix)]
             if not names:
@@ -114,7 +122,7 @@ class TransientFaultInjector:
         corrupted = []
         for name in names:
             if self.rng.random() <= fraction:
-                self.corrupt_var(process, name)
+                self._overwrite(process, name, variables[name])
                 corrupted.append(name)
         return corrupted
 

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..datalink.packets import SSConfirm, SSMsg, SSReply
 from ..datalink.ss_broadcast import (BroadcastHandle, ClientTransport,
@@ -184,9 +184,12 @@ class ServerAutomaton:
     Handlers receive the client id, the ss-delivered payload and the
     substrate phase token, and answer through ``self.server.reply``.
     Slotted, like its subclasses: a server hosts one per register copy.
+    A subclass names its transient-failure-corruptible slots in
+    ``CORRUPTIBLE`` and draws their replacements with ``fuzzer(attr)``.
     """
 
     __slots__ = ("server", "reg_id")
+    CORRUPTIBLE: Tuple[str, ...] = ()
 
     def __init__(self, server: "ServerProcess", reg_id: str):
         self.server = server
@@ -219,6 +222,9 @@ class ServerProcess(Process):
                              f"{automaton.reg_id!r}")
         self.automatons[automaton.reg_id] = automaton
         return automaton
+
+    def corruptible_owners(self) -> Iterable[ServerAutomaton]:
+        return self.automatons.values()
 
     def release(self) -> None:
         super().release()
@@ -281,12 +287,28 @@ class RegisterClientProcess(Process):
         super().__init__(pid, scheduler, trace)
         self.transport: Optional[ClientTransport] = None
         self._replies: Dict[int, _PhaseReplies] = {}
+        #: ``reg_id -> (role, ...)``: the register roles hosted here
+        self.roles: Dict[str, Tuple[Any, ...]] = {}
 
     def attach_transport(self, transport: ClientTransport) -> None:
         self.transport = transport
 
+    def host_role(self, role: Any) -> None:
+        """Host ``role``: its ``CORRUPTIBLE`` variables become this
+        process's, and none may share a name with one already held."""
+        held = self.roles.get(role.reg_id, ())
+        for attr in role.CORRUPTIBLE:
+            if any(attr in other.CORRUPTIBLE for other in held):
+                raise ValueError(f"{self.pid} already has a corruptible "
+                                 f"variable named {role.reg_id + '.' + attr!r}")
+        self.roles[role.reg_id] = held + (role,)
+
+    def corruptible_owners(self) -> Iterable[Any]:
+        return (role for held in self.roles.values() for role in held)
+
     def release(self) -> None:
         super().release()
+        self.roles.clear()
         transport, self.transport = self.transport, None
         if transport is not None:
             transport.release()

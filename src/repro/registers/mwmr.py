@@ -45,6 +45,8 @@ def is_valid_triple(entry: Any, labeling: EpochLabeling,
 class MWMRRole:
     """The ``mwmr_write`` / ``mwmr_read`` automaton of process ``p_i``."""
 
+    __slots__ = ("host", "index", "registers", "labeling", "seq_bound")
+
     def __init__(self, host: RegisterClientProcess, index: int,
                  registers: Sequence[SWMRRegister],
                  labeling: EpochLabeling, seq_bound: int = DEFAULT_SEQ_BOUND):
@@ -152,6 +154,9 @@ class MWMRRegister:
 
     each process.  ``processes`` must be :class:`MWMRProcess` instances.
     """
+
+    __slots__ = ("labeling", "processes", "seq_bound", "swmr_registers",
+                 "roles")
 
     def __init__(self, base_reg_id: str, processes: List[MWMRProcess],
                  servers: List[ServerProcess], params: QuorumParams,

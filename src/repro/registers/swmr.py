@@ -49,6 +49,8 @@ def install_swmr_servers(servers: List[ServerProcess], base_reg_id: str,
 class SWMRWriterRole:
     """``swmr_write(v)``: write ``v`` to every reader's copy, concurrently."""
 
+    __slots__ = ("host", "base_reg_id", "copies")
+
     def __init__(self, host: RegisterClientProcess, base_reg_id: str,
                  reader_pids: List[str], params: QuorumParams,
                  config: Optional[WsnConfig] = None):
@@ -68,6 +70,8 @@ class SWMRWriterRole:
 
 class SWMRReaderRole:
     """``swmr_read()`` for one reader: an SWSR read of its own copy."""
+
+    __slots__ = ("host", "base_reg_id", "inner")
 
     def __init__(self, host: RegisterClientProcess, base_reg_id: str,
                  params: QuorumParams, config: Optional[WsnConfig] = None,
@@ -90,6 +94,9 @@ class SWMRRegister:
     :class:`~repro.registers.base.RegisterClientProcess` instances already
     attached to the cluster's network and transport.
     """
+
+    __slots__ = ("base_reg_id", "params", "writer", "readers", "writer_role",
+                 "reader_roles")
 
     def __init__(self, base_reg_id: str, writer: RegisterClientProcess,
                  readers: List[RegisterClientProcess],

@@ -86,13 +86,17 @@ class AtomicWriterRole(_RoleBase):
     ``wsn`` is writer-local corruptible state.
     """
 
+    __slots__ = ("config", "wsn")
+    CORRUPTIBLE = ("wsn",)
+
     def __init__(self, host: RegisterClientProcess, reg_id: str,
                  params: QuorumParams, config: Optional[WsnConfig] = None):
         super().__init__(host, reg_id, params)
         self.config = config or DEFAULT_WSN_CONFIG
         self.wsn = 0
-        host.register_corruptible(f"{reg_id}.wsn", self, "wsn",
-                                  make_wsn_fuzz(self.config))
+
+    def fuzzer(self, attr: str):
+        return make_wsn_fuzz(self.config)
 
     def write_gen(self, value: Any) -> Generator[WaitCondition, None, None]:
         self.wsn = self.config.next(self.wsn)                        # line N1
@@ -120,6 +124,9 @@ class AtomicReaderRole(_RoleBase):
     inversions (lines 13M2-13M4).
     """
 
+    __slots__ = ("config", "pwsn", "pv")
+    CORRUPTIBLE = ("pwsn", "pv")
+
     def __init__(self, host: RegisterClientProcess, reg_id: str,
                  params: QuorumParams, config: Optional[WsnConfig] = None,
                  initial: Any = None):
@@ -129,9 +136,9 @@ class AtomicReaderRole(_RoleBase):
         # (0, initial); an arbitrary starting configuration overwrites both.
         self.pwsn = 0
         self.pv: Any = initial
-        host.register_corruptible(f"{reg_id}.pwsn", self, "pwsn",
-                                  make_wsn_fuzz(self.config))
-        host.register_corruptible(f"{reg_id}.pv", self, "pv", pv_fuzz)
+
+    def fuzzer(self, attr: str):
+        return make_wsn_fuzz(self.config) if attr == "pwsn" else pv_fuzz
 
     # -- helpers -----------------------------------------------------------
     def _quorum_pair(self, acks, field: str,

@@ -51,21 +51,22 @@ class RegularRegisterServer(ServerAutomaton):
     """Server automaton: lines 19-23 of Figure 2.
 
     ``last_val`` and ``helping_val`` are the two corruptible local
-    variables the paper describes; they are registered with the hosting
-    process so the transient-fault injector can overwrite them.
+    variables the paper describes; ``value_fuzz``, shared by every
+    automaton of one configuration, draws a replacement for either.
     """
 
-    __slots__ = ("last_val", "helping_val")
+    __slots__ = ("last_val", "helping_val", "value_fuzz")
+    CORRUPTIBLE = ("last_val", "helping_val")
 
     def __init__(self, server: ServerProcess, reg_id: str,
                  initial: Any = None, value_fuzz=default_value_fuzz):
         super().__init__(server, reg_id)
         self.last_val: Any = initial
         self.helping_val: Any = BOT
-        server.register_corruptible(f"{reg_id}.last_val", self, "last_val",
-                                    value_fuzz)
-        server.register_corruptible(f"{reg_id}.helping_val", self,
-                                    "helping_val", value_fuzz)
+        self.value_fuzz = value_fuzz
+
+    def fuzzer(self, attr: str):
+        return self.value_fuzz
 
     def on_deliver(self, client: str, payload: Any, phase: int) -> None:
         # replies go straight through the server's outbox (``reply``/
@@ -90,13 +91,22 @@ class RegularRegisterServer(ServerAutomaton):
 
 
 class _RoleBase:
-    """Shared machinery of writer/reader roles (ack waits, field extraction)."""
+    """Shared machinery of writer/reader roles (ack waits, field extraction).
+
+    A role is hosted by its client process; a subclass names its
+    corruptible attributes in ``CORRUPTIBLE`` and draws their
+    replacements with ``fuzzer(attr)``.
+    """
+
+    __slots__ = ("host", "reg_id", "params")
+    CORRUPTIBLE: Tuple[str, ...] = ()
 
     def __init__(self, host: RegisterClientProcess, reg_id: str,
                  params: QuorumParams):
         self.host = host
         self.reg_id = reg_id
         self.params = params
+        host.host_role(self)
 
     def _timeout(self) -> float:
         """Timeout covering a round trip to every correct server (§3.3).
@@ -141,6 +151,8 @@ class _RoleBase:
 class RegularWriterRole(_RoleBase):
     """``operation write(v)`` — lines 01-06 of Figure 2."""
 
+    __slots__ = ()
+
     def write_gen(self, value: Any) -> Generator[WaitCondition, None, None]:
         started_at = self.host.scheduler.now
         phase = yield from self.host.ss_broadcast(
@@ -159,6 +171,8 @@ class RegularWriterRole(_RoleBase):
 
 class RegularReaderRole(_RoleBase):
     """``operation read()`` — lines 07-18 of Figure 2."""
+
+    __slots__ = ()
 
     def read_gen(self) -> Generator[WaitCondition, None, Any]:
         new_read = True                                              # line 07

@@ -40,25 +40,29 @@ everything it needs — the hosting process, hence the clock — from
 
 Corruptible state
 -----------------
-Transient failures may corrupt *any* local variable (Section 2.1).  A
-protocol variable is registered once, with
-``process.register_corruptible(name, owner, attr, fuzz)``: ``name`` is
-the ``<reg_id>.<var>`` key the injector sorts and traces, ``owner.attr``
-is where the value lives (the process itself, or a role or server
-automaton it hosts), ``fuzz(rng)`` draws an arbitrary value of the
-variable's domain.  :attr:`Process.corruptible` maps each name to one
-slotted :class:`CorruptibleVar` record — no closures — and fuzzers are
-shared per configuration, so a stored key costs its state and little
-more.  The fault injector in ``repro.faults.transient`` overwrites
-exactly those variables, with ``setattr``.  Substrate-level bookkeeping
-(the event queue, phase tokens — see DESIGN.md §2.5) is not registered
-and hence not corrupted, mirroring the paper's reliance on a
-self-stabilizing data link.
+Transient failures may corrupt *any* local variable (Section 2.1); which
+ones is a property of each automaton of the paper (``last_val``/
+``helping_val`` on a server, ``wsn`` on the writer, ``(pwsn, pv)`` on the
+reader), so it is declared once per class: an owner class (a server
+automaton, a register role) names them in ``CORRUPTIBLE`` next to its
+``__slots__``, and ``owner.fuzzer(attr)`` returns the configuration's
+shared ``fuzz(rng)`` drawing an arbitrary value of the domain.  A process
+enumerates the owners it already holds (:meth:`Process.corruptible_owners`:
+a server's automatons, a client's roles), so a hosted register costs its
+state and nothing per variable; :attr:`Process.corruptible` builds the
+``<reg_id>.<attr> -> CorruptibleVar`` map when a fault is injected, and
+the injector in ``repro.faults.transient`` overwrites exactly those, with
+``setattr``.  A name is unique per process: an owner colliding with one
+already held is refused when it is hosted.  Substrate bookkeeping (the
+event queue, phase tokens — see DESIGN.md §2.5) is not declared, hence
+not corrupted, mirroring the paper's reliance on a self-stabilizing data
+link.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Generator, List, Optional)
+from typing import (Any, Callable, Dict, Generator, Iterable, List, NamedTuple,
+                    Optional)
 
 from .errors import ClusterReleasedError, OperationError
 from .scheduler import Scheduler
@@ -262,20 +266,14 @@ def join_all(*generators: OpGenerator) -> OpGenerator:
 # ----------------------------------------------------------------------
 # processes
 # ----------------------------------------------------------------------
-class CorruptibleVar:
-    """One transient-failure-corruptible variable: attribute ``attr`` of
-    ``owner``, and the ``fuzz(rng)`` that draws an arbitrary replacement.
+class CorruptibleVar(NamedTuple):
+    """One transient-failure-corruptible variable, ``owner.attr``, and the
+    ``fuzz(rng)`` that draws an arbitrary replacement; only
+    :attr:`Process.corruptible` builds these, for the fault at hand."""
 
-    Its value is ``getattr(owner, attr)`` and a fault writes it with
-    ``setattr`` — no per-variable closures.
-    """
-
-    __slots__ = ("owner", "attr", "fuzz")
-
-    def __init__(self, owner: Any, attr: str, fuzz: Callable[[Any], Any]):
-        self.owner = owner
-        self.attr = attr
-        self.fuzz = fuzz
+    owner: Any
+    attr: str
+    fuzz: Callable[[Any], Any]
 
 
 class Process:
@@ -296,7 +294,6 @@ class Process:
         self.outbox: Optional[Dict[str, Callable[[Any], None]]] = None
         #: deliveries so far (``Network.messages_delivered`` sums these)
         self.messages_received = 0
-        self.corruptible: Dict[str, CorruptibleVar] = {}
         self._current_op: Optional[OperationHandle] = None
         self._current_gen: Optional[OpGenerator] = None
         self._current_cond: Optional[WaitCondition] = None
@@ -335,18 +332,19 @@ class Process:
         """
 
     # -- corruptible state ---------------------------------------------
-    def register_corruptible(self, name: str, owner: Any, attr: str,
-                             fuzz: Callable[[Any], Any]) -> None:
-        """Declare ``owner.attr`` transient-failure-corruptible as ``name``.
+    def corruptible_owners(self) -> Iterable[Any]:
+        """The objects this process holds whose class declares
+        ``CORRUPTIBLE`` variables (subclasses say where they keep them)."""
+        return ()
 
-        ``owner`` is this process or an object it hosts (a register role,
-        a server automaton); ``fuzz(rng)`` must return an arbitrary
-        replacement value.  A name registers once per process.
-        """
-        if name in self.corruptible:
-            raise ValueError(f"{self.pid} already has a corruptible "
-                             f"variable named {name!r}")
-        self.corruptible[name] = CorruptibleVar(owner, attr, fuzz)
+    @property
+    def corruptible(self) -> Dict[str, CorruptibleVar]:
+        """``<reg_id>.<attr> -> CorruptibleVar`` over every declared
+        variable of every owner held, built afresh on each access."""
+        return {f"{owner.reg_id}.{attr}":
+                CorruptibleVar(owner, attr, owner.fuzzer(attr))
+                for owner in self.corruptible_owners()
+                for attr in owner.CORRUPTIBLE}
 
     def release(self) -> None:
         """Drop what points back at this process (its cluster was dropped;
@@ -355,7 +353,6 @@ class Process:
         if self._current_op is not None:
             self._current_op.callbacks.clear()
         self._current_gen = self._current_cond = None
-        self.corruptible.clear()
 
     # -- blocking operations ---------------------------------------------
     def start_operation(self, name: str, generator: OpGenerator) -> OperationHandle:

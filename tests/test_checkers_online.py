@@ -217,9 +217,9 @@ class TestStreamingLinearizerAgainstOffline:
 
 
 class TestExactSearchesLeaveNoCyclicGarbage:
-    """Both exact searches recurse through a nested function that reaches
-    itself via its closure cell; unless the call breaks that cycle, the
-    memo table and every operation stay alive until a full collection."""
+    """The offline check and the streaming segment collapse share one
+    search object; nothing it builds (memo table, prefix, the operations)
+    may outlive the call waiting for a full collection."""
 
     def test_check_linearizable(self):
         history = gen_mwmr_history(random.Random(5))
@@ -230,8 +230,13 @@ class TestExactSearchesLeaveNoCyclicGarbage:
     def test_streaming_segment_search(self):
         linearizer = StreamingLinearizer(initial=INITIAL)
         ops = gen_mwmr_history(random.Random(5)).ops
-        assert garbage_left_by(
-            lambda: linearizer._segment_finals(ops, INITIAL)) == 0
+
+        def collapse():
+            for op in ops:
+                linearizer.observe(op)
+            linearizer.finish()
+
+        assert garbage_left_by(collapse) == 0
         assert linearizer.explored > len(ops)
 
 

@@ -5,7 +5,11 @@ import pytest
 from repro.faults.schedule import FaultTimeline
 from repro.faults.transient import (TransientFaultInjector, garbage_message,
                                     garbage_value)
-from repro.registers.system import Cluster, ClusterConfig, build_swsr_regular
+from repro.registers.base import QuorumParams
+from repro.registers.swsr_atomic import AtomicWriterRole
+from repro.registers.swsr_regular import RegularRegisterServer
+from repro.registers.system import (Cluster, ClusterConfig,
+                                    build_swsr_atomic, build_swsr_regular)
 from repro.sim.random_source import RandomSource
 from repro.sim.trace import FAULT
 
@@ -135,3 +139,44 @@ def test_corruption_writes_through_the_registered_attribute():
     assert var.attr == "helping_val"
     value = injector.corrupt_var(server, "reg.helping_val")
     assert server.automatons["reg"].helping_val is value
+
+
+def _corrupt_unknown_server_var(cluster, writer, injector):
+    injector.corrupt_var(cluster.servers[0], "reg.nope")
+
+
+def _corrupt_unknown_client_var(cluster, writer, injector):
+    injector.corrupt_var(writer, "reg.last_val")
+
+
+def _host_a_second_server_automaton(cluster, writer, injector):
+    server = cluster.servers[0]
+    server.add_automaton(RegularRegisterServer(server, "reg"))
+
+
+def _host_a_second_writer_role(cluster, writer, injector):
+    AtomicWriterRole(writer, "reg", QuorumParams(n=9, t=1))
+
+
+@pytest.mark.parametrize("act, message", [
+    (_corrupt_unknown_server_var,
+     r"^s1 has no corruptible variable named 'reg\.nope'$"),
+    (_corrupt_unknown_client_var,
+     r"^w has no corruptible variable named 'reg\.last_val'$"),
+    (_host_a_second_server_automaton, r"^s1 already hosts register 'reg'$"),
+    (_host_a_second_writer_role,
+     r"^w already has a corruptible variable named 'reg\.wsn'$"),
+])
+def test_unknown_or_colliding_variables_fail_typed(act, message):
+    """An unknown name fails naming the process and the variable; an
+    owner whose ``<reg_id>.<attr>`` is already held fails when it is
+    hosted, not at the first fault.  Nothing is corrupted either way."""
+    cluster = Cluster(ClusterConfig(n=9, t=1, seed=0))
+    writer, _ = build_swsr_atomic(cluster)
+    injector = TransientFaultInjector.for_cluster(cluster)
+    before = sorted(cluster.servers[0].corruptible) + sorted(writer.corruptible)
+    with pytest.raises(ValueError, match=message):
+        act(cluster, writer, injector)
+    assert injector.corruptions == 0 and cluster.trace.count(FAULT) == 0
+    assert sorted(cluster.servers[0].corruptible) + \
+        sorted(writer.corruptible) == before

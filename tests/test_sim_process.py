@@ -209,38 +209,71 @@ def test_on_done_after_completion_fires_immediately():
     assert seen == [1]
 
 
+class Box:
+    """An owner declaring one corruptible attribute by class."""
+
+    CORRUPTIBLE = ("v",)
+
+    def __init__(self, reg_id, v=1):
+        self.reg_id = reg_id
+        self.v = v
+
+    def fuzzer(self, attr):
+        return lambda rng: -1
+
+
+class Holder(Process):
+    """A process holding ``owners`` (a server's automatons, say)."""
+
+    def __init__(self, owners):
+        super().__init__("p", Scheduler(), FullTrace())
+        self.owners = owners
+
+    def corruptible_owners(self):
+        return self.owners
+
+
 def test_register_corruptible_attribute():
+    """A declared attribute is reachable as ``<reg_id>.<attr>`` and a
+    bare process declares nothing."""
     process, _, _ = make_process()
-    process.value = 10
-    process.register_corruptible("value", process, "value",
-                                 fuzz=lambda rng: 99)
-    var = process.corruptible["value"]
-    assert getattr(var.owner, var.attr) == 10
-    setattr(var.owner, var.attr, var.fuzz(None))
-    assert process.value == 99
-
-
-def test_register_corruptible_var_external_state():
-    process, _, _ = make_process()
-
-    class Box:
-        v = 1
-
-    box = Box()
-    process.register_corruptible("box.v", box, "v", fuzz=lambda rng: -1)
-    var = process.corruptible["box.v"]
+    assert process.corruptible == {}
+    box = Box("reg", v=10)
+    var = Holder([box]).corruptible["reg.v"]
     assert var.owner is box and var.attr == "v"
+    assert getattr(var.owner, var.attr) == 10
     setattr(var.owner, var.attr, var.fuzz(None))
     assert box.v == -1
 
 
+def test_register_corruptible_var_external_state():
+    """The map is built on each access: it follows the owners held."""
+    owners = [Box("b")]
+    process = Holder(owners)
+    assert sorted(process.corruptible) == ["b.v"]
+    owners.insert(0, Box("a"))
+    assert sorted(process.corruptible) == ["a.v", "b.v"]
+    assert process.corruptible["a.v"] is not process.corruptible["a.v"]
+    owners.clear()
+    assert process.corruptible == {}
+
+
 def test_a_corruptible_name_registers_once():
-    process, _, _ = make_process()
-    process.register_corruptible("reg.x", process, "x", fuzz=lambda rng: 0)
-    with pytest.raises(ValueError, match=r"'reg\.x'"):
-        process.register_corruptible("reg.x", process, "y",
-                                     fuzz=lambda rng: 1)
-    assert process.corruptible["reg.x"].attr == "x"
+    """A second role declaring a name already held is refused when it is
+    hosted; roles of the same register declaring other names are not."""
+    from repro.registers.base import QuorumParams, RegisterClientProcess
+    from repro.registers.swsr_atomic import (AtomicReaderRole,
+                                             AtomicWriterRole)
+    client = RegisterClientProcess("c", Scheduler(), FullTrace())
+    params = QuorumParams(n=9, t=1)
+    writer = AtomicWriterRole(client, "reg", params)
+    AtomicReaderRole(client, "reg", params)
+    with pytest.raises(ValueError, match=r"c already .* 'reg\.wsn'"):
+        AtomicWriterRole(client, "reg", params)
+    AtomicWriterRole(client, "other", params)
+    assert sorted(client.corruptible) == [
+        "other.wsn", "reg.pv", "reg.pwsn", "reg.wsn"]
+    assert client.corruptible["reg.wsn"].owner is writer
 
 
 def test_join_all_runs_children_to_completion():
