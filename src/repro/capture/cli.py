@@ -39,8 +39,9 @@ def _parse_param(text: str) -> tuple:
     return key, value
 
 
-def _line_count(text: str) -> int:
-    # ``lines[-0:]`` is the whole file and ``lines[1:]`` all but one line
+def _count(text: str) -> int:
+    # ``tail``'s ``lines[-0:]`` is the whole file and ``lines[1:]`` all
+    # but one line; ``replay --workers 0`` fails deep in the runner
     try:
         count = int(text)
     except ValueError:
@@ -49,6 +50,17 @@ def _line_count(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
+
+
+def _cadence(text: str) -> float:
+    try:
+        every = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not every > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return every
 
 
 def _emit(payload: Dict[str, Any], quiet: bool) -> None:
@@ -135,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--out", required=True,
                         help="capture file to write")
     record.add_argument("--metrics", help="metrics JSON-lines file")
-    record.add_argument("--metrics-every", type=float, default=None,
+    record.add_argument("--metrics-every", type=_cadence, default=None,
                         help="metrics cadence in simulated time units")
     record.add_argument("--quiet", action="store_true")
     record.set_defaults(func=cmd_record)
@@ -144,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("trace", help="capture file")
     replay.add_argument("--mode", choices=("resimulate", "recheck"),
                         default="resimulate")
-    replay.add_argument("--workers", type=int, default=None,
+    replay.add_argument("--workers", type=_count, default=None,
                         help="re-simulate with a parallel runner "
                              "(kv/soak families)")
     replay.add_argument("--out", help="write the replay report here")
@@ -159,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     tail = sub.add_parser("tail", help="print the last lines of a "
                                        "JSON-lines file")
     tail.add_argument("file")
-    tail.add_argument("-n", "--lines", type=_line_count, default=10,
+    tail.add_argument("-n", "--lines", type=_count, default=10,
                       help="how many lines (default 10, at least 1)")
     tail.set_defaults(func=cmd_tail)
     return parser

@@ -18,7 +18,7 @@ Phases:
 
 The campaign JSON (``FuzzCampaignResult.to_json``) excludes wall-clock
 measurements, so ``--workers 1`` and ``--workers 4`` renderings are
-byte-identical — CI's fuzz determinism guard compares them with ``cmp``.
+byte-identical — the ``fuzz/*`` determinism contracts pin them.
 """
 
 from __future__ import annotations

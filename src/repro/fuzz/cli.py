@@ -12,7 +12,7 @@ Campaign mode exits non-zero when any confirmed violation (or worker
 crash) survives — finding a counterexample *is* the failure signal, and
 each one is shrunk and written to ``--artifacts`` as a replay JSON.  The
 ``--out`` document is canonical: byte-identical for any ``--workers``
-value (CI's fuzz determinism guard relies on it).
+value (the ``fuzz/*`` determinism contracts rely on it).
 
 Replay mode re-runs one artifact under FullTrace.  By default it expects
 the recorded violation to reproduce (confirming a counterexample); pass
@@ -110,11 +110,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.cases = SMOKE_CASES
     args.seed = 0 if args.seed is None else args.seed
     args.cases = 50 if args.cases is None else args.cases
-    # a strict campaign that ran nothing would pass vacuously.
-    for flag in ("cases", "workers"):
-        if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be at least 1, got "
-                         f"{getattr(args, flag)}")
+    # a strict campaign that ran nothing would pass vacuously, and a
+    # negative shrink budget would silently act as 0.
+    for flag, least in (("cases", 1), ("workers", 1), ("shrink_budget", 0)):
+        if getattr(args, flag) < least:
+            parser.error(f"--{flag.replace('_', '-')} must be at least "
+                         f"{least}, got {getattr(args, flag)}")
 
     if args.dry_run:
         for cell_id, case in campaign_cases(args.seed, args.cases,

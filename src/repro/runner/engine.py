@@ -18,9 +18,8 @@ that).
 from __future__ import annotations
 
 import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Union
 
 from .adapters import ADAPTERS
@@ -40,11 +39,12 @@ def execute_cell(cell: Cell) -> CellResult:
                           timings=timings, history_digest=digest,
                           wall_seconds=time.perf_counter() - started)
     except Exception as exc:  # noqa: BLE001 - cells must not kill the sweep
-        detail = traceback.format_exc(limit=3)
+        # type and message only: a traceback carries the checkout's paths
+        # and line numbers, which the canonical sweep JSON must not
         return CellResult(cell_id=cell.cell_id, scenario=cell.scenario,
                           params=cell.params, seed=cell.seed,
                           verdicts={"completed": False, "ok": False},
-                          error=f"{type(exc).__name__}: {exc}\n{detail}",
+                          error=f"{type(exc).__name__}: {exc}",
                           wall_seconds=time.perf_counter() - started)
 
 

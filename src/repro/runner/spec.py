@@ -183,7 +183,7 @@ def smoke_specs() -> List[SweepSpec]:
     server per shard), live resharding under traffic (``reshard``) and
     the streaming ``soak`` family (history-free, bounded-window
     checking).  Every cell is expected to terminate and satisfy its
-    consistency condition (``--strict`` gates CI on that).
+    consistency condition (the ``sweep/smoke`` contract pins that).
     """
     swsr = SweepSpec(
         name="smoke-swsr", scenario="swsr",

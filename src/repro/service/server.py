@@ -9,8 +9,8 @@ its operations through the PR-4 :class:`~repro.kvstore.pipeline
 operations in flight on every shard simultaneously) and runs the
 simulation until they drain.  Because the simulated cluster is
 deterministic and requests execute one batch at a time, a loopback
-session replays byte-identically for a fixed seed — the contract CI's
-``service-smoke`` job asserts.
+session replays byte-identically for a fixed seed — the contract the
+loopback service bench asserts.
 
 Two digests summarize what a service instance did:
 
@@ -21,7 +21,7 @@ Two digests summarize what a service instance did:
   *content* only (kind, client, key, value, result).  Lane-partitioned
   workloads produce the same response multiset no matter how many
   connections carry them, so this digest pins *concurrency
-  independence* (the 1-vs-8-client CI guard).
+  independence* (the bench's 1-vs-8-client guard).
 
 :class:`ServiceServer` owns the connections: loopback endpoints via
 :meth:`ServiceServer.connect_loopback`, TCP via

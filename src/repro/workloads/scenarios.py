@@ -995,7 +995,7 @@ def _run_reshard(p: SimpleNamespace) -> StoreScenarioResult:
 
     The default plan splits shard 0 as soon as traffic starts.  The run
     is deterministic end to end — byte-identical summaries for any
-    sweep worker count (the CI smoke sweep's 1-vs-4-worker guard).
+    sweep worker count (the ``sweep/smoke`` determinism contract).
 
     >>> from repro.workloads.spec import run_scenario
     >>> result = run_scenario("reshard", shard_count=2, num_keys=2,

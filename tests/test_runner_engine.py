@@ -117,6 +117,17 @@ class TestFailurePaths:
         assert len(sweep.failures()) == 1
         assert sum(1 for cell in sweep.cells if cell.ok) == 2
 
+    def test_error_is_type_and_message_only(self):
+        """A traceback's source paths and line numbers would make the
+        canonical sweep JSON depend on where the checkout lives."""
+        spec = SweepSpec(name="bad", scenario="kv",
+                         base={"seed": 1, "num_keys": 0})
+        sweep = run_sweep(spec, workers=1)
+        assert sweep.cells[0].error == (
+            "ValueError: num_keys must be >= 1, got 0; a store with no "
+            "key would judge no operation")
+        assert 'File "' not in sweep.to_json()
+
     def test_error_cells_serialize(self):
         spec = SweepSpec(name="bad", scenario="swsr", base={"n": 9, "t": 3},
                          grid={"kind": ["regular"]}, seeds=[0])
