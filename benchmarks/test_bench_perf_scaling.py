@@ -34,10 +34,11 @@ ARTIFACT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 PERF_GATE = bool(os.environ.get("REPRO_PERF_GATE"))
 
 #: Absolute NullTrace events/sec floors, armed together with PERF_GATE.
-#: The calendar-queue/fused-send kernel rewrite measured 870-930k storm
-#: and 250-325k scenario best-of on the reference container depending
-#: on its load phase (seed kernel: ~630k / ~207k); the floors sit below
-#: the slow-phase measurements to absorb runner noise while still
+#: The fused-send kernel rewrite measured 870-930k storm and 250-325k
+#: scenario best-of on the reference container depending on its load
+#: phase (seed kernel: ~630k / ~207k), on a calendar queue that a plain
+#: binary heap later replaced at 2-8 % less CPU per op; the floors sit
+#: below the slow-phase measurements to absorb runner noise while still
 #: catching any regression back towards the seed numbers.
 STORM_FLOOR = int(os.environ.get("REPRO_STORM_FLOOR", "660000"))
 SCENARIO_FLOOR = int(os.environ.get("REPRO_SCENARIO_FLOOR", "230000"))

@@ -11,7 +11,8 @@
     repro-capture tail metrics.jsonl [-n 10]
 
 ``record`` runs a scenario with capture enabled and prints its summary;
-``replay`` re-drives a sealed capture (exit 1 on any divergence);
+``replay`` re-drives a sealed capture (exit 1 on any divergence, 2 on
+``--workers`` the capture cannot use);
 ``check`` structurally verifies a capture (checksums, sequencing,
 per-lane monotonicity) without replaying it; ``tail`` prints the last
 lines of any JSON-lines file (captures or metrics) for quick grepping.
@@ -92,10 +93,14 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    from .replay import replay_capture
+    from .replay import ReplayWorkersError, replay_capture
     try:
         report = replay_capture(args.trace, mode=args.mode,
                                 workers=args.workers, strict=False)
+    except ReplayWorkersError as exc:
+        print(f"replay: --workers {args.workers} with --mode {args.mode}: "
+              f"{exc}", file=sys.stderr)
+        return 2
     except CaptureError as exc:
         print(f"replay: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

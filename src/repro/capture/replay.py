@@ -101,6 +101,12 @@ def _diff_summaries(expected: Dict[str, Any],
     return mismatches
 
 
+class ReplayWorkersError(ValueError):
+    """``workers`` asked of a replay that runs no parallel simulation:
+    a service capture, re-check mode, or a family with no parallel runner.
+    A usage mistake, not a damaged capture (``repro-capture`` exits 2)."""
+
+
 def replay_capture(source, mode: str = "resimulate",
                    workers: Optional[int] = None,
                    strict: bool = True) -> ReplayReport:
@@ -109,7 +115,8 @@ def replay_capture(source, mode: str = "resimulate",
     profile = reader.header.get("profile")
     if profile == "service":
         if workers is not None:
-            raise ValueError("service replays are inherently serial")
+            raise ReplayWorkersError(
+                "service replays are inherently serial")
         return replay_service_capture(source, strict=strict)
     if profile != "scenario":
         raise CaptureFormatError(
@@ -119,7 +126,8 @@ def replay_capture(source, mode: str = "resimulate",
         return _resimulate(reader, workers, strict)
     if mode == "recheck":
         if workers is not None:
-            raise ValueError("re-check mode has no workers (no sim)")
+            raise ReplayWorkersError(
+                "re-check mode has no workers (no sim)")
         return _recheck(reader, strict)
     raise ValueError(f"unknown replay mode {mode!r}")
 
@@ -130,7 +138,7 @@ def _resimulate(reader: CaptureReader, workers: Optional[int],
     spec = ScenarioSpec.from_dict(reader.header["spec"])
     if workers is not None:
         if "parallel" not in spec.defaults():
-            raise ValueError(
+            raise ReplayWorkersError(
                 f"family {spec.family!r} has no parallel runner")
         spec = spec.with_params(parallel=int(workers))
     summary = spec.run().summarize().to_dict()

@@ -34,13 +34,13 @@ the inlined protocol hot paths — is the one indexed call
 general path (partitions, trace recording) bound to that link; it stays
 the entry on a recording backend.  Otherwise it is replaced by the link's
 *fused* closure: when the backend records nothing and the scheduler is
-the calendar kernel (``type(scheduler) is Scheduler`` —
-observed, not configured), the first send over an up link compiles a
-closure capturing the link, its delay model's ``sample`` method, its RNG
-stream, the destination's receiver and the calendar's geometry, so every
-later send is one dict hit plus straight-line arithmetic — no attribute
-chases, no intermediate frames, no :class:`EventHandle`, only the
-delivery tuple allocated.  The closure self-checks ``down_votes`` (so a
+the shipped kernel (``type(scheduler) is Scheduler`` — observed, not
+configured), the first send over an up link compiles a closure capturing
+the link, its delay model's ``sample`` method, its RNG stream, the
+destination's receiver and the scheduler's heap, so every later send is
+one dict hit, straight-line arithmetic and one ``heappush`` — no
+attribute chases, no intermediate frames, no :class:`EventHandle`, only
+the delivery tuple allocated.  The closure self-checks ``down_votes`` (so a
 partition can never be raced past) and is dropped whenever the link's
 delay model is swapped.  The general path thus carries only a
 :class:`~repro.sim.trace.FullTrace` run's sends, sends over partitioned
@@ -398,11 +398,10 @@ class Network:
     def _compile_fast_send(self, link: Link) -> Callable[[Any], None]:
         """Compile the per-link fused send closure.
 
-        Everything immutable is captured at compile time (endpoints, the
-        delay model's bound ``sample``, the link RNG, the destination's
-        receiver, the scheduler's calendar geometry); mutable scheduler
-        state (clock, cursor, base, overflow heap) is read through the
-        scheduler each call.  The
+        Everything fixed for the link's lifetime is captured at compile
+        time (endpoints, the delay model's bound ``sample``, the link RNG,
+        the destination's receiver, the scheduler's heap and sequence
+        counter); the clock is read through the scheduler each call.  The
         closure performs exactly the slow path's effects for an up link —
         same counters, same FIFO clamp, same ``(time, seq)`` consumption —
         and bails back to :meth:`_send_slow` whenever the link has down
@@ -427,9 +426,7 @@ class Network:
         sample = model.sample
         rand = rng.random
         receiver = self._receivers[dst]
-        buckets = sched._buckets
-        invw = sched._inv_width
-        nb = sched._nb
+        queue = sched._queue
 
         def fast_send(message: Any, _link: Link = link,
                       _slow: Callable = self._send_slow) -> None:
@@ -450,16 +447,8 @@ class Network:
             if time < now:
                 raise SchedulerError(
                     f"cannot schedule at {time}, current time is {now}")
-            entry = (time, next(seq), receiver, src, message)
-            # inlined Scheduler._insert
-            idx = int((time - sched._base) * invw)
-            cur = sched._cur
-            if idx <= cur:
-                heappush(buckets[cur], entry)
-            elif idx < nb:
-                buckets[idx].append(entry)
-            else:
-                heappush(sched._far, entry)
+            # inlined Scheduler.schedule_call
+            heappush(queue, (time, next(seq), receiver, src, message))
             sched._live += 1
 
         return fast_send

@@ -25,8 +25,9 @@ whose hash moved; the readable goldens (``golden/fault_records.json``,
 ``golden/datalink_cells.json``, ``golden/fuzz_case_*.json``,
 ``captures/``) show *what* moved.
 
-Regenerate (only when a change is *meant* to move output; it refuses
-unless every contract's run is ok) with::
+Every contract's run must also be ok (for a ``summary/`` cell: judged
+ok, not ``vacuous``), at 1 worker to write the manifest and at 2 to pass.
+Regenerate (only when a change is *meant* to move output) with::
 
     PYTHONPATH=src python tests/test_contract.py
 """
@@ -78,11 +79,9 @@ def _document(payload) -> str:
 
 
 def _summary(family, result):
-    # ok = completed and stable by the one judge; a run with no read after
-    # its τ (the partition cell) is vacuous there, yet its summary is data
-    verdict = judge(family, result)
-    return (_document(result.summarize().to_dict()),
-            verdict.completed and verdict.stable)
+    # ok = the one judge's ok: a run with no read after its τ is vacuous
+    # there, so a cell that judges nothing cannot hold a contract
+    return _document(result.summarize().to_dict()), judge(family, result).ok
 
 
 # each contract: workers -> (the bytes as text, whether its run is ok)
@@ -166,12 +165,15 @@ def test_every_contract_reproduces_its_manifest_hash():
     manifest = _manifest()
     assert sorted(manifest) == sorted(CONTRACTS), (
         "the manifest's contracts differ from CONTRACTS: regenerate it")
-    moved = [name for name, (digest, _) in run_contracts(2).items()
+    runs = run_contracts(2)
+    moved = [name for name, (digest, _) in runs.items()
              if digest != manifest[name]]
     assert not moved, (
         f"{len(moved)} contract(s) moved: {', '.join(moved)}.  If the "
         f"change is meant to move them, regenerate with "
         f"`PYTHONPATH=src python tests/test_contract.py`")
+    not_ok = [name for name, (_, ok) in runs.items() if not ok]
+    assert not not_ok, f"contract run(s) not ok: {', '.join(not_ok)}"
 
 
 def _write_manifest() -> None:

@@ -1,7 +1,8 @@
 """Shipped kernel vs reference oracle, end to end.
 
-One scheduler kernel ships (the calendar queue); ``HeapScheduler`` is the
-executable reference it is compared against.  The contract is
+One scheduler kernel ships (one binary heap); ``HeapScheduler`` is the
+executable reference it is compared against: the same heap, stepped one
+event per turn, and never handed a fused send.  The contract is
 byte-identical execution: the same ``(time, seq)`` total order, hence the
 same RNG draw sequence, the same operation history and the same
 ``history_digest``.  These tests pin that contract at the scenario level —
@@ -9,7 +10,7 @@ one small cell per scenario family, run on both, full summaries compared.
 
 No option selects the oracle, so the tests substitute it for the
 ``Scheduler`` name ``Cluster`` constructs.  Under ``trace_backend="null"``
-(every family's default) the calendar side sends through the fused
+(every family's default) the shipped side sends through the fused
 per-link closures while the oracle side takes the network's general path,
 so the same comparison also pins fused against general delivery; under
 ``"full"`` both sides take the general path with a recording receiver.
@@ -28,7 +29,9 @@ from repro.workloads.spec import ScenarioSpec
 FAMILY_CELLS = {
     "swsr": dict(seed=3, num_writes=2, num_reads=2),
     "mwmr": dict(m=2, seed=3, ops_per_process=1),
-    "partition": dict(seed=3, num_writes=2, num_reads=2),
+    # 4 + 4 is the smallest partition cell whose reads reach past τ (the
+    # heal): at 2 + 2 the judge finds nothing to judge (``vacuous``)
+    "partition": dict(seed=3, num_writes=4, num_reads=4),
     "kv": dict(shard_count=2, num_keys=2, rounds=1, seed=3),
     "reshard": dict(shard_count=2, num_keys=2, rounds=1, seed=3, vnodes=4),
     "mobile-byz": dict(seed=3, rotations=1, num_writes=2, num_reads=2),
@@ -54,10 +57,10 @@ def _run_on(monkeypatch, family, params, kernel):
 @pytest.mark.parametrize("family", sorted(FAMILY_CELLS))
 def test_kernels_produce_identical_summaries(family, backend, monkeypatch):
     params = dict(FAMILY_CELLS[family], trace_backend=backend)
-    calendar = _run_on(monkeypatch, family, params, Scheduler)
+    shipped = _run_on(monkeypatch, family, params, Scheduler)
     heap = _run_on(monkeypatch, family, params, HeapScheduler)
-    assert calendar == heap
-    digest = getattr(calendar, "history_digest", None)
+    assert shipped == heap
+    digest = getattr(shipped, "history_digest", None)
     if digest is not None:
         assert digest == heap.history_digest
 
@@ -68,9 +71,9 @@ def test_kernels_agree_on_larger_swsr_cell(backend, monkeypatch):
     params = dict(seed=11, n=9, t=1, num_writes=4, num_reads=4,
                   corruption_times=(2.0,), link_garbage=2,
                   byzantine_count=1, trace_backend=backend)
-    calendar = _run_on(monkeypatch, "swsr", params, Scheduler)
+    shipped = _run_on(monkeypatch, "swsr", params, Scheduler)
     heap = _run_on(monkeypatch, "swsr", params, HeapScheduler)
-    assert calendar == heap
+    assert shipped == heap
 
 
 #: the footnote-3 transport: packets and acks are call entries filed by
@@ -87,7 +90,7 @@ DATALINK_CELLS = {
 @pytest.mark.parametrize("cell", sorted(DATALINK_CELLS))
 def test_kernels_agree_on_datalink_cells(cell, backend, monkeypatch):
     params = dict(DATALINK_CELLS[cell], trace_backend=backend)
-    calendar = _run_on(monkeypatch, "swsr", params, Scheduler)
+    shipped = _run_on(monkeypatch, "swsr", params, Scheduler)
     heap = _run_on(monkeypatch, "swsr", params, HeapScheduler)
-    assert calendar == heap
-    assert calendar.completed and calendar.events_processed > 1000
+    assert shipped == heap
+    assert shipped.completed and shipped.events_processed > 1000

@@ -6,6 +6,7 @@ command line cannot pass.  The other CLIs keep the same rule.
 """
 
 import json
+import os
 
 import pytest
 
@@ -64,6 +65,29 @@ def test_other_clis_flag_below_its_minimum_is_a_usage_error(
         cli(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+CAPTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "captures")
+
+
+# each a ValueError traceback from ``replay_capture`` (exit 1)
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "recheck", "--workers", "2", "kv.jsonl"],
+     "--workers 2 with --mode recheck: re-check mode has no workers"),
+    (["--workers", "2", "swsr.jsonl"],
+     "--workers 2 with --mode resimulate: family 'swsr' has no parallel "
+     "runner"),
+    (["--workers", "2", "service.jsonl"],
+     "--workers 2 with --mode resimulate: service replays are inherently "
+     "serial"),
+])
+def test_replay_workers_the_capture_cannot_use_are_a_usage_error(
+        argv, message, capsys):
+    argv = argv[:-1] + [os.path.join(CAPTURES, argv[-1]), "--quiet"]
+    assert capture_main(["replay", *argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_bench_digests_do_not_depend_on_the_connection_count(tmp_path):

@@ -240,6 +240,19 @@ def test_cancel_after_fire_is_a_noop():
     assert sched.pending_count() == 0
 
 
+def test_cancel_after_clear_is_a_noop():
+    """A timer ``clear()`` dropped reads as cancelled: cancelling it later
+    must not take a live event off the pending count."""
+    sched = Scheduler()
+    handle = sched.schedule(1.0, lambda: None)
+    sched.clear()
+    assert handle.cancelled and not handle.fired
+    handle.cancel()
+    assert sched.pending_count() == 0
+    sched.schedule(2.0, lambda: None)
+    assert sched.pending_count() == 1
+
+
 def test_schedule_call_rejects_past():
     sched = Scheduler()
     sched.schedule(1.0, lambda: None)
@@ -249,12 +262,12 @@ def test_schedule_call_rejects_past():
 
 
 # ----------------------------------------------------------------------
-# same-tick batch drain: run() must stay byte-identical to step()
+# run() must stay byte-identical to one step() per event
 # ----------------------------------------------------------------------
 def _build_soup(sched, log, rng_seed):
     """Load a randomized event soup onto ``sched``, logging every firing.
 
-    The soup exercises everything the batched drain could get wrong:
+    The soup exercises everything an event loop could get wrong:
     long runs of equal timestamps, call entries interleaved with
     cancellable handles, callbacks that schedule more events *at the current
     tick* (they must join the run in seq order), callbacks that cancel
@@ -297,7 +310,7 @@ def _build_soup(sched, log, rng_seed):
 
 
 def _reference_run(sched, until=None, max_events=None):
-    """The unbatched one-``step``-per-event loop ``run()`` replaced."""
+    """The one-``step``-per-event loop ``run()`` must equal."""
     budget = max_events
     while True:
         next_time = sched.peek_time()
@@ -356,18 +369,16 @@ def test_batched_run_matches_reference_under_limits(seed, until, max_events):
 
 
 # ----------------------------------------------------------------------
-# calendar kernel vs the single-heap reference kernel
+# shipped kernel vs the step-per-event reference kernel
 # ----------------------------------------------------------------------
 def _build_far_soup(sched, log, rng_seed):
-    """Randomized schedule/cancel/drain soup spanning the calendar horizon.
+    """Randomized schedule/cancel/drain soup over widely spread times.
 
     Unlike ``_build_soup`` (clustered near-future ticks), this soup
-    deliberately scatters events *far* beyond the default calendar span
-    (256 buckets x 0.5 = 128 time units) so entries land in the overflow
-    heap and every ``run`` crosses several calendar rebuilds.  Callbacks
-    keep scheduling both near (same-tick) and far children, and cancel
-    random pending handles, so redistribution must cope with cancelled
-    entries and late same-tick joins.
+    scatters events from a quarter unit to thousands of units out, with
+    ties at equal times.  Callbacks keep scheduling both near (same-tick)
+    and far children, and cancel random pending handles, so cancelled
+    entries reach the heap head among late same-tick joins.
     """
     import random
     rng = random.Random(rng_seed)
@@ -384,8 +395,7 @@ def _build_far_soup(sched, log, rng_seed):
             if roll < 0.3:
                 sched.schedule(0.0, spawn, f"{tag}.s", depth + 1)
             elif roll < 0.5:
-                # far child: lands in the overflow heap relative to the
-                # calendar position at spawn time
+                # far child, behind most of what is pending
                 sched.schedule(150.0 + 75.0 * depth, spawn, f"{tag}.F",
                                depth + 1)
             elif roll < 0.7:
@@ -405,38 +415,38 @@ def _build_far_soup(sched, log, rng_seed):
             cancellable.append(
                 sched.schedule_at(time, log.append,
                                   ("plain", time, index)))
-    # pre-cancelled entries both near the head and in the far overflow
+    # pre-cancelled entries both near the head and far behind it
     sched.schedule_at(0.1, log.append, ("never-near", 0.1)).cancel()
     sched.schedule_at(999.0, log.append, ("never-far", 999.0)).cancel()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_calendar_kernel_matches_heap_kernel(seed):
+    # (named for the calendar queue the shipped kernel once was)
     from repro.sim.scheduler import HeapScheduler
-    calendar_log, heap_log = [], []
-    calendar, heap = Scheduler(), HeapScheduler()
-    _build_far_soup(calendar, calendar_log, seed)
+    shipped_log, heap_log = [], []
+    shipped, heap = Scheduler(), HeapScheduler()
+    _build_far_soup(shipped, shipped_log, seed)
     _build_far_soup(heap, heap_log, seed)
-    calendar.run()
+    shipped.run()
     heap.run()
-    assert calendar_log == heap_log
-    assert calendar.now == heap.now
-    assert calendar.events_processed == heap.events_processed
-    assert calendar.pending_count() == heap.pending_count() == 0
+    assert shipped_log == heap_log
+    assert shipped.now == heap.now
+    assert shipped.events_processed == heap.events_processed
+    assert shipped.pending_count() == heap.pending_count() == 0
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_calendar_matches_heap_under_interleaved_drains(seed):
     """Partial drains interleaved with more scheduling, across kernels.
 
-    Exercises the calendar's realign-on-empty path (draining completely,
-    then scheduling from the new ``now``) and overflow redistribution
-    mid-run, against the heap reference.
+    Budget-cut runs, then scheduling from wherever the clock stopped
+    (draining completely, too), against the step-per-event reference.
     """
     from repro.sim.scheduler import HeapScheduler
     import random
-    calendar_log, heap_log = [], []
-    schedulers = [(Scheduler(), calendar_log), (HeapScheduler(), heap_log)]
+    shipped_log, heap_log = [], []
+    schedulers = [(Scheduler(), shipped_log), (HeapScheduler(), heap_log)]
     for sched, log in schedulers:
         _build_far_soup(sched, log, seed)
         rng = random.Random(1000 + seed)
@@ -452,20 +462,19 @@ def test_calendar_matches_heap_under_interleaved_drains(seed):
                 sched.schedule_at(base + offset, log.append,
                                   ("late", round_index, extra))
         sched.run()
-    assert calendar_log == heap_log
+    assert shipped_log == heap_log
     assert schedulers[0][0].now == schedulers[1][0].now
     assert schedulers[0][0].events_processed == \
         schedulers[1][0].events_processed
 
 
 def test_far_future_events_use_overflow_and_still_fire_in_order():
+    # (named for the calendar queue's overflow heap, which is gone)
     sched = Scheduler()
     fired = []
-    # beyond the 128-unit horizon: must land in the overflow heap
     sched.schedule_at(5000.0, fired.append, "way-out")
     sched.schedule_at(129.0, fired.append, "just-out")
     sched.schedule_at(1.0, fired.append, "near")
-    assert len(sched._far) == 2
     sched.run()
     assert fired == ["near", "just-out", "way-out"]
     assert sched.now == 5000.0
@@ -483,20 +492,3 @@ def test_run_until_matches_across_kernels():
         results.append((sched.now, sched.events_processed, log))
     assert results[0] == results[1]
 
-
-def test_invalid_calendar_shape_rejected():
-    with pytest.raises(SchedulerError):
-        Scheduler(bucket_width=0.0)
-    with pytest.raises(SchedulerError):
-        Scheduler(bucket_count=1)
-
-
-def test_narrow_calendar_rebuilds_repeatedly():
-    """A tiny calendar (4 buckets) forces a rebuild every few events."""
-    sched = Scheduler(bucket_width=0.5, bucket_count=4)
-    fired = []
-    for index in range(50):
-        sched.schedule_at(index * 1.7, fired.append, index)
-    sched.run()
-    assert fired == list(range(50))
-    assert sched.now == 49 * 1.7

@@ -6,7 +6,7 @@ place the rule is written: every network route delivers through it).
 The rule it replaced — re-evaluate after
 every delivery — is what every condition still gets when it is *level*,
 so forcing every condition class to level is an executable reference for
-the shipped rule, the way ``HeapScheduler`` is for the calendar kernel.
+the shipped rule, the way ``HeapScheduler`` is for the shipped kernel.
 No option selects it: the tests patch the class attribute.
 
 * scenario level: one cell per family plus the cells that mix in level
