@@ -12,20 +12,10 @@ protocol.
 The public surface is defined by :mod:`repro.api` and re-exported here,
 on first use: ``import repro`` alone loads no layer, and reading one of
 the names (or ``__all__``) imports :mod:`repro.api`, which resolves it
-through its name -> module table.  Import from either spelling::
-
-    from repro.api import Cluster, ClusterConfig, build_swsr_atomic
-
-    cluster = Cluster(ClusterConfig(n=9, t=1, seed=1))
-    writer, reader = build_swsr_atomic(cluster)
-    handle = writer.write("hello")
-    cluster.run_ops([handle])
-    handle = reader.read()
-    cluster.run_ops([handle])
-    print(handle.result)   # -> "hello"
-
-See README.md for the architecture overview and EXPERIMENTS.md for the
-paper-vs-measured record.
+through its name -> module table.  Import from either spelling,
+``from repro.api import Cluster`` or ``from repro import Cluster``.
+README.md is a runnable tour of the layers' front doors, and
+docs/ARCHITECTURE.md shows how the layers fit together.
 """
 
 from importlib import import_module

@@ -1,4 +1,4 @@
-"""Universal trace capture/replay + soak observability (PR 9).
+"""Universal trace capture/replay + soak observability.
 
 ``repro.capture`` generalizes the fuzz replay artifact into a
 packet-log-style record/replay format for *any* run this repo can

@@ -12,7 +12,8 @@
 
 ``record`` runs a scenario with capture enabled and prints its summary;
 ``replay`` re-drives a sealed capture (exit 1 on any divergence, 2 on
-``--workers`` the capture cannot use);
+``--workers`` the capture cannot use); a file no command can open
+exits 2, naming it;
 ``check`` structurally verifies a capture (checksums, sequencing,
 per-lane monotonicity) without replaying it; ``tail`` prints the last
 lines of any JSON-lines file (captures or metrics) for quick grepping.
@@ -184,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":          # pragma: no cover

@@ -156,14 +156,14 @@ def _sample_transient_events(rng: random.Random, profile: FuzzProfile,
                              static_byz: int, kind_reg: str) -> List[Event]:
     """Pre-workload transient faults (they all count into τ_no_tr).
 
-    Bursts against *atomic* cases target servers only: corrupting the
-    writer's ``wsn`` (or the reader's ``pwsn``) can teleport it up to
-    half the bounded sequence ring — indistinguishable from
-    system-life-span writes having happened, which voids Lemma 13's
-    precondition, so reads may legitimately return the stale ``pv`` for
-    the rest of a short history (see ``tests/replays/wsn-jump-atomic
-    .json``, a fuzzer-found counterexample kept as documentation).
-    Server state, by contrast, is provably repaired by the first
+    Bursts against *atomic* cases target servers only.  Not for a wrap
+    of the bounded sequence ring: a reader whose ``pwsn`` alone is
+    corrupted keeps returning its stale ``pv`` for good when reads
+    overlap writes (``test_reader_only_corruption_with_overlapping_reads
+    _does_not_stabilize`` in ``tests/test_registers_swsr_atomic.py``;
+    ``tests/replays/wsn-jump-atomic.json`` overlaps too).  Clients stay
+    out until the ROADMAP's item 16 names that a deviation or a
+    precondition of Fig. 3.  Server state is repaired by the first
     post-τ write plus the helping mechanism.
     """
     events: List[Event] = []

@@ -8,14 +8,10 @@ Two deployment shapes behind one vocabulary:
   pools that fail independently, with :class:`Pipeline` keeping many
   operations in flight per client.
 
-Since PR 8 the sharded shape is *elastic*: the ring is mutable and
+The sharded shape is *elastic*: the ring is mutable and
 :class:`Rebalancer` performs live resharding (split/merge/join/retire
 plus vnode migration) with deterministic state transfer while clients
 keep issuing through the pipeline.
-
-See ``docs/ARCHITECTURE.md`` ("kvstore — the service layer" and
-"rebalance — live resharding") for how this layer sits on top of the
-register constructions.
 """
 
 from .pipeline import Pipeline, PipelineHandle

@@ -1,7 +1,7 @@
 """Key placement: a consistent-hash ring plus hash-derived shard seeds.
 
-Both primitives follow the determinism discipline PR 1 established for
-the sweep runner (``repro.runner.spec.derive_seed``): placement and seeds
+Both primitives follow the determinism discipline of the sweep
+runner (``repro.runner.spec.derive_seed``): placement and seeds
 are pure functions of their inputs, computed with ``hashlib`` — never
 ``hash()``, whose per-process randomization would scatter keys (and
 executions) across runs.
@@ -18,7 +18,7 @@ executions) across runs.
   share a random stream (two pools with the same seed would produce
   eerily correlated "independent" failures).
 
-Since PR 8 the ring is **mutable**: vnode *slots* keep their coordinate
+The ring is **mutable**: vnode *slots* keep their coordinate
 forever (a slot's point is hashed from the ``(origin shard, vnode)``
 pair that allocated it), while slot *ownership* is reassigned by
 :meth:`HashRing.add_shard` / :meth:`HashRing.split_shard` /
@@ -65,8 +65,8 @@ def _point(payload: str) -> int:
 
 
 def derive_shard_seed(store_seed: int, shard_index: int) -> int:
-    """Deterministic per-shard simulation seed (PR 1's derivation recipe:
-    SHA-256 over a canonical JSON payload, first four bytes)."""
+    """Deterministic per-shard simulation seed (the sweep runner's
+    recipe: SHA-256 over a canonical JSON payload, first four bytes)."""
     payload = json.dumps(["repro.kvstore.shard-seed", store_seed,
                           shard_index])
     digest = hashlib.sha256(payload.encode("utf-8")).digest()

@@ -22,8 +22,7 @@ Layering:
   (process pool / inline dispatch) plus the family-specific merges.
 
 Entry point for users: ``run_scenario("kv", ..., parallel=4)`` or
-``run_scenario("soak", ..., shards=4, parallel=4)`` — see
-``docs/ARCHITECTURE.md`` ("parallel — shard-parallel execution").
+``run_scenario("soak", ..., shards=4, parallel=4)``.
 """
 
 from .executor import ShardExecutor, ShardOutcome, execute_shard_plan

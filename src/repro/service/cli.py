@@ -173,6 +173,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # stdout piped into a pager/head that exited early — not an error
         return 0
+    except OSError as exc:      # e.g. nothing listens at --host:--port
+        endpoint = f" {args.host}:{args.port}:" if "port" in args else ""
+        print(f"{args.command}:{endpoint} {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

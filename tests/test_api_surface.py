@@ -118,8 +118,8 @@ def _repro_imports(block):
     try:
         tree = ast.parse(block)
     except SyntaxError:
-        # README blocks may elide with `...`-style prose; skip those —
-        # the docs CI job runs the real doctests.
+        # a block that does not parse fails tests/test_docs.py, which
+        # runs every README block
         return []
     pairs = []
     for node in ast.walk(tree):

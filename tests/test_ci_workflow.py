@@ -17,7 +17,7 @@ def workflow():
 
 
 def test_workflow_parses_and_has_jobs(workflow):
-    assert set(workflow["jobs"]) == {"lint", "test", "perf-smoke", "docs"}
+    assert set(workflow["jobs"]) == {"lint", "test", "perf-smoke"}
     # "on" parses as YAML true; accept either spelling
     assert True in workflow or "on" in workflow
 
@@ -141,20 +141,29 @@ def test_reshard_sweep_rides_the_test_jobs_smoke_sweep(workflow):
 
 
 def test_docs_job_covers_the_new_surfaces(workflow):
-    runs = " ".join(step.get("run", "")
-                    for step in workflow["jobs"]["docs"]["steps"])
-    assert "src/repro/service" in runs
-    assert "src/repro/capture" in runs
-    assert "src/repro/api.py" in runs
-    assert "src/repro/workloads/spec.py" in runs
+    """The docs job folded into Tier-1: three jobs remain, and the
+    doctest surface is every module under ``src/repro`` with a ``>>>``
+    example, the service, capture and scenario-spec surfaces included."""
+    assert set(workflow["jobs"]) == {"lint", "test", "perf-smoke"}
+    from test_docs import DOCTEST_MODULES
+    assert {"repro.service", "repro.capture.format", "repro.workloads.spec",
+            "repro.analysis.tables", "repro.sim.random_source"} <= set(
+        DOCTEST_MODULES)
 
 
 def test_docs_job_runs_the_doctest_surface(workflow):
-    runs = " ".join(step.get("run", "")
-                    for step in workflow["jobs"]["docs"]["steps"])
-    assert "--doctest-modules" in runs
-    assert "src/repro/kvstore" in runs
-    assert "docs/ARCHITECTURE.md" in runs
+    """Tier-1 runs the doctests, the README blocks and the generated
+    layer table of docs/ARCHITECTURE.md (``tests/test_docs.py``)."""
+    import test_docs
+    assert _runs_tier1(workflow)
+    pyproject = os.path.join(os.path.dirname(WORKFLOW), os.pardir,
+                             os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as handle:
+        assert 'testpaths = ["tests", "benchmarks"]' in handle.read()
+    for check in ("test_doctests_run", "test_readme_python_block_runs",
+                  "test_readme_commands_run",
+                  "test_architecture_layer_table_matches_the_code"):
+        assert callable(getattr(test_docs, check)), check
 
 
 def test_lint_job_uses_ruff(workflow):

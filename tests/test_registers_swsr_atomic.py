@@ -3,10 +3,13 @@
 import pytest
 
 from repro.checkers.atomicity import find_new_old_inversions
+from repro.checkers.regularity import check_regularity
 from repro.faults.byzantine import strategy_factory
 from repro.faults.transient import TransientFaultInjector
 from repro.registers.bounded_seq import WsnConfig
+from repro.registers.messages import BOT
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_atomic
+from repro.workloads.engine import ScenarioEngine
 from repro.workloads.spec import run_scenario
 from repro.workloads.verdict import judge
 
@@ -200,3 +203,64 @@ def test_reads_overlapping_writes_do_not_stabilize(reader_offset):
             failing[seed] = [v["kind"] for v in verdict.violations]
     assert failing == {seed: ["unstable"]
                        for seed in NOT_STABILIZING[reader_offset]}
+
+
+def _reader_only_probe(seed, read_after, servers_at_bot):
+    """Whether the last 4 of 8 reads are regular after a corruption of
+    the reader alone (``pwsn``/``pv``), once one clean write has run."""
+    cluster = Cluster(ClusterConfig(n=9, t=1, seed=seed,
+                                    trace_backend="null"))
+    writer, reader = build_swsr_atomic(cluster)
+    cluster.run_ops([writer.write("v0")])
+    reader.role.pwsn, reader.role.pv = 2 ** 62, "corrupt"
+    if servers_at_bot:                  # the state a read's line 22 leaves
+        for server in cluster.servers:
+            server.automatons["reg"].helping_val = BOT
+    engine = ScenarioEngine(cluster)
+    writes, reads = engine.driver(writer), engine.driver(reader)
+    start = cluster.scheduler.now + 1
+    for index in range(8):
+        writes.at(start + 10 * index,
+                  lambda value=f"v{index + 1}": writer.write(value))
+        reads.at(start + 10 * index + read_after, reader.read)
+    assert engine.run(max_events=1_000_000)
+    cut = engine.history.reads()[4].invoke
+    return not check_regularity(engine.history, after=cut)
+
+
+#: (read_after, servers_at_bot) -> the seeds in 0-19 that never stabilize
+READER_ONLY_NOT_STABILIZING = {
+    (1.0, True): (2, 3, 4, 5, 10, 11, 15, 16, 18),
+    (1.0, False): (),
+    (5.0, True): (),
+    (5.0, False): (),
+}
+
+
+def test_reader_only_corruption_with_overlapping_reads_does_not_stabilize():
+    """Records the open finding the ROADMAP's item 16 triages, not the
+    intended behaviour: with only the reader corrupted (``pwsn`` far
+    ``>_cd``-ahead of the writer's ``wsn``, no sequence wrap) and every
+    server's ``helping_val`` at ⊥, reads issued 1.0 after each write
+    never stabilize on 9 of 20 delay seeds; reads 5.0 after, or servers
+    holding the current helping pair, stabilize on all 20.
+
+    Against Fig. 3 as quoted in ``repro.registers.swsr_atomic``: N2 sends
+    READ(false), so the sanity check resets nothing; N4 takes its pairs
+    from the ``helping_val`` column only, needing 2t+1 equal non-⊥ ones;
+    a server's ``helping_val`` is set only by a write's 04M, which line 03
+    sends only when the write's acks hold no 4t+1 equal helping pairs,
+    and line 22 clears it on the first READ(true) (line 09) of every read.
+    A read that overlaps a write runs N2-N3 before that write's 04M
+    lands, and its own line 09 clears the pair on every server 04M
+    reached first; unless 2t+1 servers got 04M after that line 09, the
+    next sanity check sees no quorum either, 13M2 never adopts a pair
+    below the corrupted ``pwsn``, and 13M3 keeps returning ``pv``.  The
+    code follows the quoted lines; whether Fig. 3 assumes a read that
+    does not overlap a write is the question left open.
+    """
+    for (read_after, at_bot), expected in \
+            READER_ONLY_NOT_STABILIZING.items():
+        failing = tuple(seed for seed in range(20) if not _reader_only_probe(
+            seed, read_after, at_bot))
+        assert failing == expected, (read_after, at_bot, failing)

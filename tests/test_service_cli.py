@@ -90,6 +90,36 @@ def test_replay_workers_the_capture_cannot_use_are_a_usage_error(
     assert message in err and "Traceback" not in err
 
 
+# each a FileNotFoundError traceback (exit 1)
+@pytest.mark.parametrize("argv, missing", [
+    (["check", "nope.jsonl"], "nope.jsonl"),
+    (["replay", "nope.jsonl"], "nope.jsonl"),
+    (["tail", "nope.jsonl"], "nope.jsonl"),
+    (["record", "--spec", "nope.json", "--out", "t.jsonl"], "nope.json"),
+], ids=["check", "replay", "tail", "record"])
+def test_capture_file_it_cannot_open_is_a_usage_error(
+        argv, missing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert capture_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"{argv[0]}: [Errno 2] No such file or directory: " \
+                  f"'{missing}'\n"
+
+
+@pytest.mark.parametrize("argv", [["get", "k"], ["put", "k", "1"],
+                                  ["stats"]], ids=lambda argv: argv[0])
+def test_one_shot_with_nothing_listening_names_the_endpoint(argv, capsys):
+    """Was a ``ConnectionRefusedError`` traceback from ``KVClient``."""
+    import socket
+    with socket.socket() as probe:       # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    assert main([*argv, "--port", str(port)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: 127.0.0.1:{port}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_bench_digests_do_not_depend_on_the_connection_count(tmp_path):
     """One connection and two, same seed: the same responses."""
     reports = []

@@ -329,7 +329,7 @@ def _reference_run(sched, until=None, max_events=None):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_batched_run_matches_unbatched_reference(seed):
+def test_run_matches_step_loop(seed):
     batched_log, reference_log = [], []
     batched, reference = Scheduler(), Scheduler()
     _build_soup(batched, batched_log, seed)
@@ -345,7 +345,7 @@ def test_batched_run_matches_unbatched_reference(seed):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("until,max_events", [(2.0, None), (None, 13),
                                               (2.0, 13), (None, 1)])
-def test_batched_run_matches_reference_under_limits(seed, until, max_events):
+def test_run_matches_step_loop_under_limits(seed, until, max_events):
     batched_log, reference_log = [], []
     batched, reference = Scheduler(), Scheduler()
     _build_soup(batched, batched_log, seed)
@@ -421,8 +421,7 @@ def _build_far_soup(sched, log, rng_seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_calendar_kernel_matches_heap_kernel(seed):
-    # (named for the calendar queue the shipped kernel once was)
+def test_kernel_matches_reference(seed):
     from repro.sim.scheduler import HeapScheduler
     shipped_log, heap_log = [], []
     shipped, heap = Scheduler(), HeapScheduler()
@@ -437,7 +436,7 @@ def test_calendar_kernel_matches_heap_kernel(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_calendar_matches_heap_under_interleaved_drains(seed):
+def test_kernel_matches_reference_under_interleaved_drains(seed):
     """Partial drains interleaved with more scheduling, across kernels.
 
     Budget-cut runs, then scheduling from wherever the clock stopped
@@ -468,8 +467,7 @@ def test_calendar_matches_heap_under_interleaved_drains(seed):
         schedulers[1][0].events_processed
 
 
-def test_far_future_events_use_overflow_and_still_fire_in_order():
-    # (named for the calendar queue's overflow heap, which is gone)
+def test_far_future_events_fire_in_order():
     sched = Scheduler()
     fired = []
     sched.schedule_at(5000.0, fired.append, "way-out")
