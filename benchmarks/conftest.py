@@ -1,10 +1,10 @@
 """Shared machinery of the benchmark harness.
 
-Every bench regenerates one experiment from DESIGN.md §5 and reports a
-claims table (paper claim vs measured verdict).  Tables are printed
-(visible with ``pytest benchmarks/ -s``) *and* upserted into
+Every bench regenerates one experiment (named in its module docstring)
+and reports a claims table (paper claim vs measured verdict).  Tables
+are printed (visible with ``pytest benchmarks/ -s``) *and* upserted into
 ``benchmarks/results.txt`` so a plain ``--benchmark-only`` run still
-leaves the evidence on disk; EXPERIMENTS.md embeds them.
+leaves the evidence on disk.
 
 ``results.txt`` is a sequence of sections separated by blank lines; the
 first line of each section (the table title) is its key.  Re-running any

@@ -19,9 +19,9 @@ enforcement regimes:
   and pretending otherwise would gate on the scheduler's timeslicing.)
 
 Both cells route the serial leg through ``parallel=1`` — the same
-plan/executor/merge machinery, inline — so the comparison isolates the
+shard workers and merge, inline — so the comparison isolates the
 process pool itself, and the digests additionally pin the whole
-machinery against the legacy serial path (``parallel=None``).
+shard path against the serial path (``parallel=None``).
 """
 
 import json

@@ -43,7 +43,8 @@ def test_t4b_seq_exhaustion_renewal(benchmark, report):
     writes against ``seq_bound = 4`` force a renewal mid-stream, and the
     reader still sees the latest value.
 
-    Caveat recorded in EXPERIMENTS.md: if the *last* write parks the
+    Caveat pinned by ``TestPracticallyStabilizingCaveats`` in
+    ``tests/test_registers_mwmr.py``: if the *last* write parks the
     register exactly at ``seq == bound``, the next **reader** renews (line
     11) and publishes its own stale value — with the paper's ``2^64`` bound
     that state needs ``2^64`` writes, which is exactly why the register is

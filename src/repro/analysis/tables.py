@@ -3,7 +3,8 @@
 The paper has no numeric tables (it is a theory extended abstract); the
 bench harness prints the *claims matrix* instead — one row per
 configuration, with the measured verdicts.  These helpers keep that output
-uniform and diff-friendly (EXPERIMENTS.md embeds them verbatim).
+uniform and diff-friendly (``benchmarks/conftest.py`` upserts them into
+``benchmarks/results.txt``).
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ derived from them.
 The scenario path — simulator, registers, faults, checkers, kv store and
 the scenario registry (``run_scenario``, the one entry point to every
 family) — is what this module is for, so its names are bound when it
-loads.  The outer layers — parallel execution, the sweep runner, the
-asyncio service and capture/replay — load when one of their names is
-first read (PEP 562).  So ``from repro.api import run_scenario`` loads
-none of them, nor asyncio; the capture taps register when
-``repro.capture`` is imported, which reading any capture name does.
+loads.  The outer layers — the sweep runner, the asyncio service and
+capture/replay — load when one of their names is first read (PEP 562),
+and shard-parallel execution when a ``kv``/``soak`` run asks for it.  So
+``from repro.api import run_scenario`` loads none of them, nor asyncio;
+the capture taps register when ``repro.capture`` is imported, which
+reading any capture name does.
 """
 
 from importlib import import_module
@@ -57,10 +58,6 @@ _SCENARIO_PATH = {
 
 #: ... and the outer layers, each imported on first use of one of its names
 _OUTER_LAYERS = {
-    # parallel execution
-    "repro.parallel.runner": "ParallelScenarioRunner",
-    "repro.parallel.executor": "ShardExecutor ShardOutcome",
-    "repro.parallel.plan": "ShardPlan",
     # runner
     "repro.runner.results": "CellResult",
     "repro.runner.engine": "SweepResult run_sweep",

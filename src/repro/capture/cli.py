@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -190,6 +191,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout piped into a pager/head that exited early: not an error;
+        # stdout goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":          # pragma: no cover

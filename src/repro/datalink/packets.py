@@ -8,8 +8,8 @@ Two layers:
   confirmation that lets the broadcaster satisfy the abstraction's
   *termination* / *synchronized delivery* properties; :class:`SSReply`
   carries an algorithm-level acknowledgement (ACK_WRITE / ACK_READ) echoing
-  the phase token of the broadcast it answers (see DESIGN.md §2.5 on why the
-  token lives in the substrate, mirroring the paper's FIFO-matching remark).
+  the phase token of the broadcast it answers (the token lives in the
+  substrate, mirroring the paper's FIFO-matching remark).
 
 * **data-link layer** (footnote 3): :class:`DataPacket` / :class:`AckPacket`
   with an alternating ``bit``, exchanged over bounded-capacity raw channels.

@@ -23,7 +23,8 @@ Two interchangeable client-side transports:
   completes — an ack by itself cannot end a wait.
 
 Both carry a substrate *phase token* used to correlate algorithm-level
-acknowledgements with the broadcast they answer (DESIGN.md §2.5).
+acknowledgements with the broadcast they answer
+(``tests/test_datalink_ss_broadcast.py``).
 """
 
 from __future__ import annotations

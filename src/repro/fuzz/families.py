@@ -64,9 +64,11 @@ TOPOLOGIES = ((9, 1), (10, 1), (11, 1), (13, 1), (17, 2))
 KV_STRATEGIES = ("silent", "stale", "random-garbage", "equivocate",
                  "flip-flop")
 
-#: burst fractions stay partial: a burst corrupting *every* server copy
-#: of a per-key register livelocks the MWMR scan until the owner
-#: rewrites (the kv family's documented liveness caveat).
+#: burst fractions stay partial, but 0.2 is not a safe bound: the MWMR
+#: scan starves on a per-key register that a burst leaves with too few
+#: intact copies for a quorum, and the odds grow with shards x keys x
+#: clients (the kv family's liveness caveat).  The sampler's shapes are
+#: small (<= 3 shards, <= 3 clients, <= 5 keys).
 KV_MAX_BURST_FRACTION = 0.2
 
 Event = Dict[str, Any]
@@ -453,9 +455,9 @@ def _single_shard(case) -> Candidates:
 
 #: the store-backed families' shared reductions: fewer rounds/keys/
 #: clients, no static adversary.  Burst fractions are deliberately left
-#: alone: pushing a fraction up livelocks the MWMR scan (the documented
-#: liveness caveat), which would change the failure signature and just
-#: waste oracle calls.
+#: alone: a higher fraction corrupts more copies per register and can
+#: starve the MWMR scan (the kv family's liveness caveat), which would
+#: change the failure signature and just waste oracle calls.
 _STORE_LADDER = (("rounds", HALVE), ("num_keys", HALVE),
                  ("client_count", 1), ("byzantine_count", 0))
 

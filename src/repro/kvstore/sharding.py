@@ -228,10 +228,10 @@ def partition_ops(items: Iterable[_T],
     """Group ``items`` by shard, preserving order within each shard.
 
     The one key→shard partitioning routine every execution path shares —
-    ``ShardedKVStore.run_ops``, the pipelined drain, and the parallel
-    engine's ``ShardPlan`` slicing all route through here, so the serial
-    and parallel notions of "which shard owns this operation" cannot
-    drift apart.
+    ``ShardedKVStore.run_ops``, the pipelined drain, and
+    :mod:`repro.parallel`'s per-shard batch slices all route through
+    here, so the serial and parallel notions of "which shard owns this
+    operation" cannot drift apart.
     """
     by_shard: Dict[int, List[_T]] = {}
     for item in items:
@@ -243,9 +243,9 @@ def shard_router(store) -> Callable[[str], int]:
     """Key→shard routing function for ``store``.
 
     A sharded store routes through its ring; a single-pool store is one
-    shard, so everything maps to index 0.  (The pipeline and the parallel
-    planner both use this, keeping the "single pool behaves as one shard"
-    convention in exactly one place.)
+    shard, so everything maps to index 0.  (The pipeline uses this,
+    keeping the "single pool behaves as one shard" convention in exactly
+    one place.)
     """
     if getattr(store, "group", None) is not None:
         return store.shard_for

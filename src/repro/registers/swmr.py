@@ -14,7 +14,9 @@ copy write finished), and reader ``rj`` reads its own copy ``X/rj``.
 The paper asserts atomicity follows because each copy is atomic and every
 write goes to all copies; the well-known caveat (reads by *different*
 readers overlapping a write may still order differently) is inherited
-faithfully and measured in EXPERIMENTS.md (experiment T4a notes).
+faithfully.  ``tests/test_registers_swmr.py::TestConcurrency`` pins reads
+that overlap a write, and ``benchmarks/test_bench_t4_mwmr.py`` (T4a)
+checks that the MWMR histories built on this register linearize.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ deterministic sweeps:
 * :class:`~repro.runner.spec.SweepSpec` — a parameter grid over one
   scenario family of the registry (``run_scenario("swsr", ...)``, ...) or
   ``run_figure1``, with deterministic per-cell seed derivation;
-* :func:`~repro.runner.engine.run_sweep` — fans the cells out over a
-  ``ProcessPoolExecutor``; results are bit-identical regardless of worker
-  count or completion order;
+* :func:`~repro.runner.engine.run_sweep` — fans the cells out over
+  :func:`~repro.runner.engine.map_in_order`, the one process pool (the
+  shard-parallel ``kv``/``soak`` paths run on it too); results are
+  bit-identical regardless of worker count or completion order;
 * :class:`~repro.runner.results.CellResult` — the compact, picklable
   per-cell record (verdicts / counters / sim-timings) built from the
   ``ScenarioResult.summarize()`` boundary;

@@ -20,11 +20,31 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from .adapters import ADAPTERS
 from .results import CellResult, results_to_json
 from .spec import Cell, SweepSpec, expand
+
+
+def map_in_order(function: Callable, items: Sequence,
+                 workers: int) -> List:
+    """``[function(item) for item in items]`` on ``workers`` processes.
+
+    One worker (or one item) runs inline, with no pool; more fan out over
+    one process pool, so ``function`` must be a module-level function and
+    each item picklable.  Results come back in ``items`` order either
+    way: the caller's merge sees the same list at any worker count.  A
+    worker count that is not an int of at least 1 raises
+    :class:`ValueError`.
+    """
+    if (isinstance(workers, bool) or not isinstance(workers, int)
+            or workers < 1):
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    if workers == 1 or len(items) <= 1:
+        return [function(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(function, items))
 
 
 def execute_cell(cell: Cell) -> CellResult:
@@ -109,18 +129,14 @@ class SweepResult:
 def run_sweep(specs: Union[SweepSpec, Iterable[SweepSpec]],
               workers: int = 1,
               max_cells: Optional[int] = None) -> SweepResult:
-    """Expand ``specs`` and run every cell, fanning out over processes.
+    """Expand ``specs`` and run every cell on :func:`map_in_order`.
 
-    ``workers == 1`` runs inline (no pool, easiest to debug); ``workers >
-    1`` uses a ``ProcessPoolExecutor``.  Either way the result list is
-    sorted by cell id, so downstream output does not depend on the
-    execution schedule.  ``max_cells`` truncates the expansion (smoke/CI
-    budget guard); truncation is visible in the returned spec list count
-    vs cell count, and the CLI reports it.  Either count below 1 raises
-    :class:`ValueError`.
+    The result list is sorted by cell id, so downstream output does not
+    depend on the execution schedule.  ``max_cells`` truncates
+    the expansion (smoke/CI budget guard); truncation is visible in the
+    returned spec list count vs cell count, and the CLI reports it.
+    Either count below 1 raises :class:`ValueError`.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if max_cells is not None and max_cells < 1:
         raise ValueError(f"max_cells must be at least 1, got {max_cells}")
     if isinstance(specs, SweepSpec):
@@ -130,12 +146,7 @@ def run_sweep(specs: Union[SweepSpec, Iterable[SweepSpec]],
     if max_cells is not None:
         cells = cells[:max_cells]
     started = time.perf_counter()
-    if workers == 1 or len(cells) <= 1:
-        results = [execute_cell(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers,
-                                                 len(cells))) as pool:
-            results = list(pool.map(execute_cell, cells))
+    results = map_in_order(execute_cell, cells, workers)
     results.sort(key=lambda result: result.cell_id)
     return SweepResult(specs=specs, cells=results, workers=workers,
                        wall_seconds=time.perf_counter() - started)

@@ -54,9 +54,9 @@ state and nothing per variable; :attr:`Process.corruptible` builds the
 the injector in ``repro.faults.transient`` overwrites exactly those, with
 ``setattr``.  A name is unique per process: an owner colliding with one
 already held is refused when it is hosted.  Substrate bookkeeping (the
-event queue, phase tokens — see DESIGN.md §2.5) is not declared, hence
-not corrupted, mirroring the paper's reliance on a self-stabilizing data
-link.
+event queue, phase tokens — see :mod:`repro.datalink.ss_broadcast`) is
+not declared, hence not corrupted, mirroring the paper's reliance on a
+self-stabilizing data link.
 """
 
 from __future__ import annotations

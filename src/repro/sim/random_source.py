@@ -6,7 +6,7 @@ own named stream derived from a single root seed.  Two runs with the same
 root seed and the same component names therefore produce identical
 executions, regardless of the order in which components are created or
 queried.  This is the property that makes stabilization times exactly
-reproducible (see DESIGN.md §2.1).
+reproducible (``tests/test_sim_random_source.py``).
 """
 
 from __future__ import annotations

@@ -478,7 +478,7 @@ def kv_op_batches(keys: Sequence[str], clients: Sequence[str], rounds: int,
     ``writer_of`` designates one writer per key; readers always rotate.
     :class:`ValueStream` is a pure counter, so a consumer that stops
     early (the serial run) and one that materializes every batch up
-    front (the parallel planner) see the same value on every operation.
+    front (the shard-parallel path) see the same value on every operation.
     """
     values = ValueStream()
 
@@ -715,9 +715,9 @@ def _run_soak(p: SimpleNamespace):
     ``shards`` > 1 runs that many *independent* sub-soaks (hash-derived
     per-shard seeds) and merges their verdicts; ``parallel`` is the
     worker-process count they run on (``1``: inline, one after the
-    other).  ``shards=1, parallel=1`` routes through the same
-    plan/executor/merge machinery and is asserted equal to the
-    in-process run, field for field (see ``tests/test_parallel_sim.py``).
+    other).  ``shards=1, parallel=1`` routes through the same shard
+    worker and merge and is asserted equal to the in-process run, field
+    for field (see ``tests/test_parallel_sim.py``).
 
     >>> from repro.workloads.spec import run_scenario
     >>> result = run_scenario("soak", seed=1, num_writes=8, num_reads=8,
@@ -728,11 +728,8 @@ def _run_soak(p: SimpleNamespace):
     if p.shards < 1:
         raise ValueError("need at least one soak shard")
     if p.shards != 1 or p.parallel is not None:
-        from ..parallel.runner import run_parallel_soak
-        params = vars(p).copy()
-        return run_parallel_soak(
-            shards=params.pop("shards"), parallel=params.pop("parallel"),
-            seed=params.pop("seed"), params=params)
+        from ..parallel import run_parallel_soak
+        return run_parallel_soak(p)
     return soak_shard(p, p.seed)
 
 
@@ -773,14 +770,17 @@ def _run_mwmr(p: SimpleNamespace) -> ScenarioResult:
     With ``concurrent=False`` the stagger spaces processes apart so most
     operations are sequential; ``concurrent=True`` makes them collide.
 
-    ``corruption_fraction`` is deliberately partial by default: corrupting
-    *every* server copy of a register that is never written again leaves
-    its readers without any quorum — and the MWMR scan (Figure 4 line
-    01/09) runs *before* the write that would repair it, so full corruption
-    of all ``m`` registers deadlocks the construction.  This liveness
-    subtlety of the extended abstract is documented in EXPERIMENTS.md
-    (T4 notes) and demonstrated by
-    ``tests/test_registers_mwmr.py::TestLiveness``.
+    ``corruption_fraction`` is partial by default, which does not by
+    itself make a run live.  A read of one register loops (Figure 3
+    lines 08-18) until 2t+1 replies agree, so a register that a burst
+    leaves without that many intact server copies, and that is never
+    written again, leaves its readers without a quorum.  The MWMR scan
+    (Figure 4 lines 01/09) runs *before* the write that would repair it,
+    so such a register blocks every scan.  Full corruption of all ``m``
+    registers deadlocks the construction (``TestLiveness`` in
+    ``tests/test_registers_mwmr.py``); at a partial fraction the odds of
+    a starving register grow with the number of register copies a burst
+    hits.
 
     >>> from repro.workloads.spec import run_scenario
     >>> result = run_scenario("mwmr", m=2, seed=4, ops_per_process=1)
@@ -852,12 +852,15 @@ def _run_kv(p: SimpleNamespace) -> StoreScenarioResult:
     equal to this serial path — digest, verdicts and summary alike.
     Requires ``pipelined=True``.
 
-    Liveness caveat, inherited from the MWMR construction: a burst that
-    corrupts *every* server copy of some per-key register livelocks the
-    scan until the register's owner rewrites it (see the ``mwmr``
-    family's docstring and
-    ``tests/test_registers_mwmr.py::TestLiveness``) — keep
-    ``corruption_fraction`` partial, as the default does.
+    Liveness caveat, inherited from the MWMR construction (see the
+    ``mwmr`` family's docstring): the scan starves on a per-key register
+    that a burst leaves with too few intact copies for a quorum (not
+    necessarily none) until its owner rewrites it.  That is a count of
+    corrupted copies per register, and registers grow with shards × keys
+    × clients, so no fixed fraction is safe: with 4 shards, 4 clients, 32
+    keys, 4 rounds, one burst at t=2.0 and one ``equivocate`` server per
+    shard, seeds 2 and 3 end ``incomplete`` at the default 0.2 and pass
+    at 0.02.
 
     >>> from repro.workloads.spec import run_scenario
     >>> result = run_scenario("kv", shard_count=2, num_keys=2, rounds=1,
@@ -874,10 +877,8 @@ def _run_kv(p: SimpleNamespace) -> StoreScenarioResult:
                 "parallel kv execution requires pipelined=True (the "
                 "serial completion order the merge reconstructs is the "
                 "pipelined per-batch drain)")
-        from ..parallel.runner import run_parallel_kv
-        params = vars(p).copy()
-        del params["pipelined"]
-        return run_parallel_kv(**params)
+        from ..parallel import run_parallel_kv
+        return run_parallel_kv(p)
     store, keys = _build_store(p)
     linearizer = StreamingLinearizer()
     stream = ObservationStream(checkers=[linearizer], keep_history=True)

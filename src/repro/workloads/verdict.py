@@ -57,6 +57,13 @@ def judge(family: str, result: Any, after: Optional[float] = None,
     ``after`` moves the start of the SWSR shape's judged suffix (default:
     the scenario's τ); ``detail`` also lists the concrete violating
     operations (needs the retained history).
+
+    An unstable atomic run whose reader ends with ``pwsn`` ``>_cd`` the
+    writer's ``wsn`` is ``stale-pv``: 13M3 keeps returning the reader's
+    corrupted ``pv``.  Its precondition is a read invoked before its
+    write's first round trip ends; that read's line 09 clears the
+    write's 04M helping pair before any sanity check (N2) sees it
+    (``tests/test_registers_swsr_atomic.py``).
     """
     if family not in _RULES:
         raise ValueError(f"no verdict rule for scenario family {family!r} "
@@ -108,9 +115,7 @@ def _swsr_shaped(family, result, summary, verdict, after, detail):
     if report.stable is False:
         details = (_violation_details(result.history, tracker, tau)
                    if detail and result.history is not None else [])
-        verdict.violations += details or [{
-            "kind": "unstable",
-            "detail": f"no suffix after tau={tau} satisfies {tracker.mode}"}]
+        verdict.violations += details or [_unstable(result, tracker, tau)]
     elif tracker.mode == "atomic" and inversions:
         verdict.violation("new-old-inversion", f"{inversions} pair(s) with "
                           f"both reads invoked at or after tau={tau}")
@@ -119,6 +124,18 @@ def _swsr_shaped(family, result, summary, verdict, after, detail):
         if not tracker.exact:
             verdict.violation("inexact", "a bounded checker window overran")
     return tau, tracker.last_read_invoke
+
+
+def _unstable(result, tracker, tau: float) -> Dict[str, Any]:
+    """``unstable``, or ``stale-pv`` for an atomic reader left ahead."""
+    reader = result.extra.get("reader")
+    if tracker.mode == "atomic" and reader is not None:
+        pwsn, wsn = reader.role.pwsn, result.extra["writer"].role.wsn
+        if reader.role.config.gt(pwsn, wsn):
+            return {"kind": "stale-pv", "detail": f"the reader ends with "
+                    f"pwsn={pwsn} ahead of the writer's wsn={wsn}"}
+    return {"kind": "unstable",
+            "detail": f"no suffix after tau={tau} satisfies {tracker.mode}"}
 
 
 def _violation_details(history, tracker, tau: float) -> List[Dict[str, Any]]:

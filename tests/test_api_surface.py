@@ -77,7 +77,7 @@ def test_each_entry_point_has_one_spelling():
     import repro.fuzz.families as fuzz_families
     import repro.fuzz.harness as fuzz_harness
     import repro.runner.adapters as adapters
-    from repro.parallel.runner import MergedScenarioResult
+    from repro.parallel import MergedScenarioResult
     for owner, names in (
             (adapters, ("counters_from", "timings_from", "EXTRAS",
                         "_partition_extras", "_soak_extras",

@@ -15,9 +15,11 @@
   names the README line.
 * Every ``>>>`` example under ``src/repro`` runs.
 * Every repository path, ``repro.*`` name, console script and
-  ``python -m`` module the docs name exists, and the verification recipe
-  (``.claude/skills/verify/SKILL.md``) holds no measured number: timings,
-  sizes and counts go stale, commands are checked here.
+  ``python -m`` module the docs name exists, and so does every ``*.md``
+  file the code under ``src/repro`` and ``benchmarks/`` names.  The
+  verification recipe (``.claude/skills/verify/SKILL.md``) holds no
+  measured number: timings, sizes and counts go stale, commands are
+  checked here.
 """
 
 import ast
@@ -316,6 +318,23 @@ def test_what_the_docs_name_exists(doc, monkeypatch):
     broken = [f"{doc.relative_to(ROOT)}:{line}: `{word}`: {why}"
               for line, word, why in _references(doc)]
     assert not broken, "\n".join(broken)
+
+
+MARKDOWN = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def test_every_markdown_file_the_code_names_exists():
+    """A ``*.md`` path named under ``src/repro`` or ``benchmarks/`` (in
+    a docstring or a comment) is relative to the repository root, and
+    exists: a pointer to a document nobody can open explains nothing."""
+    missing = [f"{path.relative_to(ROOT)}:{number}: `{name}`"
+               for path in sorted([*PACKAGE.rglob("*.py"),
+                                   *(ROOT / "benchmarks").rglob("*.py")])
+               for number, line in enumerate(path.read_text(
+                   encoding="utf-8").split("\n"), start=1)
+               for name in MARKDOWN.findall(line)
+               if not (ROOT / name).is_file()]
+    assert not missing, "no such file:\n" + "\n".join(missing)
 
 
 MEASURED = re.compile(

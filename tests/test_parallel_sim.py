@@ -9,13 +9,14 @@ the wall-clock speedup itself is gated in
 ``benchmarks/test_bench_parallel_sim.py``.
 """
 
+import pickle
+
 import pytest
 
-from repro.kvstore.sharding import HashRing
+import repro.parallel as parallel
+from repro.kvstore.sharding import HashRing, derive_shard_seed
 from repro.faults.schedule import FaultTimeline
-from repro.parallel import (ParallelScenarioRunner, ShardExecutor,
-                            ShardPlan, execute_shard_plan, kv_shard_plans,
-                            normalize_parallel, soak_shard_plans)
+from repro.runner.engine import map_in_order
 from repro.workloads.spec import ScenarioSpec, run_scenario
 
 KV_KWARGS = dict(shard_count=3, n=9, t=1, seed=11, client_count=2,
@@ -108,44 +109,77 @@ class TestSoakSerialEquivalence:
         assert pooled.summarize().ops == 3 * single.summarize().ops
 
     def test_multi_shard_seeds_are_derived(self):
-        plans = soak_shard_plans(3, 7, {"kind": "regular"})
-        assert len({plan.seed for plan in plans}) == 3
-        assert all(plan.seed != 7 for plan in plans)
-        solo = soak_shard_plans(1, 7, {"kind": "regular"})
-        assert solo[0].seed == 7       # shards=1 keeps the scenario seed
+        """A sharded soak is the sub-soaks at the derived seeds, merged:
+        its ops, messages and events are theirs summed."""
+        kwargs = dict(SOAK_KWARGS, seed=7)
+        merged = run_scenario("soak", shards=2, **kwargs).summarize()
+        solos = [run_scenario("soak", **dict(
+            kwargs, seed=derive_shard_seed(7, shard))).summarize()
+            for shard in range(2)]
+        for name in ("ops", "messages_sent", "events_processed"):
+            assert getattr(merged, name) == sum(
+                getattr(solo, name) for solo in solos), name
+        assert merged.sim_end == max(solo.sim_end for solo in solos)
+        assert len({derive_shard_seed(7, shard) for shard in range(3)}
+                   - {7}) == 3
+
+
+def _shards(monkeypatch, family, workers, **kwargs):
+    """``(worker function, shard list)`` a scenario hands the pool."""
+    handed = []
+
+    def spy(function, items, count):
+        handed.append((function, items))
+        return map_in_order(function, items, count)
+
+    monkeypatch.setattr(parallel, "map_in_order", spy)
+    run_scenario(family, parallel=workers, **kwargs)
+    return handed[0]
 
 
 class TestPlansAndDispatch:
-    def test_kv_plans_cover_every_operation_on_its_ring_shard(self):
-        plans, keys, ring = kv_shard_plans(
-            shard_count=3, n=9, t=1, seed=0, client_count=2, num_keys=6,
-            rounds=2, byzantine_count=0,
-            byzantine_strategy="random-garbage", corruption_times=(),
-            corruption_fraction=0.2, fault_timelines=None,
-            trace_backend="null", enforce_resilience=True,
-            max_events=1000)
-        assert keys == [f"k{index}" for index in range(6)]
+    KV = dict(shard_count=3, n=9, t=1, seed=4, client_count=2, num_keys=6,
+              rounds=2, corruption_times=[2.0], corruption_fraction=0.2,
+              fault_timelines={0: FaultTimeline().burst(
+                  1.0, fraction=0.2, targets="servers").to_dict()})
+
+    def test_shards_are_plain_data_on_their_ring_shard(self, monkeypatch):
+        """Each kv shard is (pool, derived seed, its slice of every batch,
+        its timeline): every op on its ring shard, picklable, and the
+        same list at any worker count."""
+        _, shards = _shards(monkeypatch, "kv", 1, **self.KV)
+        ring = HashRing(3)
         total = 0
-        for plan in plans:
-            for batch in plan.op_batches:
+        for index, (pool, seed, batches, timeline) in enumerate(shards):
+            assert seed == derive_shard_seed(4, index)
+            assert len(batches) == 1 + 2 * 2 and timeline["events"]
+            for batch in batches:
                 for kind, client, key, value in batch:
-                    assert ring.shard_for(key) == plan.shard_index
+                    assert ring.shard_for(key) == index
                     total += 1
         assert total == 6 * (1 + 2 * 2)    # create + rounds x (put + get)
+        assert pickle.loads(pickle.dumps(shards)) == shards
+        assert _shards(monkeypatch, "kv", 2, **self.KV)[1] == shards
 
-    def test_plans_are_picklable(self):
-        import pickle
-        plans, _, _ = kv_shard_plans(
-            shard_count=2, n=9, t=1, seed=0, client_count=2, num_keys=2,
-            rounds=1, byzantine_count=0,
-            byzantine_strategy="random-garbage",
-            corruption_times=(2.0,), corruption_fraction=0.2,
-            fault_timelines={0: FaultTimeline().burst(
-                1.0, fraction=0.2, targets="servers")},
-            trace_backend="null", enforce_resilience=True,
-            max_events=1000)
-        restored = pickle.loads(pickle.dumps(plans))
-        assert restored == plans
+    def test_shard_worker_is_a_function_of_its_tuple(self, monkeypatch):
+        """A worker returns records and pre/post counters per step (0 is
+        create), the same on every call; a soak worker its sub-soak."""
+        worker, shards = _shards(monkeypatch, "kv", 1, **self.KV)
+        failed, records, pre, post, tau, corruptions = worker(shards[0])
+        assert failed is None and tau > 0
+        assert len(records) == len(pre) == len(post) == len(shards[0][2])
+        assert [len(step) for step in records] == \
+            [len(batch) for batch in shards[0][2]]
+        again = worker(shards[0])
+        assert again[0] is None
+        assert again[2:] == (pre, post, tau, corruptions)
+        assert [op.value for step in again[1] for op in step] == \
+            [op.value for step in records for op in step]
+        worker, shards = _shards(monkeypatch, "soak", 1, shards=2,
+                                 **SOAK_KWARGS)
+        outcomes = [worker(shard) for shard in shards]
+        assert all(completed and records
+                   for completed, records, *_ in outcomes)
 
     def test_out_of_range_timeline_shard_rejected_at_plan_time(self):
         timeline = FaultTimeline().burst(1.0, fraction=0.2,
@@ -154,49 +188,6 @@ class TestPlansAndDispatch:
             run_scenario("kv", parallel=2, shard_count=2, num_keys=2,
                          rounds=1, seed=6,
                          fault_timelines={5: timeline.to_dict()})
-
-    def test_executor_runs_every_stage_in_plan_order_repeatably(self):
-        plans, _, _ = kv_shard_plans(
-            shard_count=2, n=9, t=1, seed=4, client_count=2, num_keys=4,
-            rounds=1, byzantine_count=0,
-            byzantine_strategy="random-garbage",
-            corruption_times=(2.0,), corruption_fraction=0.2,
-            fault_timelines=None, trace_backend="null",
-            enforce_resilience=True, max_events=100_000)
-        one_shot = execute_shard_plan(plans[0])
-        outcome = ShardExecutor(plans[0]).run()
-        assert list(outcome.status) == plans[0].stage_names()
-        assert set(outcome.status.values()) == {"ok"}
-        assert outcome.status == one_shot.status
-        assert outcome.post_counters == one_shot.post_counters
-        assert [op.value for ops in outcome.records.values()
-                for op in ops] == \
-            [op.value for ops in one_shot.records.values() for op in ops]
-
-    def test_normalize_parallel(self):
-        assert normalize_parallel(None) == 1
-        assert normalize_parallel(1) == 1
-        assert normalize_parallel(4) == 4
-        for bad in (0, -2, "threads", "interleave", 2.5, True):
-            with pytest.raises(ValueError):
-                normalize_parallel(bad)
-
-    def test_runner_runs_plans_in_order(self):
-        plans = soak_shard_plans(2, 3, dict(
-            kind="regular", n=9, t=1, transport="direct", num_writes=4,
-            num_reads=4, op_gap=4.0, reader_offset=None, fault_bursts=1,
-            fault_period=5.0, corruption_fraction=0.3, rotations=0,
-            rotation_gap=None, rotation_size=None,
-            rotation_strategy="random-garbage", byzantine_count=0,
-            byzantine_strategy="random-garbage", initial="v_init",
-            enforce_resilience=True, max_events=1_000_000,
-            trace_backend="null", keep_history=False, write_window=64,
-            read_window=64, max_records=64, candidate_cap=4096,
-            chunk_ops=256))
-        outcomes = ParallelScenarioRunner(plans, parallel=1).run()
-        assert [outcome.shard_index for outcome in outcomes] == [0, 1]
-        assert all(outcome.completed for outcome in outcomes)
-        assert all(outcome.records["run"] for outcome in outcomes)
 
 
 class TestSpecIntegration:
@@ -218,9 +209,14 @@ class TestSpecIntegration:
         assert serial.summarize() == parallel.summarize()
 
     def test_invalid_parallel_rejected(self):
-        with pytest.raises(ValueError):
-            run_scenario("kv", seed=1, shard_count=2, num_keys=2,
-                         rounds=1, parallel="threads")
+        """``parallel`` is a worker count: an int of at least 1, for kv
+        and soak alike; a soak needs at least one shard."""
+        for family, kwargs in (
+                ("kv", dict(shard_count=2, num_keys=2, rounds=1)),
+                ("soak", dict(num_writes=4, num_reads=4))):
+            for bad in (0, -2, "threads", "interleave", 2.5, True):
+                with pytest.raises(ValueError, match="workers must be"):
+                    run_scenario(family, seed=1, parallel=bad, **kwargs)
         with pytest.raises(ValueError):
             run_scenario("soak", seed=1, num_writes=4, num_reads=4,
                          shards=0)

@@ -9,6 +9,7 @@ from repro.faults.transient import TransientFaultInjector
 from repro.registers.bounded_seq import WsnConfig
 from repro.registers.messages import BOT
 from repro.registers.system import Cluster, ClusterConfig, build_swsr_atomic
+from repro.sim.network import FixedDelay
 from repro.workloads.engine import ScenarioEngine
 from repro.workloads.spec import run_scenario
 from repro.workloads.verdict import judge
@@ -176,7 +177,7 @@ class TestByzantineTolerance:
 
 
 #: reader_offset -> the seeds in 0-99 whose run is judged not ok, each
-#: with the one violation ``unstable``
+#: with the one violation ``stale-pv``
 NOT_STABILIZING = {
     None: (),
     1.0: (2, 4, 5, 6, 10, 11, 12, 15, 21, 22, 29, 30, 32, 34, 36, 39, 43,
@@ -189,10 +190,12 @@ def test_reads_overlapping_writes_do_not_stabilize(reader_offset):
     """Records an open finding, not the intended behaviour: after one
     burst at t=1.0, an atomic register whose reads overlap its writes
     (``reader_offset=1.0``) keeps returning the reader's corrupted value
-    on 27 of 100 seeds, and on none when they do not overlap.  The
-    ROADMAP's item 16 triages it (an implementation deviation to fix, or
-    a precondition of the paper's guarantee to state); its outcome
-    changes this table.  The 200 exact executions also pin the kernel.
+    on 27 of 100 seeds, and on none when they do not overlap.  The judge
+    names it ``stale-pv``: each of the 27 ends with the reader's ``pwsn``
+    ahead of the writer's ``wsn``, and none of the 173 ok runs does.
+    Whether it is an implementation deviation or a precondition of the
+    paper's guarantee is the ROADMAP's item 16.  The 200 exact
+    executions also pin the kernel.
     """
     failing = {}
     for seed in range(100):
@@ -201,15 +204,17 @@ def test_reads_overlapping_writes_do_not_stabilize(reader_offset):
             corruption_times=[1.0]))
         if not verdict.ok:
             failing[seed] = [v["kind"] for v in verdict.violations]
-    assert failing == {seed: ["unstable"]
+    assert failing == {seed: ["stale-pv"]
                        for seed in NOT_STABILIZING[reader_offset]}
 
 
-def _reader_only_probe(seed, read_after, servers_at_bot):
+def _reader_only_probe(seed, read_after, servers_at_bot, delay=None):
     """Whether the last 4 of 8 reads are regular after a corruption of
-    the reader alone (``pwsn``/``pv``), once one clean write has run."""
+    the reader alone (``pwsn``/``pv``), once one clean write has run;
+    ``delay`` makes every message take exactly that long."""
     cluster = Cluster(ClusterConfig(n=9, t=1, seed=seed,
-                                    trace_backend="null"))
+                                    trace_backend="null"),
+                      delay_model=delay and FixedDelay(delay))
     writer, reader = build_swsr_atomic(cluster)
     cluster.run_ops([writer.write("v0")])
     reader.role.pwsn, reader.role.pv = 2 ** 62, "corrupt"
@@ -264,3 +269,31 @@ def test_reader_only_corruption_with_overlapping_reads_does_not_stabilize():
         failing = tuple(seed for seed in range(20) if not _reader_only_probe(
             seed, read_after, at_bot))
         assert failing == expected, (read_after, at_bot, failing)
+
+
+@pytest.mark.parametrize("delay", [0.5, 1.0, 2.0])
+def test_reads_invoked_before_the_first_round_trip_ends_never_stabilize(
+        delay):
+    """The item 16 witness without seeds: every message takes exactly
+    ``d``, and each read is invoked ``a`` after its write.  With every
+    server's ``helping_val`` at ⊥, the last 4 reads are not regular
+    exactly when a < 2d, the write's first round trip; with the servers
+    at the current pair, all are regular.
+
+    Traced event by event at d = 1, a = 1 (write k invoked at T = 5):
+    - T+1 = 6: the WRITE lands on s1..s9; every AckWrite carries ⊥.
+    - T+2 = 7: the read's N2 READ(false), sent at 6, lands on s1..s9,
+      and each answers ⊥, so N4 finds no pair.  The write's acks arrive
+      at 7, and line 03 sends 04M.
+    - T+3 = 8: 04M lands, and s1..s9 set ``helping_val`` to (2, 'v1').
+      The read's line 09 sends READ(true).
+    - T+4 = 9: line 22 clears (2, 'v1') on s1..s9.
+    - T+5 = 10: the read sees a ``last_val`` quorum whose wsn is not
+      ``>_cd`` the corrupted ``pwsn``, so 13M3 returns ``pv``.
+    Write k+1 (T = 15) then again finds ⊥ on every server, so line 09
+    clears each write's pair before the next write's N2 can see it.
+    """
+    for ratio in (0.5, 1.0, 1.5, 2.0, 3.0):
+        for at_bot in (True, False):
+            regular = _reader_only_probe(0, ratio * delay, at_bot, delay)
+            assert regular == (not at_bot or ratio >= 2), (ratio, at_bot)

@@ -106,6 +106,28 @@ def test_capture_file_it_cannot_open_is_a_usage_error(
                   f"'{missing}'\n"
 
 
+def test_capture_tail_into_a_closed_pipe_exits_0(tmp_path):
+    """``repro-capture tail ... | head -1``: a reader that closes the
+    pipe while ``tail`` still has more than a pipe buffer to write ends
+    it with exit 0 and nothing on stderr, as ``repro-service`` does."""
+    import subprocess
+    import sys
+    big = tmp_path / "big.jsonl"
+    big.write_text("".join(f'{{"i": {index}}}\n' for index in range(100_000)))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tail = subprocess.Popen(
+        [sys.executable, "-m", "repro.capture", "tail", "-n", "100000",
+         str(big)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert tail.stdout.readline() == b'{"i": 0}\n'
+    tail.stdout.close()
+    assert tail.wait(timeout=60) == 0
+    assert tail.stderr.read() == b""
+    tail.stderr.close()
+
+
 @pytest.mark.parametrize("argv", [["get", "k"], ["put", "k", "1"],
                                   ["stats"]], ids=lambda argv: argv[0])
 def test_one_shot_with_nothing_listening_names_the_endpoint(argv, capsys):
