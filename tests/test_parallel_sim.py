@@ -86,7 +86,7 @@ class TestKVSerialEquivalence:
 
 class TestSoakSerialEquivalence:
     def test_single_shard_matches_legacy_path(self):
-        """``shards=1`` through plan/executor/merge must be field-for-
+        """``shards=1`` through the shard worker and merge must be field-for-
         field the legacy in-process soak — same seed, same verdicts."""
         legacy = run_scenario("soak", **SOAK_KWARGS)
         assert legacy.completed
@@ -143,27 +143,35 @@ class TestPlansAndDispatch:
               fault_timelines={0: FaultTimeline().burst(
                   1.0, fraction=0.2, targets="servers").to_dict()})
 
-    def test_shards_are_plain_data_on_their_ring_shard(self, monkeypatch):
+    def test_kv_plans_cover_every_operation_on_its_ring_shard(
+            self, monkeypatch):
         """Each kv shard is (pool, derived seed, its slice of every batch,
-        its timeline): every op on its ring shard, picklable, and the
-        same list at any worker count."""
+        its timeline): every op sits on its ring shard, and the shard list
+        is the same at any worker count."""
         _, shards = _shards(monkeypatch, "kv", 1, **self.KV)
         ring = HashRing(3)
         total = 0
         for index, (pool, seed, batches, timeline) in enumerate(shards):
             assert seed == derive_shard_seed(4, index)
-            assert len(batches) == 1 + 2 * 2 and timeline["events"]
+            assert len(batches) == 1 + 2 * 2
             for batch in batches:
                 for kind, client, key, value in batch:
                     assert ring.shard_for(key) == index
                     total += 1
         assert total == 6 * (1 + 2 * 2)    # create + rounds x (put + get)
-        assert pickle.loads(pickle.dumps(shards)) == shards
         assert _shards(monkeypatch, "kv", 2, **self.KV)[1] == shards
 
-    def test_shard_worker_is_a_function_of_its_tuple(self, monkeypatch):
-        """A worker returns records and pre/post counters per step (0 is
-        create), the same on every call; a soak worker its sub-soak."""
+    def test_plans_are_picklable(self, monkeypatch):
+        """The shard tuples, timeline included, survive the pool's pickle
+        round trip unchanged."""
+        _, shards = _shards(monkeypatch, "kv", 1, **self.KV)
+        assert all(timeline["events"] for *_, timeline in shards)
+        assert pickle.loads(pickle.dumps(shards)) == shards
+
+    def test_executor_runs_every_stage_in_plan_order_repeatably(
+            self, monkeypatch):
+        """The kv worker returns records and pre/post counters per step
+        (step 0 is create), one entry per batch, the same on every call."""
         worker, shards = _shards(monkeypatch, "kv", 1, **self.KV)
         failed, records, pre, post, tau, corruptions = worker(shards[0])
         assert failed is None and tau > 0
@@ -175,11 +183,31 @@ class TestPlansAndDispatch:
         assert again[2:] == (pre, post, tau, corruptions)
         assert [op.value for step in again[1] for op in step] == \
             [op.value for step in records for op in step]
+
+    def test_normalize_parallel(self):
+        """``map_in_order`` takes a worker count: an int of at least 1.
+        It returns results in item order, inline or on the pool."""
+        items = [3, 1, 2]
+        for workers in (1, 2, 4):
+            assert map_in_order(abs, items, workers) == items
+        for bad in (0, -2, "threads", "interleave", 2.5, True):
+            with pytest.raises(ValueError, match="workers must be"):
+                map_in_order(abs, items, bad)
+
+    def test_runner_runs_plans_in_order(self, monkeypatch):
+        """A sharded soak hands the pool one sub-soak per shard, in shard
+        order at the derived seeds, and each one completes with records."""
         worker, shards = _shards(monkeypatch, "soak", 1, shards=2,
                                  **SOAK_KWARGS)
-        outcomes = [worker(shard) for shard in shards]
+        assert [seed for _, seed in shards] == \
+            [derive_shard_seed(SOAK_KWARGS["seed"], shard)
+             for shard in range(2)]
+        outcomes = map_in_order(worker, shards, 1)
         assert all(completed and records
                    for completed, records, *_ in outcomes)
+        pooled = map_in_order(worker, shards, 2)
+        assert [outcome[2:] for outcome in pooled] == \
+            [outcome[2:] for outcome in outcomes]
 
     def test_out_of_range_timeline_shard_rejected_at_plan_time(self):
         timeline = FaultTimeline().burst(1.0, fraction=0.2,
